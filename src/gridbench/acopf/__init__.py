@@ -3,14 +3,13 @@
 from .datagen import SampleSet, gen_augmented, gen_realistic
 from .loss import PenaltyWeights, penalty_loss_and_grad
 from .mlp import MlpModel, build_mlp, mlp_backward, mlp_forward
-from .space import DecisionSpace, ViolationReport, acopf_violations, feasible_decision_from_pf
+from .space import DecisionSpace, ViolationReport, feasible_decision_from_pf
 from .sweep import (
     DEFAULT_MODES,
     DEFAULT_SEEDS,
     ExperimentConfig,
     SweepResult,
     SweepRow,
-    evaluate_generalization,
     experiment_sweep,
     run_cell,
     split_realistic,
@@ -20,9 +19,8 @@ from .train import TrainConfig, TrainingDiverged, evaluate_decisions, train_pena
 __all__ = [
     "DEFAULT_MODES", "DEFAULT_SEEDS", "DecisionSpace", "ExperimentConfig",
     "MlpModel", "PenaltyWeights", "SampleSet", "SweepResult", "SweepRow",
-    "TrainConfig", "TrainingDiverged", "ViolationReport", "acopf_violations",
-    "build_mlp", "evaluate_decisions", "evaluate_generalization",
-    "experiment_sweep", "feasible_decision_from_pf", "gen_augmented",
-    "gen_realistic", "mlp_backward", "mlp_forward", "penalty_loss_and_grad",
-    "run_cell", "split_realistic", "train_penalty",
+    "TrainConfig", "TrainingDiverged", "ViolationReport", "build_mlp",
+    "evaluate_decisions", "experiment_sweep", "feasible_decision_from_pf",
+    "gen_augmented", "gen_realistic", "mlp_backward", "mlp_forward",
+    "penalty_loss_and_grad", "run_cell", "split_realistic", "train_penalty",
 ]

@@ -42,19 +42,20 @@ def _bus_adjoint_to_grads(space: DecisionSpace, c: np.ndarray, v: np.ndarray,
 
 
 def _branch_adjoint_to_grads(space: DecisionSpace, mu_eta: np.ndarray,
-                             v: np.ndarray, vf: np.ndarray, i_br: np.ndarray,
+                             v: np.ndarray, v_end: np.ndarray, i_br: np.ndarray,
                              from_side: bool):
-    """Gradients of dL = sum_l Re(mu_eta_l dS_l) for one branch end.
+    """Gradients of dL = sum_l Re(mu_eta_l dS_l) for one end of the rated branches.
 
     S_l = V_{e(l)} conj(I_l) with I_l = y1 V_f + y2 V_t; ``from_side``
     selects which end e(l) and admittance pair applies.
     """
     n = space.n_bus
     b = mu_eta.shape[0]
+    br = space.rated
     if from_side:
-        end_idx, y_to_f, y_to_t = space.br_f, space.yff, space.yft
+        end_idx, y_to_f, y_to_t = br.f, br.yff, br.yft
     else:
-        end_idx, y_to_f, y_to_t = space.br_t, space.ytf, space.ytt
+        end_idx, y_to_f, y_to_t = br.t, br.ytf, br.ytt
     a = mu_eta * np.conj(i_br)   # (B, nbr): coefficient on dV at the metered end
     g_va = np.zeros((b, n))
     g_vm = np.zeros((b, n))
@@ -65,8 +66,8 @@ def _branch_adjoint_to_grads(space: DecisionSpace, mu_eta: np.ndarray,
     term = np.real(e[:, end_idx] * a)
     np.add.at(g_vm, (slice(None), end_idx), term)
     # conj(Y dV) terms at both terminals
-    for idx, coeff in ((space.br_f, y_to_f), (space.br_t, y_to_t)):
-        bb = mu_eta * vf * np.conj(coeff)
+    for idx, coeff in ((br.f, y_to_f), (br.t, y_to_t)):
+        bb = mu_eta * v_end * np.conj(coeff)
         term_va = np.real(-1j * np.conj(v[:, idx]) * bb)
         term_vm = np.real(np.conj(e[:, idx]) * bb)
         np.add.at(g_va, (slice(None), idx), term_va)
@@ -81,33 +82,15 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     decision = np.atleast_2d(decision)
     b = decision.shape[0]
     n, g = space.n_bus, space.n_gen
-    vm, va, pg, qg = space.unpack(decision)
-    v, i_bus, s_calc, s_f, s_t = space.injections(vm, va)
-    pgb, qgb = space.gens_to_buses(pg, qg)
-    r_p = pgb - pd_bus - s_calc.real
-    r_q = qgb - qd_bus - s_calc.imag
+    ev = space.evaluate(decision, pd_bus, qd_bus)
+    exc = ev.excess
 
     n_eq = 2 * n
-    loss_eq = float(np.sum(r_p**2 + r_q**2) / (b * n_eq))
-
-    # inequality excesses (order mirrors DecisionSpace.inequality_excesses)
-    exc = {
-        "pg_hi": np.maximum(0.0, pg - space.p_max),
-        "pg_lo": np.maximum(0.0, space.p_min - pg),
-        "qg_hi": np.maximum(0.0, qg - space.q_max),
-        "qg_lo": np.maximum(0.0, space.q_min - qg),
-        "vm_hi": np.maximum(0.0, vm - space.v_max),
-        "vm_lo": np.maximum(0.0, space.v_min - vm),
-    }
-    if space.n_rated:
-        abs_f = np.abs(s_f)
-        abs_t = np.abs(s_t)
-        exc["th_f"] = np.maximum(0.0, abs_f - space.rate)
-        exc["th_t"] = np.maximum(0.0, abs_t - space.rate)
+    loss_eq = float(np.sum(ev.r_p**2 + ev.r_q**2) / (b * n_eq))
     n_ineq = space.n_ineq
     loss_ineq = float(sum(np.sum(e**2) for e in exc.values()) / (b * n_ineq))
 
-    cost = space.cost(pg)
+    cost = space.cost(ev.pg)
     loss_cost = float(cost.mean())
 
     loss = (weights.w_cost * loss_cost + weights.w_eq * loss_eq
@@ -120,10 +103,10 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     g_qg = np.zeros((b, g))
 
     # equality: adjoint on calculated injections
-    lam_p = -2.0 * weights.w_eq * r_p / (b * n_eq)
-    lam_q = -2.0 * weights.w_eq * r_q / (b * n_eq)
+    lam_p = -2.0 * weights.w_eq * ev.r_p / (b * n_eq)
+    lam_q = -2.0 * weights.w_eq * ev.r_q / (b * n_eq)
     c = lam_p + 1j * lam_q
-    dva, dvm = _bus_adjoint_to_grads(space, c, v, i_bus)
+    dva, dvm = _bus_adjoint_to_grads(space, c, ev.v, ev.i_bus)
     g_va += dva
     g_vm += dvm
     # and directly on generator injections
@@ -137,26 +120,21 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     g_vm += k_ineq * (exc["vm_hi"] - exc["vm_lo"])
 
     # inequality: thermal terms through the branch flows
-    if space.n_rated:
-        vf = v[:, space.br_f]
-        vt = v[:, space.br_t]
-        i_f = space.yff * vf + space.yft * vt
-        i_t = space.ytf * vf + space.ytt * vt
-        for s_br, i_br, vend, excess, aside in (
-                (s_f, i_f, vf, exc["th_f"], True),
-                (s_t, i_t, vt, exc["th_t"], False)):
-            mag = np.abs(s_br)
-            active = excess > 0
-            if not active.any():
-                continue
-            eta = np.where(active, np.conj(s_br) / np.maximum(mag, 1e-12), 0.0)
-            mu_eta = k_ineq * excess * eta
-            dva, dvm = _branch_adjoint_to_grads(space, mu_eta, v, vend, i_br, aside)
-            g_va += dva
-            g_vm += dvm
+    ends = ev.ends
+    for s_br, i_br, v_end, excess, from_side in (
+            (ends.s_f, ends.i_f, ends.vf, exc["th_f"], True),
+            (ends.s_t, ends.i_t, ends.vt, exc["th_t"], False)):
+        active = excess > 0
+        if not active.any():
+            continue
+        eta = np.where(active, np.conj(s_br) / np.maximum(np.abs(s_br), 1e-12), 0.0)
+        mu_eta = k_ineq * excess * eta
+        dva, dvm = _branch_adjoint_to_grads(space, mu_eta, ev.v, v_end, i_br, from_side)
+        g_va += dva
+        g_vm += dvm
 
     # cost
-    g_pg += weights.w_cost * (2.0 * space.cost_c2 * pg + space.cost_c1) / (
+    g_pg += weights.w_cost * (2.0 * space.cost_c2 * ev.pg + space.cost_c1) / (
         space.cost_ref * b)
 
     g_va[:, space.slack] = 0.0  # pinned angle

@@ -13,11 +13,12 @@ differences in the tests pin every sign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..grid.model import GridCase
-from ..powerflow import branch_admittances, build_ybus
+from ..powerflow import Terminals, build_ybus
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,23 @@ class ViolationReport:
             overall_mean=float(0.5 * equality_mean + 0.5 * inequality_mean))
 
 
+class Evaluation(NamedTuple):
+    """One pass over a batch of decisions, shaped (B, ...)."""
+
+    pg: np.ndarray  # unpacked generator outputs
+    v: np.ndarray  # complex bus voltages
+    i_bus: np.ndarray  # calculated bus current injections
+    ends: Terminals  # of the rated branches
+    r_p: np.ndarray  # active / reactive balance residuals per bus
+    r_q: np.ndarray
+    excess: dict[str, np.ndarray]  # named clipped inequality excesses
+
+    @property
+    def inequality(self) -> np.ndarray:
+        """All excesses side by side, (B, n_ineq)."""
+        return np.concatenate(list(self.excess.values()), axis=1)
+
+
 class DecisionSpace:
     """Precomputed case tensors shared by violation and gradient passes."""
 
@@ -46,7 +64,8 @@ class DecisionSpace:
         self.case = case
         self.bus_index = {b.id: i for i, b in enumerate(case.buses)}
         self.n_bus = len(case.buses)
-        self.y = build_ybus(case).matrix.toarray()
+        ybus = build_ybus(case)
+        self.y = ybus.matrix.toarray()
         self.slack = next(i for i, b in enumerate(case.buses) if b.kind == "slack")
         self.v_min = np.array([b.v_min for b in case.buses])
         self.v_max = np.array([b.v_max for b in case.buses])
@@ -65,30 +84,18 @@ class DecisionSpace:
                            + self.cost_c1 * self.p_max + self.cost_c0))
         self.cost_ref = max(ref, 1e-9)
 
-        rated = [(k, br) for k, br in enumerate(case.branches)
-                 if br.closed and br.rate_a > 0]
-        self.rate = np.array([br.rate_a for _, br in rated])
-        self.br_f = np.array([self.bus_index[br.from_bus] for _, br in rated], dtype=int)
-        self.br_t = np.array([self.bus_index[br.to_bus] for _, br in rated], dtype=int)
-        yff, yft, ytf, ytt = [], [], [], []
-        for _, br in rated:
-            a, b, c, d = branch_admittances(br)
-            yff.append(a)
-            yft.append(b)
-            ytf.append(c)
-            ytt.append(d)
-        self.yff = np.array(yff, dtype=complex)
-        self.yft = np.array(yft, dtype=complex)
-        self.ytf = np.array(ytf, dtype=complex)
-        self.ytt = np.array(ytt, dtype=complex)
-        self.n_rated = len(rated)
+        # thermal limits apply to the closed branches with a rating
+        rate = np.array([br.rate_a for br in case.branches])[ybus.branches.pos]
+        self.rated = ybus.branches.subset(rate > 0)
+        self.rate = rate[rate > 0]
+        self.n_rated = len(self.rate)
 
         # loads aggregated onto buses for the bundled case demand
+        self.n_load = len(case.loads)
+        self.load_bus = np.array([self.bus_index[l.bus] for l in case.loads], dtype=int)
         self.base_pd_bus, self.base_qd_bus = self.loads_to_buses(
             np.array([[l.pd for l in case.loads]]),
             np.array([[l.qd for l in case.loads]]))
-        self.n_load = len(case.loads)
-        self.load_bus = np.array([self.bus_index[l.bus] for l in case.loads], dtype=int)
 
         self.dim = 2 * self.n_bus + 2 * self.n_gen
         self.n_ineq = (4 * self.n_gen + 2 * self.n_bus + 2 * self.n_rated)
@@ -112,7 +119,7 @@ class DecisionSpace:
         """Aggregate per-load columns onto buses: (B, n_load) -> (B, n_bus)."""
         pd = np.atleast_2d(pd)
         qd = np.atleast_2d(qd)
-        idx = np.array([self.bus_index[l.bus] for l in self.case.loads], dtype=int)
+        idx = self.load_bus
         pdb = np.zeros((pd.shape[0], self.n_bus))
         qdb = np.zeros((qd.shape[0], self.n_bus))
         np.add.at(pdb, (slice(None), idx), pd)
@@ -128,46 +135,37 @@ class DecisionSpace:
 
     # -- physics ------------------------------------------------------------
 
-    def injections(self, vm: np.ndarray, va: np.ndarray):
-        """Calculated complex injections and terminal branch powers."""
+    def evaluate(self, decision, pd_bus, qd_bus) -> Evaluation:
+        """Injections, rated-branch end flows, balance residuals against the
+        bus demand, and the named inequality excesses."""
+        vm, va, pg, qg = self.unpack(decision)
         v = vm * np.exp(1j * va)
         i_bus = v @ self.y.T
         s_calc = v * np.conj(i_bus)
-        vf = v[:, self.br_f]
-        vt = v[:, self.br_t]
-        i_f = self.yff * vf + self.yft * vt
-        i_t = self.ytf * vf + self.ytt * vt
-        s_f = vf * np.conj(i_f)
-        s_t = vt * np.conj(i_t)
-        return v, i_bus, s_calc, s_f, s_t
+        ends = self.rated.terminals(v)
+        pgb, qgb = self.gens_to_buses(pg, qg)
+        excess = {
+            "pg_hi": np.maximum(0.0, pg - self.p_max),
+            "pg_lo": np.maximum(0.0, self.p_min - pg),
+            "qg_hi": np.maximum(0.0, qg - self.q_max),
+            "qg_lo": np.maximum(0.0, self.q_min - qg),
+            "vm_hi": np.maximum(0.0, vm - self.v_max),
+            "vm_lo": np.maximum(0.0, self.v_min - vm),
+            "th_f": np.maximum(0.0, np.abs(ends.s_f) - self.rate),
+            "th_t": np.maximum(0.0, np.abs(ends.s_t) - self.rate),
+        }
+        return Evaluation(pg, v, i_bus, ends,
+                          pgb - pd_bus - s_calc.real, qgb - qd_bus - s_calc.imag,
+                          excess)
 
     def residuals(self, decision, pd_bus, qd_bus):
         """Equality residuals r_P, r_Q (B, n_bus) and thermal excesses."""
-        vm, va, pg, qg = self.unpack(decision)
-        pgb, qgb = self.gens_to_buses(pg, qg)
-        _, _, s_calc, s_f, s_t = self.injections(vm, va)
-        r_p = pgb - pd_bus - s_calc.real
-        r_q = qgb - qd_bus - s_calc.imag
-        exc_f = np.maximum(0.0, np.abs(s_f) - self.rate) if self.n_rated else np.zeros((vm.shape[0], 0))
-        exc_t = np.maximum(0.0, np.abs(s_t) - self.rate) if self.n_rated else np.zeros((vm.shape[0], 0))
-        return r_p, r_q, exc_f, exc_t
+        e = self.evaluate(decision, pd_bus, qd_bus)
+        return e.r_p, e.r_q, e.excess["th_f"], e.excess["th_t"]
 
     def inequality_excesses(self, decision):
         """All clipped inequality excesses, (B, n_ineq)."""
-        vm, va, pg, qg = self.unpack(decision)
-        _, _, _, s_f, s_t = self.injections(vm, va)
-        parts = [
-            np.maximum(0.0, pg - self.p_max),
-            np.maximum(0.0, self.p_min - pg),
-            np.maximum(0.0, qg - self.q_max),
-            np.maximum(0.0, self.q_min - qg),
-            np.maximum(0.0, vm - self.v_max),
-            np.maximum(0.0, self.v_min - vm),
-        ]
-        if self.n_rated:
-            parts.append(np.maximum(0.0, np.abs(s_f) - self.rate))
-            parts.append(np.maximum(0.0, np.abs(s_t) - self.rate))
-        return np.concatenate(parts, axis=1)
+        return self.evaluate(decision, 0.0, 0.0).inequality
 
     def violations(self, decision, pd=None, qd=None) -> ViolationReport:
         """Mean violation report for decisions against given (or case) loads."""
@@ -177,20 +175,14 @@ class DecisionSpace:
             qd_bus = np.repeat(self.base_qd_bus, decision.shape[0], axis=0)
         else:
             pd_bus, qd_bus = self.loads_to_buses(pd, qd)
-        r_p, r_q, _, _ = self.residuals(decision, pd_bus, qd_bus)
-        eq = float(np.mean(np.concatenate([np.abs(r_p), np.abs(r_q)], axis=1)))
-        ineq = float(np.mean(self.inequality_excesses(decision)))
-        return ViolationReport.combine(eq, ineq)
+        e = self.evaluate(decision, pd_bus, qd_bus)
+        eq = float(np.mean(np.concatenate([np.abs(e.r_p), np.abs(e.r_q)], axis=1)))
+        return ViolationReport.combine(eq, float(np.mean(e.inequality)))
 
     def cost(self, pg: np.ndarray) -> np.ndarray:
         """Normalized quadratic generation cost per sample."""
         raw = (self.cost_c2 * pg**2 + self.cost_c1 * pg + self.cost_c0).sum(axis=1)
         return raw / self.cost_ref
-
-
-def acopf_violations(case: GridCase, decision: np.ndarray) -> ViolationReport:
-    """Violation report of one decision vector against the case's loads."""
-    return DecisionSpace(case).violations(decision)
 
 
 def feasible_decision_from_pf(space: DecisionSpace, pd=None, qd=None) -> np.ndarray:

@@ -8,13 +8,13 @@ measure mean constraint violations on the held-out realistic samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datagen import SampleSet, gen_augmented, gen_realistic
 from .mlp import build_mlp
-from .space import DecisionSpace, ViolationReport
+from .space import DecisionSpace
 from .train import TrainConfig, evaluate_decisions, train_penalty
 from ..grid.model import GridCase
 from ..rng import derive_seed
@@ -110,22 +110,13 @@ def run_cell(config: ExperimentConfig, mode: str, n_fake: int, seed: int
     model = build_mlp(space, hidden_layers=config.hidden_layers,
                       width=config.width, seed=derive_seed(seed, 23),
                       train_inputs=inputs)
-    train_cfg = TrainConfig(epochs=config.train.epochs,
-                            batch_size=config.train.batch_size,
-                            lr=config.train.lr, momentum=config.train.momentum,
-                            weights=config.train.weights,
-                            seed=derive_seed(seed, 29))
+    train_cfg = replace(config.train, seed=derive_seed(seed, 29))
     model, _ = train_penalty(model, fake.pd, fake.qd, train_cfg)
     report = evaluate_decisions(model, test_set.pd, test_set.qd)
     return SweepRow(mode=mode, n_fake=n_fake, seed=seed,
                     equality_mean=report.equality_mean,
                     inequality_mean=report.inequality_mean,
                     overall_mean=report.overall_mean)
-
-
-def evaluate_generalization(model, test_set: SampleSet) -> ViolationReport:
-    """Mean violation of the model's decisions on held-out realistic samples."""
-    return evaluate_decisions(model, test_set.pd, test_set.qd)
 
 
 def experiment_sweep(config: ExperimentConfig) -> SweepResult:

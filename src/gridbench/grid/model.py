@@ -307,7 +307,15 @@ def islands_of(case: GridCase, include_switches: bool = True) -> list[list[int]]
 
 def island_membership(case: GridCase, include_switches: bool = True) -> dict[int, int]:
     """Map bus id -> island root over closed branches (and closed switches)."""
-    parent = {b.id: b.id for b in case.buses}
+    links = [(br.from_bus, br.to_bus) for br in case.branches if br.closed]
+    if include_switches:
+        links += [(s.bus_a, s.bus_b) for s in case.switches if s.status == "closed"]
+    return _union_find([b.id for b in case.buses], links)
+
+
+def _union_find(nodes: list[int], links: list[tuple[int, int]]) -> dict[int, int]:
+    """Map node -> smallest node of its connected component under ``links``."""
+    parent = {i: i for i in nodes}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -315,16 +323,8 @@ def island_membership(case: GridCase, include_switches: bool = True) -> dict[int
             i = parent[i]
         return i
 
-    def union(a: int, b: int) -> None:
+    for a, b in links:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-
-    for br in case.branches:
-        if br.closed:
-            union(br.from_bus, br.to_bus)
-    if include_switches:
-        for s in case.switches:
-            if s.status == "closed":
-                union(s.bus_a, s.bus_b)
-    return {b.id: find(b.id) for b in case.buses}
+    return {i: find(i) for i in nodes}

@@ -19,6 +19,7 @@ from .model import (
     MergeRecord,
     SwitchLink,
     TopologyEvent,
+    _union_find,
     islands_of,
 )
 
@@ -61,22 +62,10 @@ def topology_processor(case: GridCase, switches: tuple[SwitchLink, ...] | None =
     if not closed:
         return replace(case, switches=tuple(switches))
 
-    parent = {b.id: b.id for b in case.buses}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for s in closed:
-        ra, rb = find(s.bus_a), find(s.bus_b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    root = _union_find([b.id for b in case.buses], [(s.bus_a, s.bus_b) for s in closed])
     groups: dict[int, list[Bus]] = {}
     for b in case.buses:
-        groups.setdefault(find(b.id), []).append(b)
+        groups.setdefault(root[b.id], []).append(b)
 
     rep_of: dict[int, int] = {}
     new_buses = []

@@ -1,4 +1,11 @@
-"""Sparse admittance construction and Newton-Raphson AC power flow.
+"""Vectorized network arrays and Newton-Raphson AC power flow.
+
+``build_ybus`` compiles a case once into arrays: the sparse bus admittance
+matrix plus, for every closed branch, its position in ``case.branches``,
+its terminal bus indices and its pi-model admittances (``BranchArrays``).
+Every branch quantity in the package (flows, losses, the ACOPF decision
+space) is evaluated from these arrays. A ``PFSolution`` keeps the matrix it
+was solved on, so flows and losses need no rebuild.
 
 Conventions:
     - complex voltage V = vm * exp(j*va), arrays ordered like case.buses
@@ -14,7 +21,9 @@ bus with no online generator is treated as PQ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,13 +36,55 @@ class PowerFlowError(RuntimeError):
     """Structurally unsolvable case or singular Jacobian."""
 
 
+class Terminals(NamedTuple):
+    """Branch end quantities: end voltages, currents into each end, and the
+    complex power entering each end, shaped (..., n_branches)."""
+
+    vf: np.ndarray
+    vt: np.ndarray
+    i_f: np.ndarray
+    i_t: np.ndarray
+    s_f: np.ndarray
+    s_t: np.ndarray
+
+
+@dataclass(frozen=True)
+class BranchArrays:
+    """Pi-model arrays of a set of closed branches, one entry per branch.
+
+    ``pos`` is each branch's position in ``case.branches``; ``f``/``t`` are
+    its from/to bus indices; ``yff``..``ytt`` its terminal admittances.
+    """
+
+    pos: np.ndarray
+    f: np.ndarray
+    t: np.ndarray
+    yff: np.ndarray
+    yft: np.ndarray
+    ytf: np.ndarray
+    ytt: np.ndarray
+
+    def subset(self, mask: np.ndarray) -> "BranchArrays":
+        return BranchArrays(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+    def terminals(self, v: np.ndarray) -> Terminals:
+        """End quantities for complex bus voltages ``v`` of shape (..., n_bus)."""
+        vf = v[..., self.f]
+        vt = v[..., self.t]
+        i_f = self.yff * vf + self.yft * vt
+        i_t = self.ytf * vf + self.ytt * vt
+        return Terminals(vf, vt, i_f, i_t, vf * np.conj(i_f), vt * np.conj(i_t))
+
+
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Bus admittance matrix with the bus-id ordering it was built on."""
+    """Bus admittance matrix with the bus-id ordering and the closed-branch
+    arrays it was built from."""
 
     dimension: int
     matrix: sp.csr_matrix  # complex, dimension x dimension
     bus_ids: tuple[int, ...]
+    branches: BranchArrays  # the closed branches, in case order
 
     @property
     def index(self) -> dict[int, int]:
@@ -50,6 +101,7 @@ class PFSolution:
     iterations: int
     converged: bool
     max_mismatch: float
+    ybus: AdmittanceMatrix  # the network the solution was computed on
 
 
 @dataclass(frozen=True)
@@ -63,16 +115,16 @@ class BranchFlows:
     i_to_mag: np.ndarray
 
 
-def branch_admittances(br: Branch) -> tuple[complex, complex, complex, complex]:
+def branch_admittances(branches: Sequence[Branch]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pi-model terminal admittances (yff, yft, ytf, ytt) incl. tap/shift."""
-    ys = 1.0 / complex(br.r, br.x)
-    bc = 1j * br.b / 2.0
-    tap = br.tap * np.exp(1j * br.shift)
-    yff = (ys + bc) / (tap * np.conj(tap))
-    yft = -ys / np.conj(tap)
-    ytf = -ys / tap
-    ytt = ys + bc
-    return yff, yft, ytf, ytt
+    r, x, b, tap, shift = np.array(
+        [(br.r, br.x, br.b, br.tap, br.shift) for br in branches], dtype=float
+    ).reshape(-1, 5).T
+    ys = 1.0 / (r + 1j * x)
+    bc = 1j * b / 2.0
+    a = tap * np.exp(1j * shift)
+    return (ys + bc) / (a * np.conj(a)), -ys / np.conj(a), -ys / a, ys + bc
 
 
 def build_ybus(case: GridCase) -> AdmittanceMatrix:
@@ -80,23 +132,29 @@ def build_ybus(case: GridCase) -> AdmittanceMatrix:
     bus_ids = tuple(b.id for b in case.buses)
     idx = {b: i for i, b in enumerate(bus_ids)}
     n = len(bus_ids)
-    rows, cols, vals = [], [], []
-    for br in case.branches:
-        if not br.closed:
-            continue
-        f, t = idx[br.from_bus], idx[br.to_bus]
-        yff, yft, ytf, ytt = branch_admittances(br)
-        rows += [f, f, t, t]
-        cols += [f, t, f, t]
-        vals += [yff, yft, ytf, ytt]
-    for b in case.buses:
-        if b.gs != 0.0 or b.bs != 0.0:
-            i = idx[b.id]
-            rows.append(i)
-            cols.append(i)
-            vals.append(complex(b.gs, b.bs))
-    y = sp.coo_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(n, n))
-    return AdmittanceMatrix(dimension=n, matrix=y.tocsr(), bus_ids=bus_ids)
+    closed = [br for br in case.branches if br.closed]
+    pos = np.array([k for k, br in enumerate(case.branches) if br.closed], dtype=int)
+    f = np.array([idx[br.from_bus] for br in closed], dtype=int)
+    t = np.array([idx[br.to_bus] for br in closed], dtype=int)
+    yff, yft, ytf, ytt = branch_admittances(closed)
+    shunt = np.array([complex(b.gs, b.bs) for b in case.buses])
+    sh = np.flatnonzero(shunt)
+    # per branch: (f,f), (f,t), (t,f), (t,t); then the bus shunts
+    rows = np.concatenate([np.stack([f, f, t, t], axis=1).ravel(), sh])
+    cols = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), sh])
+    vals = np.concatenate([np.stack([yff, yft, ytf, ytt], axis=1).ravel(), shunt[sh]])
+    y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    return AdmittanceMatrix(dimension=n, matrix=y.tocsr(), bus_ids=bus_ids,
+                            branches=BranchArrays(pos, f, t, yff, yft, ytf, ytt))
+
+
+def bus_demand(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bus total load (pd, qd), pu, arrays ordered like case.buses."""
+    idx = {b.id: i for i, b in enumerate(case.buses)}
+    at = np.array([idx[l.bus] for l in case.loads], dtype=int)
+    n = len(case.buses)
+    return (np.bincount(at, weights=[l.pd for l in case.loads], minlength=n),
+            np.bincount(at, weights=[l.qd for l in case.loads], minlength=n))
 
 
 def specified_injections(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +342,7 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
 
     converged = max_mis <= tol
     s = calculated_injections(ybus, vm, va)
-    idx = ybus.index
-    pd = np.zeros(n)
-    qd = np.zeros(n)
-    for l in case.loads:
-        pd[idx[l.bus]] += l.pd
-        qd[idx[l.bus]] += l.qd
+    pd, qd = bus_demand(case)
     # Recovered net generation: scheduled at PV/PQ buses, balanced at the
     # slack; PV-bus reactive output comes from the solution.
     pg = p_spec + pd
@@ -301,41 +354,23 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
         qg[i] = s.imag[i] + qd[i]
     return PFSolution(bus_ids=ybus.bus_ids, vm=vm, va=va, pg=pg, qg=qg,
                       iterations=iterations, converged=converged,
-                      max_mismatch=max_mis)
+                      max_mismatch=max_mis, ybus=ybus)
 
 
 def branch_flows(case: GridCase, sol: PFSolution) -> BranchFlows:
-    """Terminal power flows and current magnitudes per branch (pu).
+    """Terminal power flows and current magnitudes per branch of ``case`` (pu),
+    from ``sol``, a solution of that case.
 
     Open branches report zeros.
     """
-    idx = {b: i for i, b in enumerate(sol.bus_ids)}
-    v = sol.vm * np.exp(1j * sol.va)
-    nbr = len(case.branches)
-    p_f = np.zeros(nbr)
-    q_f = np.zeros(nbr)
-    p_t = np.zeros(nbr)
-    q_t = np.zeros(nbr)
-    i_f = np.zeros(nbr)
-    i_t = np.zeros(nbr)
-    for k, br in enumerate(case.branches):
-        if not br.closed:
-            continue
-        vf, vt = v[idx[br.from_bus]], v[idx[br.to_bus]]
-        yff, yft, ytf, ytt = branch_admittances(br)
-        cur_f = yff * vf + yft * vt
-        cur_t = ytf * vf + ytt * vt
-        sf = vf * np.conj(cur_f)
-        st = vt * np.conj(cur_t)
-        p_f[k], q_f[k] = sf.real, sf.imag
-        p_t[k], q_t[k] = st.real, st.imag
-        i_f[k], i_t[k] = abs(cur_f), abs(cur_t)
-    return BranchFlows(branch_ids=tuple(br.id for br in case.branches),
-                       p_from=p_f, q_from=q_f, p_to=p_t, q_to=q_t,
-                       i_from_mag=i_f, i_to_mag=i_t)
+    br = sol.ybus.branches
+    end = br.terminals(sol.vm * np.exp(1j * sol.va))
+    out = np.zeros((6, len(case.branches)))
+    out[:, br.pos] = (end.s_f.real, end.s_f.imag, end.s_t.real, end.s_t.imag,
+                      np.abs(end.i_f), np.abs(end.i_t))
+    return BranchFlows(tuple(b.id for b in case.branches), *out)
 
 
 def total_losses(case: GridCase, sol: PFSolution) -> float:
     """Total active power absorbed by the network (series + shunt), pu."""
-    s = calculated_injections(build_ybus(case), sol.vm, sol.va)
-    return float(np.sum(s.real))
+    return float(np.sum(calculated_injections(sol.ybus, sol.vm, sol.va).real))

@@ -4,7 +4,10 @@ A scenario couples a grid case with per-load style profiles and a schedule
 of topology/generator events, some announced ("known") and some not
 ("anomaly"). Running it walks the tick loop: apply due events, set loads,
 dispatch generation to follow demand, solve the power flow warm-started
-from the previous tick, and emit noisy sensor readings.
+from the previous tick (from a flat start when the warm start diverges),
+and emit noisy sensor readings. The stream is two ticks x sensors arrays,
+``values`` (noisy readings) and ``sigmas`` (their noise levels), under one
+fixed sensor roster.
 
 Announced topology ids track *known* events only; anomalies change the
 physics but not the announced id, which is exactly the blind spot the
@@ -20,7 +23,7 @@ import numpy as np
 from .grid.model import GridCase, Load, TopologyEvent, islands_of
 from .grid.topology import apply_event, connectivity_check
 from .loadsynth import StyleParams, profiles_matrix, sample_population
-from .powerflow import PFSolution, branch_flows, solve_pf
+from .powerflow import PFSolution, branch_flows, bus_demand, solve_pf
 from .rng import Rng, derive_seed
 
 # paper-observed daily event rates per component (operations per 24h per unit)
@@ -59,28 +62,14 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class Reading:
-    sensor: str
-    type: str
-    value: float
-    sigma: float
-
-
-@dataclass(frozen=True)
-class MeasurementFrame:
-    tick: int
-    readings: tuple[Reading, ...]
-
-
-@dataclass(frozen=True)
 class LabeledStream:
-    frames: list[MeasurementFrame]
     anomaly_ticks: frozenset[int]
     known_change_ticks: frozenset[int]
     topology_id_per_tick: tuple[int, ...]
     sensor_ids: tuple[str, ...]
     sensor_types: tuple[str, ...]
     values: np.ndarray  # ticks x sensors, noisy
+    sigmas: np.ndarray  # ticks x sensors, noise standard deviation of each reading
     topology_registry: dict[int, frozenset] = field(default_factory=dict)
     train_ticks: tuple[int, ...] = ()
     test_ticks: tuple[int, ...] = ()
@@ -206,29 +195,20 @@ def _sensor_roster(case: GridCase) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 def _truth_vector(case: GridCase, sol: PFSolution) -> np.ndarray:
+    """Noise-free readings in roster order (see ``_sensor_roster``)."""
     flows = branch_flows(case, sol)
-    pos = {b: i for i, b in enumerate(sol.bus_ids)}
-    vals = []
-    p_spec = np.zeros(len(sol.bus_ids))
-    q_spec = np.zeros(len(sol.bus_ids))
-    for l in case.loads:
-        p_spec[pos[l.bus]] -= l.pd
-        q_spec[pos[l.bus]] -= l.qd
-    p_inj = sol.pg + p_spec
-    q_inj = sol.qg + q_spec
-    for b in case.buses:
-        i = pos[b.id]
-        vals += [sol.vm[i], p_inj[i], q_inj[i]]
-    for k, _ in enumerate(case.branches):
-        vals += [flows.p_from[k], flows.q_from[k], flows.i_from_mag[k]]
-    return np.array(vals)
+    pd, qd = bus_demand(case)
+    return np.concatenate([
+        np.column_stack([sol.vm, sol.pg - pd, sol.qg - qd]).ravel(),
+        np.column_stack([flows.p_from, flows.q_from, flows.i_from_mag]).ravel()])
 
 
 def run_scenario(scenario: Scenario) -> LabeledStream:
     """Execute the tick loop and emit the noisy labeled stream.
 
-    Aborts with the tick index if the power flow fails to converge; ticks
-    are never silently skipped.
+    A tick whose warm-started power flow diverges is solved again from a
+    flat start. Aborts with the tick index if that fails too; ticks are
+    never silently skipped.
     """
     cfg = scenario.config
     case = cfg.case
@@ -241,8 +221,8 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     for ev in scenario.events:
         by_tick.setdefault(ev.tick, []).append(ev)
 
-    frames: list[MeasurementFrame] = []
     values = np.empty((cfg.horizon, len(sensor_ids)))
+    sigmas = np.empty_like(values)
     current = case
     prev: PFSolution | None = None
     # fixed loss allowance keeps the dispatch a pure function of the tick's
@@ -269,32 +249,30 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
         else:
             start = "flat"
         sol = solve_pf(current, start=start)
+        if not sol.converged and start != "flat":
+            # a warm start carried from a disturbed state can diverge where
+            # a flat start converges (e.g. when a tripped line recloses)
+            sol = solve_pf(current)
         if not sol.converged:
             raise ScenarioError(
                 f"power flow diverged at tick {t} (max mismatch {sol.max_mismatch:.2e})")
         prev = sol
 
         truth = _truth_vector(current, sol)
-        sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(truth), cfg.noise_floor)
+        sigmas[t] = cfg.noise_sigma_rel * np.maximum(np.abs(truth), cfg.noise_floor)
         if cfg.noise_sigma_rel > 0:
-            noisy = truth + np.array([noise_rng.normal(0.0, s) for s in sigmas])
+            values[t] = truth + np.array([noise_rng.normal(0.0, s) for s in sigmas[t]])
         else:
-            noisy = truth
-        values[t] = noisy
-        frames.append(MeasurementFrame(
-            tick=t,
-            readings=tuple(Reading(sensor_ids[k], sensor_types[k],
-                                   float(noisy[k]), float(sigmas[k]))
-                           for k in range(len(sensor_ids)))))
+            values[t] = truth
 
     return LabeledStream(
-        frames=frames,
         anomaly_ticks=frozenset(ev.tick for ev in scenario.events if ev.label == "anomaly"),
         known_change_ticks=frozenset(ev.tick for ev in scenario.events if ev.label == "known"),
         topology_id_per_tick=scenario.topology_id_per_tick,
         sensor_ids=sensor_ids,
         sensor_types=sensor_types,
         values=values,
+        sigmas=sigmas,
         topology_registry=scenario.topology_registry,
         train_ticks=scenario.train_ticks,
         test_ticks=scenario.test_ticks,
@@ -369,20 +347,32 @@ def _outage_ok(case: GridCase, branch_ids: tuple[int, ...]) -> bool:
         return False
 
 
-def _toggle_plan(case: GridCase, n_topologies: int) -> list[tuple[str, int]]:
+def _branches_by_flow(case: GridCase) -> list[int]:
+    """Positions in ``case.branches`` by descending base-case |p_from|.
+
+    A flow within 1e-9 of the next larger one ties with it, and tied
+    branches rank by id, so the order does not hang on roundoff.
+    """
+    mag = np.abs(branch_flows(case, solve_pf(case)).p_from)
+    order = np.argsort(-mag, kind="stable")
+    tie_run = np.empty(len(mag), dtype=int)
+    tie_run[order] = np.cumsum(np.diff(mag[order], prepend=mag[order[:1]]) < -1e-9)
+    return sorted(range(len(mag)), key=lambda k: (tie_run[k], case.branches[k].id))
+
+
+def _toggle_plan(case: GridCase, n_topologies: int,
+                 ranked: list[int]) -> list[tuple[str, int]]:
     """Deterministic line-toggle sequence visiting distinct topologies.
 
     Produces open/close steps whose outage sets run
     {}, {1}, {1,2}, {2}, {2,3}, {3}, ... so at most two lines are out at
-    once. Lines are picked by descending base-case flow, subject to each
-    single and consecutive-pair outage staying connected and solvable.
+    once. Lines are picked in ``ranked`` order (descending base-case flow),
+    subject to each single and consecutive-pair outage staying connected
+    and solvable.
     """
     n_lines = (n_topologies + 1) // 2
-    sol = solve_pf(case)
-    flows = branch_flows(case, sol)
-    order = [int(k) for k in np.argsort(-np.abs(flows.p_from))]
     chain: list[int] = []
-    for k in order:
+    for k in ranked:
         cand = case.branches[k].id
         if not _outage_ok(case, (cand,)):
             continue
@@ -422,7 +412,8 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     else:
         styles = tuple(sample_population(n_loads, day, derive_seed(seed, 7)))
 
-    plan = _toggle_plan(case, n_topologies)
+    ranked = _branches_by_flow(case)
+    plan = _toggle_plan(case, n_topologies, ranked)
     known = []
     for i, (kind, target) in enumerate(plan):
         known.append(TopologyEvent(tick=segment * (i + 1), kind=kind,
@@ -446,10 +437,7 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
         return tuple(sorted(out))
 
     toggled = {t for _, t in plan}
-    sol = solve_pf(case)
-    flows = branch_flows(case, sol)
-    spare = [int(k) for k in np.argsort(-np.abs(flows.p_from))
-             if case.branches[int(k)].id not in toggled]
+    spare = [k for k in ranked if case.branches[k].id not in toggled]
     anomaly_lines = []
     for k in spare:
         cand = case.branches[k].id
@@ -479,11 +467,12 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
 # ------------------------------------------------------------ CSV export
 
 def write_stream_csv(stream: LabeledStream, path: str) -> None:
+    """One row per reading; values are written exactly (shortest repr)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tick,sensor,type,value\n")
-        for t, frame in enumerate(stream.frames):
-            for r in frame.readings:
-                fh.write(f"{t},{r.sensor},{r.type},{repr(r.value)}\n")
+        for t, row in enumerate(stream.values.tolist()):
+            for sensor, kind, value in zip(stream.sensor_ids, stream.sensor_types, row):
+                fh.write(f"{t},{sensor},{kind},{value!r}\n")
 
 
 def write_labels_csv(stream: LabeledStream, path: str) -> None:

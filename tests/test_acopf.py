@@ -370,6 +370,17 @@ def test_single_cell_sweep_equals_direct_chain():
     assert res.rows[0] == direct
 
 
+def test_run_cell_uses_the_whole_train_config():
+    case = bundled_case("case30")
+    cfg = ExperimentConfig(case=case, n_real=60, n_fake=(40,), seeds=(0,),
+                           modes=("naive",), width=24,
+                           train=TrainConfig(epochs=5, lr=0.01))
+    base = run_cell(cfg, "naive", 40, 0)
+    for change in ({"grad_clip": 1e-6}, {"lr_decay": 5.0}):
+        changed = replace(cfg, train=replace(cfg.train, **change))
+        assert run_cell(changed, "naive", 40, 0) != base, change
+
+
 def test_sweep_determinism():
     case = bundled_case("case30")
     cfg = ExperimentConfig(case=case, n_real=60, n_fake=(40,), seeds=(0,),

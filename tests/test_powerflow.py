@@ -1,7 +1,11 @@
 """Admittance assembly, Newton-Raphson solve, Jacobian, branch flows."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import root
 
 from gridbench.grid import (
@@ -16,6 +20,7 @@ from gridbench.grid import (
     load_case,
 )
 from gridbench.powerflow import (
+    PFSolution,
     PowerFlowError,
     branch_admittances,
     branch_flows,
@@ -277,13 +282,21 @@ def test_lossless_branch_conserves_active_power():
     assert flows.p_from[0] == pytest.approx(-flows.p_to[0], abs=1e-10)
 
 
-def test_case30_kirchhoff_balance_oracle():
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["case14", "case30", "case57"]), data=st.data())
+def test_case30_kirchhoff_balance_oracle(name, data):
     """Sum of incident branch terminal flows plus shunt consumption equals
-    the calculated bus injection."""
-    case = bundled_case("case30")
-    sol = solve_pf(case, tol=1e-10)
-    flows = branch_flows(case, sol)
+    the calculated bus injection, for any voltages and any open branches."""
+    case = bundled_case(name)
+    n = len(case.buses)
+    for k in data.draw(st.sets(st.integers(0, len(case.branches) - 1))):
+        case = case.with_branch(replace(case.branches[k], status="open"))
+    vm = np.array(data.draw(st.lists(st.floats(0.8, 1.2), min_size=n, max_size=n)))
+    va = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
     yb = build_ybus(case)
+    sol = PFSolution(yb.bus_ids, vm, va, pg=np.zeros(n), qg=np.zeros(n), iterations=0,
+                     converged=False, max_mismatch=np.nan, ybus=yb)
+    flows = branch_flows(case, sol)
     inj = calculated_injections(yb, sol.vm, sol.va)
     pos = yb.index
     acc = np.zeros(len(case.buses), dtype=complex)
@@ -293,5 +306,5 @@ def test_case30_kirchhoff_balance_oracle():
     for b in case.buses:
         v2 = sol.vm[pos[b.id]] ** 2
         acc[pos[b.id]] += v2 * complex(b.gs, -b.bs)  # power absorbed by the shunt
-    np.testing.assert_allclose(acc.real, inj.real, atol=1e-6)
-    np.testing.assert_allclose(acc.imag, inj.imag, atol=1e-6)
+    np.testing.assert_allclose(acc.real, inj.real, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(acc.imag, inj.imag, rtol=0, atol=1e-9)
