@@ -65,7 +65,7 @@ class DecisionSpace:
         self.bus_index = {b.id: i for i, b in enumerate(case.buses)}
         self.n_bus = len(case.buses)
         ybus = build_ybus(case)
-        self.y = ybus.matrix.toarray()
+        self.y = ybus.matrix
         self.slack = next(i for i, b in enumerate(case.buses) if b.kind == "slack")
         self.v_min = np.array([b.v_min for b in case.buses])
         self.v_max = np.array([b.v_max for b in case.buses])

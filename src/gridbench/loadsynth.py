@@ -216,29 +216,24 @@ def scale_loads(base: np.ndarray, mode: ScalingMode, groups: list[str] | None,
     """
     base = np.asarray(base, dtype=float)
     n_loads = len(base)
-    lo, hi = mode.factor_range
-    rng = Rng(seed)
-    out = np.empty((n_samples, n_loads))
     if mode.mode == "naive":
-        for i in range(n_samples):
-            out[i] = rng.uniform(lo, hi) * base
+        col = np.zeros(n_loads, dtype=int)
+        k = 1
     elif mode.mode == "grouped":
         if not groups or len(groups) != n_loads:
             raise LoadSynthError("grouped mode needs a group label per load")
-        order = sorted(set(groups))
-        col_of = {g: [j for j, gj in enumerate(groups) if gj == g] for g in order}
-        for i in range(n_samples):
-            for g in order:
-                c = rng.uniform(lo, hi)
-                for j in col_of[g]:
-                    out[i, j] = c * base[j]
+        order, col = np.unique(groups, return_inverse=True)  # sorted groups
+        k = len(order)
     elif mode.mode == "brute_force":
-        for i in range(n_samples):
-            for j in range(n_loads):
-                out[i, j] = rng.uniform(lo, hi) * base[j]
+        col = np.arange(n_loads)
+        k = n_loads
     else:  # pragma: no cover
         raise LoadSynthError(f"unknown scaling mode {mode.mode!r}")
-    return out
+    # sample-major draws: row i holds sample i's factor per column
+    factors = Rng(seed).uniforms(n_samples * k, *mode.factor_range).reshape(n_samples, k)
+    # np.take keeps the result C-ordered; factors[:, col] would be F-ordered
+    # and change the summation order of BLAS matmuls on it downstream
+    return np.take(factors, col, axis=1) * base
 
 
 def delta_stats(profiles: np.ndarray, interval: int,

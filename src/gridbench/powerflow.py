@@ -1,18 +1,19 @@
 """Vectorized network arrays and Newton-Raphson AC power flow.
 
-``build_ybus`` compiles a case once into arrays: the sparse bus admittance
+``build_ybus`` compiles a case once into dense arrays: the bus admittance
 matrix plus, for every closed branch, its position in ``case.branches``,
 its terminal bus indices and its pi-model admittances (``BranchArrays``).
 Every branch quantity in the package (flows, losses, the ACOPF decision
 space) is evaluated from these arrays. A ``PFSolution`` keeps the matrix it
-was solved on, so flows and losses need no rebuild.
+was solved on, so flows and losses need no rebuild. The bundled cases have
+at most 57 buses, so the admittance matrix and the Jacobian are plain dense
+arrays and each Newton step is one dense solve.
 
 Conventions:
     - complex voltage V = vm * exp(j*va), arrays ordered like case.buses
     - mismatch = specified injection minus calculated injection (pu)
     - the Jacobian here is d(mismatch)/d(va, vm), i.e. the negative of the
-      calculated-injection derivatives; the same blocks are reused for
-      training gradients elsewhere
+      calculated-injection derivatives (MATPOWER's ``dSbus_dV`` formulas)
 
 PV buses hold their generator voltage setpoint; reactive limits are not
 enforced during the solve (limit violations are scored downstream). A PV
@@ -26,8 +27,6 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid.model import Branch, GridCase, islands_of
 
@@ -82,7 +81,7 @@ class AdmittanceMatrix:
     arrays it was built from."""
 
     dimension: int
-    matrix: sp.csr_matrix  # complex, dimension x dimension
+    matrix: np.ndarray  # complex, dimension x dimension
     bus_ids: tuple[int, ...]
     branches: BranchArrays  # the closed branches, in case order
 
@@ -143,8 +142,9 @@ def build_ybus(case: GridCase) -> AdmittanceMatrix:
     rows = np.concatenate([np.stack([f, f, t, t], axis=1).ravel(), sh])
     cols = np.concatenate([np.stack([f, t, f, t], axis=1).ravel(), sh])
     vals = np.concatenate([np.stack([yff, yft, ytf, ytt], axis=1).ravel(), shunt[sh]])
-    y = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return AdmittanceMatrix(dimension=n, matrix=y.tocsr(), bus_ids=bus_ids,
+    y = np.zeros((n, n), dtype=complex)
+    np.add.at(y, (rows, cols), vals)
+    return AdmittanceMatrix(dimension=n, matrix=y, bus_ids=bus_ids,
                             branches=BranchArrays(pos, f, t, yff, yft, ytf, ytt))
 
 
@@ -175,13 +175,8 @@ def specified_injections(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
 def effective_bus_kinds(case: GridCase) -> list[str]:
     """Bus kinds used by the solver: PV without an online generator is PQ."""
     online_gen_buses = {g.bus for g in case.generators if g.online}
-    kinds = []
-    for b in case.buses:
-        if b.kind == "pv" and b.id not in online_gen_buses:
-            kinds.append("pq")
-        else:
-            kinds.append(b.kind)
-    return kinds
+    return ["pq" if b.kind == "pv" and b.id not in online_gen_buses else b.kind
+            for b in case.buses]
 
 
 def _setpoint_voltages(case: GridCase) -> np.ndarray:
@@ -211,20 +206,17 @@ def mismatch(case: GridCase, vm: np.ndarray, va: np.ndarray,
     return p_spec - s.real, q_spec - s.imag
 
 
-def _dSbus_dV(y: sp.csr_matrix, v: np.ndarray) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+def _dSbus_dV(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivatives of calculated complex injections wrt angle and magnitude."""
-    n = len(v)
     ibus = y @ v
-    diag_v = sp.diags(v)
-    diag_i = sp.diags(ibus)
-    diag_vnorm = sp.diags(v / np.abs(v))
-    ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-    ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-    return ds_dva.tocsr(), ds_dvm.tocsr()
+    vnorm = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - y * v)
+    ds_dvm = v[:, None] * np.conj(y * vnorm) + np.diag(np.conj(ibus) * vnorm)
+    return ds_dva, ds_dvm
 
 
 def jacobian(case: GridCase, vm: np.ndarray, va: np.ndarray,
-             ybus: AdmittanceMatrix | None = None) -> sp.csr_matrix:
+             ybus: AdmittanceMatrix | None = None) -> np.ndarray:
     """Full 2n x 2n real Jacobian of the mismatch wrt (va, vm).
 
     Row order: P mismatch of every bus, then Q mismatch of every bus.
@@ -232,11 +224,8 @@ def jacobian(case: GridCase, vm: np.ndarray, va: np.ndarray,
     """
     if ybus is None:
         ybus = build_ybus(case)
-    v = vm * np.exp(1j * va)
-    ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, v)
-    top = sp.hstack([-ds_dva.real, -ds_dvm.real])
-    bot = sp.hstack([-ds_dva.imag, -ds_dvm.imag])
-    return sp.vstack([top, bot]).tocsr()
+    ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
+    return -np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
 
 
 def _check_islands_solvable(case: GridCase) -> list[int]:
@@ -277,65 +266,54 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
             "case still has closed switches; run the topology processor first")
     ybus = build_ybus(case)
     n = ybus.dimension
-    kinds = effective_bus_kinds(case)
-    excluded = set(_check_islands_solvable(case))
+    kinds = np.array(effective_bus_kinds(case))
+    solved = np.ones(n, dtype=bool)
+    solved[_check_islands_solvable(case)] = False
 
-    slack = [i for i in range(n) if kinds[i] == "slack"]
-    pv = [i for i in range(n) if kinds[i] == "pv" and i not in excluded]
-    pq = [i for i in range(n) if kinds[i] == "pq" and i not in excluded]
-    if not slack:
+    slack = np.flatnonzero(kinds == "slack")
+    pv = np.flatnonzero((kinds == "pv") & solved)
+    pq = np.flatnonzero((kinds == "pq") & solved)
+    if not len(slack):
         raise PowerFlowError("case has no slack bus")
+    regulated = np.concatenate([slack, pv])  # buses that hold their vm setpoint
+    pvpq = np.concatenate([pv, pq])
+    # unknowns (va at PV/PQ buses, vm at PQ buses); the same index vector
+    # picks the matching mismatch rows (P, then Q) of the full Jacobian
+    unknowns = np.concatenate([pvpq, n + pq])
 
-    vset = _setpoint_voltages(case)
     if start == "flat":
         vm = np.ones(n)
         va = np.full(n, case.buses[slack[0]].va if len(slack) == 1 else 0.0)
-        for i in slack + pv:
-            vm[i] = vset[i]
-        for i in slack:
-            va[i] = case.buses[i].va
     else:
         vm0, va0 = start
-        vm = np.asarray(vm0, dtype=float).copy()
-        va = np.asarray(va0, dtype=float).copy()
+        vm = np.array(vm0, dtype=float)
+        va = np.array(va0, dtype=float)
         if vm.shape != (n,) or va.shape != (n,):
             raise PowerFlowError("warm start dimensions do not match case")
-        for i in slack + pv:
-            vm[i] = vset[i]
-        for i in slack:
-            va[i] = case.buses[i].va
+    vm[regulated] = _setpoint_voltages(case)[regulated]
+    va[slack] = [case.buses[i].va for i in slack]
 
     p_spec, q_spec = specified_injections(case)
-    pvpq = pv + pq
-    npvpq, npq = len(pvpq), len(pq)
 
     def current_mismatch():
         s = calculated_injections(ybus, vm, va)
-        f = np.concatenate([(p_spec - s.real)[pvpq], (q_spec - s.imag)[pq]])
-        return f
+        return np.concatenate([p_spec - s.real, q_spec - s.imag])[unknowns]
 
     iterations = 0
     f = current_mismatch()
     max_mis = float(np.max(np.abs(f))) if len(f) else 0.0
     while max_mis > tol and iterations < max_iter:
-        v = vm * np.exp(1j * va)
-        ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, v)
-        j11 = -ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = -ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = -ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = -ds_dvm[np.ix_(pq, pq)].imag
-        jac = sp.vstack([sp.hstack([j11, j12]), sp.hstack([j21, j22])]).tocsc()
+        jac = jacobian(case, vm, va, ybus)[np.ix_(unknowns, unknowns)]
         try:
-            lu = spla.splu(jac)
-            dx = lu.solve(f)
-        except RuntimeError as exc:
+            dx = np.linalg.solve(jac, f)
+        except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular Jacobian at iteration {iterations}: {exc}") from exc
         if not np.all(np.isfinite(dx)):
             raise PowerFlowError(f"singular Jacobian at iteration {iterations}")
         # f(x + dx) = 0 to first order with J = df/dx: dx = -J^{-1} f,
         # and J here already carries the minus sign of the mismatch.
-        va[pvpq] = va[pvpq] - dx[:npvpq]
-        vm[pq] = vm[pq] - dx[npvpq:npvpq + npq]
+        va[pvpq] -= dx[:len(pvpq)]
+        vm[pq] -= dx[len(pvpq):]
         iterations += 1
         f = current_mismatch()
         max_mis = float(np.max(np.abs(f))) if len(f) else 0.0
@@ -347,11 +325,8 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
     # slack; PV-bus reactive output comes from the solution.
     pg = p_spec + pd
     qg = q_spec + qd
-    for i in slack:
-        pg[i] = s.real[i] + pd[i]
-        qg[i] = s.imag[i] + qd[i]
-    for i in pv:
-        qg[i] = s.imag[i] + qd[i]
+    pg[slack] = s.real[slack] + pd[slack]
+    qg[regulated] = s.imag[regulated] + qd[regulated]
     return PFSolution(bus_ids=ybus.bus_ids, vm=vm, va=va, pg=pg, qg=qg,
                       iterations=iterations, converged=converged,
                       max_mismatch=max_mis, ybus=ybus)

@@ -403,6 +403,8 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     """
     if variant not in ("small", "realistic"):
         raise ScenarioError(f"unknown variant {variant!r}")
+    if segment < 5:
+        raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
     horizon = segment * n_topologies
     day = max(2, int(round(24 * 60 / 30.0)))
     n_loads = len(case.loads)
@@ -419,11 +421,16 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
         known.append(TopologyEvent(tick=segment * (i + 1), kind=kind,
                                    target=target, label="known"))
 
-    test_start = segment * (n_topologies - 3)
-    anomaly_base_ticks = (int(segment * 4.6),
-                          test_start + segment // 2 + 5,
-                          test_start + segment + segment // 2 + 5,
-                          test_start + 2 * segment + segment // 2)
+    # each anomaly trips a line inside one segment and recloses it three
+    # ticks later, before the segment's next announced toggle
+    latest = segment - 4
+    test_seg = n_topologies - 3
+    anomaly_base_ticks = tuple(
+        segment * k + min(offset, latest)
+        for k, offset in ((4, int(segment * 4.6) - 4 * segment),
+                          (test_seg, segment // 2 + 5),
+                          (test_seg + 1, segment // 2 + 5),
+                          (test_seg + 2, segment // 2)))
 
     def announced_outages(tick: int) -> tuple[int, ...]:
         out: set[int] = set()

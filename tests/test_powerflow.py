@@ -26,6 +26,7 @@ from gridbench.powerflow import (
     branch_flows,
     build_ybus,
     calculated_injections,
+    effective_bus_kinds,
     jacobian,
     mismatch,
     solve_pf,
@@ -38,7 +39,7 @@ from test_grid import MINIMAL_2BUS
 
 
 def dense_ybus_oracle(case):
-    """Element-by-element dense assembly, independent of the sparse builder."""
+    """Element-by-element assembly, independent of the vectorized builder."""
     ids = [b.id for b in case.buses]
     pos = {b: i for i, b in enumerate(ids)}
     n = len(ids)
@@ -62,7 +63,7 @@ def dense_ybus_oracle(case):
 
 def test_single_branch_ybus_analytic():
     case = load_case(MINIMAL_2BUS)
-    y = build_ybus(case).matrix.toarray()
+    y = build_ybus(case).matrix
     np.testing.assert_allclose(y, [[-10j, 10j], [10j, -10j]], atol=1e-12)
 
 
@@ -72,20 +73,20 @@ def test_all_branches_open_leaves_shunts():
         buses=(Bus(1, "slack", gs=0.02, bs=0.3), Bus(2, "pq", bs=-0.1)),
         branches=(Branch(1, 1, 2, r=0.0, x=0.1, status="open"),),
         generators=(), loads=())
-    y = build_ybus(case).matrix.toarray()
+    y = build_ybus(case).matrix
     np.testing.assert_allclose(y, [[0.02 + 0.3j, 0], [0, -0.1j]], atol=1e-15)
 
 
 def test_case30_matches_dense_assembly_oracle():
     case = bundled_case("case30")
-    y = build_ybus(case).matrix.toarray()
+    y = build_ybus(case).matrix
     np.testing.assert_allclose(y, dense_ybus_oracle(case), atol=1e-13)
 
 
 def test_ybus_hermitian_pattern():
     case = bundled_case("case57")
     m = build_ybus(case).matrix
-    pattern = (np.abs(m.toarray()) > 0)
+    pattern = (np.abs(m) > 0)
     assert (pattern == pattern.T).all()
 
 
@@ -132,7 +133,7 @@ def test_case30_cross_checked_against_independent_solver():
     case = bundled_case("case30")
     sol = solve_pf(case, tol=1e-10)
     yb = build_ybus(case)
-    y = yb.matrix.toarray()
+    y = yb.matrix
     kinds = ["slack" if b.kind == "slack" else b.kind for b in case.buses]
     n = len(case.buses)
     pv = [i for i in range(n) if kinds[i] == "pv"]
@@ -179,6 +180,16 @@ def test_divergence_reported_not_raised():
     sol = solve_pf(load_case(doc), max_iter=10)
     assert not sol.converged
     assert sol.iterations == 10
+
+
+def test_singular_jacobian_raises():
+    # zero voltage at a PQ bus zeroes its angle column of the Jacobian
+    case = bundled_case("case14")
+    n = len(case.buses)
+    vm = np.ones(n)
+    vm[effective_bus_kinds(case).index("pq")] = 0.0
+    with np.errstate(invalid="ignore"), pytest.raises(PowerFlowError):
+        solve_pf(case, start=(vm, np.zeros(n)))
 
 
 def test_slackless_energized_island_rejected():
@@ -231,7 +242,7 @@ def test_jacobian_matches_finite_differences_random_states():
     for _ in range(50):
         vm = 1.0 + 0.05 * rng.normals(n)
         va = 0.1 * rng.normals(n)
-        j = jacobian(case, vm, va).toarray()
+        j = jacobian(case, vm, va)
         fd = finite_difference_jacobian(case, vm, va)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(j - fd) / scale) < 1e-6
@@ -241,7 +252,7 @@ def test_jacobian_lossless_two_bus_analytic():
     case = load_case(MINIMAL_2BUS)
     vm = np.ones(2)
     va = np.zeros(2)
-    j = jacobian(case, vm, va).toarray()
+    j = jacobian(case, vm, va)
     # dP2/dtheta2 at flat start: -V1*V2/x = -10 (mismatch convention)
     assert j[1, 1] == pytest.approx(-10.0)
     assert j[1, 0] == pytest.approx(10.0)
@@ -253,7 +264,7 @@ def test_jacobian_disconnected_pair_no_coupling():
         buses=(Bus(1, "slack"), Bus(2, "pq"), Bus(3, "slack"), Bus(4, "pq")),
         branches=(Branch(1, 1, 2, r=0.01, x=0.1), Branch(2, 3, 4, r=0.01, x=0.1)),
         generators=(), loads=())
-    j = jacobian(case, np.ones(4), np.zeros(4)).toarray()
+    j = jacobian(case, np.ones(4), np.zeros(4))
     n = 4
     for i in (0, 1):
         for k in (2, 3):

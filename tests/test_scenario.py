@@ -197,6 +197,35 @@ def test_case57_benchmark_scenario_retries_diverged_warm_start(variant):
     assert np.all(np.isfinite(stream.values))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("variant", ["small", "realistic"])
+@pytest.mark.parametrize("name", ["case14", "case30", "case57"])
+def test_every_bundled_benchmark_stream_completes(name, variant, seed):
+    cfg = benchmark_config(bundled_case(name), variant=variant, seed=seed)
+    stream = run_scenario(build_scenario(cfg))
+    assert stream.values.shape == (cfg.horizon, len(stream.sensor_ids))
+    assert np.all(np.isfinite(stream.values))
+
+
+@pytest.mark.parametrize("variant", ["small", "realistic"])
+def test_benchmark_config_valid_for_short_segments(variant):
+    """Each anomaly trip and its reclose stay inside one segment, clear of
+    the announced toggles and of the horizon."""
+    case = bundled_case("case14")
+    rejected = {}
+    for segment in range(5, 61):
+        try:
+            build_scenario(benchmark_config(case, variant=variant, seed=0, segment=segment))
+        except ScenarioError as exc:
+            rejected[segment] = str(exc)
+    assert rejected == {}
+
+
+def test_benchmark_config_rejects_segment_without_room_for_reclose():
+    with pytest.raises(ScenarioError, match="too short"):
+        benchmark_config(bundled_case("case14"), segment=4)
+
+
 def test_pf_divergence_aborts_with_tick():
     doc = MINIMAL_2BUS.replace("pd=0.5", "pd=8.0").replace("pmax=10", "pmax=900")
     case = load_case(doc)
