@@ -3,7 +3,7 @@
 from .datagen import SampleSet, gen_augmented, gen_realistic
 from .loss import PenaltyWeights, penalty_loss_and_grad
 from .mlp import MlpModel, build_mlp, mlp_backward, mlp_forward
-from .space import DecisionSpace, ViolationReport, feasible_decision_from_pf
+from .space import DecisionSpace, ViolationReport
 from .sweep import (
     DEFAULT_MODES,
     DEFAULT_SEEDS,
@@ -20,7 +20,7 @@ __all__ = [
     "DEFAULT_MODES", "DEFAULT_SEEDS", "DecisionSpace", "ExperimentConfig",
     "MlpModel", "PenaltyWeights", "SampleSet", "SweepResult", "SweepRow",
     "TrainConfig", "TrainingDiverged", "ViolationReport", "build_mlp",
-    "evaluate_decisions", "experiment_sweep", "feasible_decision_from_pf",
-    "gen_augmented", "gen_realistic", "mlp_backward", "mlp_forward",
+    "evaluate_decisions", "experiment_sweep", "gen_augmented", "gen_realistic",
+    "mlp_backward", "mlp_forward",
     "penalty_loss_and_grad", "run_cell", "split_realistic", "train_penalty",
 ]

@@ -183,36 +183,3 @@ class DecisionSpace:
         """Normalized quadratic generation cost per sample."""
         raw = (self.cost_c2 * pg**2 + self.cost_c1 * pg + self.cost_c0).sum(axis=1)
         return raw / self.cost_ref
-
-
-def feasible_decision_from_pf(space: DecisionSpace, pd=None, qd=None) -> np.ndarray:
-    """Decision assembled from a dispatched, converged power flow (testing aid).
-
-    Generation follows the demand (proportional-to-capacity dispatch with a
-    small loss allowance) so the slack lands inside its active range.
-    """
-    from dataclasses import replace as _replace
-
-    from ..powerflow import solve_pf
-    from ..scenario import generation_dispatch
-
-    case = space.case
-    if pd is not None:
-        loads = tuple(_replace(l, pd=pd[j], qd=qd[j])
-                      for j, l in enumerate(case.loads))
-        case = case.with_loads(loads)
-    total = sum(l.pd for l in case.loads)
-    dispatch = generation_dispatch(case, total * 1.02)
-    case = _replace(case, generators=tuple(
-        _replace(g, pg=dispatch[g.id]) if g.online else g
-        for g in case.generators))
-    sol = solve_pf(case)
-    if not sol.converged:
-        raise RuntimeError("power flow failed while building a feasible decision")
-    pg = []
-    qg = []
-    for g, bus in zip(space.gens, space.gen_bus):
-        gens_here = [h for h in space.gens if space.bus_index[h.bus] == bus]
-        pg.append(sol.pg[bus] / len(gens_here))
-        qg.append(sol.qg[bus] / len(gens_here))
-    return space.pack(sol.vm, sol.va, np.array(pg), np.array(qg))

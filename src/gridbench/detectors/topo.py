@@ -48,10 +48,10 @@ def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
                    case_or_weights: GridCase | dict[int, float]) -> float:
     """Weighted size of the symmetric difference of closed-branch sets.
 
-    Keys contain (branch id, from bus, to bus) triples, so both status
-    flips and endpoint changes (bus merge/split re-homing) contribute. A
-    nonnegative metric: symmetric, zero iff equal keys, triangle inequality
-    via the symmetric-difference union bound.
+    Keys contain (branch id, from bus, to bus) triples; each triple in
+    only one key adds its branch's weight. A nonnegative metric:
+    symmetric, zero iff equal keys, triangle inequality via the
+    symmetric-difference union bound.
     """
     if isinstance(case_or_weights, GridCase):
         weights = sensitivity_weights(case_or_weights)

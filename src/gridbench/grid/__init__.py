@@ -14,8 +14,6 @@ from .model import (
     GridCase,
     GridModelError,
     Load,
-    MergeRecord,
-    SwitchLink,
     TopologyEvent,
     islands_of,
     require_slack_per_active_island,
@@ -25,16 +23,11 @@ from .topology import (
     TopologyError,
     apply_event,
     connectivity_check,
-    merge_across_switch,
-    split_merged_switch,
-    topology_processor,
 )
 
 __all__ = [
     "BUNDLED_CASES", "Branch", "Bus", "CaseParseError", "Generator", "GridCase",
-    "GridModelError", "IslandReport", "Load", "MergeRecord", "SwitchLink",
-    "TopologyError", "TopologyEvent", "apply_event", "bundled_case",
-    "connectivity_check", "islands_of", "load_case", "merge_across_switch",
-    "require_slack_per_active_island", "serialize_case", "split_merged_switch",
-    "topology_processor",
+    "GridModelError", "IslandReport", "Load", "TopologyError", "TopologyEvent",
+    "apply_event", "bundled_case", "connectivity_check", "islands_of", "load_case",
+    "require_slack_per_active_island", "serialize_case",
 ]

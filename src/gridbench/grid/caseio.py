@@ -8,7 +8,6 @@ A case document is UTF-8 line-oriented text, one record per line::
     branch <id> from=<bus> to=<bus> r= x= [b= tap= shift= rate_a= status=]
     gen <id> bus=<bus> [pg= qg= pmin= pmax= qmin= qmax= vset= status= c2= c1= c0=]
     load <id> bus=<bus> pd= qd= [group= style=]
-    switch <id> a=<bus> b=<bus> [status=]
 
 Blank lines and ``#`` comments are ignored. Fields mirror the standard
 bus/branch/generator tables, so published test cases convert mechanically.
@@ -28,7 +27,6 @@ from .model import (
     GridCase,
     GridModelError,
     Load,
-    SwitchLink,
     require_slack_per_active_island,
 )
 
@@ -70,7 +68,6 @@ def load_case(text: str) -> GridCase:
     branches: list[Branch] = []
     gens: list[Generator] = []
     loads: list[Load] = []
-    switches: list[SwitchLink] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -130,14 +127,6 @@ def load_case(text: str) -> GridCase:
                     group=_get(f, "group", line_no, "g1", conv=str),
                     style=_get(f, "style", line_no, "constant", conv=str)))
                 _reject_unknown(f, line_no)
-            elif rec == "switch":
-                ident = int(args[0])
-                f = _parse_fields(args[1:], line_no)
-                switches.append(SwitchLink(
-                    id=ident, bus_a=_get(f, "a", line_no, conv=int),
-                    bus_b=_get(f, "b", line_no, conv=int),
-                    status=_get(f, "status", line_no, "open", conv=str)))
-                _reject_unknown(f, line_no)
             else:
                 raise CaseParseError(f"line {line_no}: unknown record type {rec!r}")
         except CaseParseError:
@@ -150,7 +139,7 @@ def load_case(text: str) -> GridCase:
     try:
         case = GridCase(name=name, base_mva=base_mva, buses=tuple(buses),
                         branches=tuple(branches), generators=tuple(gens),
-                        loads=tuple(loads), switches=tuple(switches))
+                        loads=tuple(loads))
         require_slack_per_active_island(case)
     except GridModelError as exc:
         raise GridModelError(f"invalid case document: {exc}") from exc
@@ -186,10 +175,6 @@ def serialize_case(case: GridCase) -> str:
     for l in sorted(case.loads, key=lambda l: l.id):
         out.append(
             f"load {l.id} bus={l.bus} pd={r(l.pd)} qd={r(l.qd)} group={l.group} style={l.style}")
-    if case.switches:
-        out.append("")
-        for s in sorted(case.switches, key=lambda s: s.id):
-            out.append(f"switch {s.id} a={s.bus_a} b={s.bus_b} status={s.status}")
     out.append("")
     return "\n".join(out)
 

@@ -7,13 +7,13 @@ immutable after construction: every mutation helper returns a new
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 BUS_KINDS = ("slack", "pv", "pq")
 BRANCH_STATUS = ("closed", "open")
 GEN_STATUS = ("on", "off")
 LOAD_STYLES = ("constant", "smooth", "oscillating", "abrupt")
-EVENT_KINDS = ("line_open", "line_close", "bus_split", "bus_merge", "gen_on", "gen_off")
+EVENT_KINDS = ("line_open", "line_close", "gen_on", "gen_off")
 EVENT_LABELS = ("known", "anomaly")
 
 
@@ -111,26 +111,10 @@ class Load:
 
 
 @dataclass(frozen=True)
-class SwitchLink:
-    """Zero-impedance switching device between two bus sections."""
-
-    id: int
-    bus_a: int
-    bus_b: int
-    status: str = "open"
-
-    def __post_init__(self):
-        if self.bus_a == self.bus_b:
-            raise GridModelError(f"switch {self.id}: endpoints must differ")
-        if self.status not in BRANCH_STATUS:
-            raise GridModelError(f"switch {self.id}: unknown status {self.status!r}")
-
-
-@dataclass(frozen=True)
 class TopologyEvent:
     tick: int
-    kind: str  # line_open | line_close | bus_split | bus_merge | gen_on | gen_off
-    target: int  # branch id, switch id, or generator id depending on kind
+    kind: str  # line_open | line_close | gen_on | gen_off
+    target: int  # branch id for line events, generator id for gen events
     label: str = "known"
 
     def __post_init__(self):
@@ -141,32 +125,7 @@ class TopologyEvent:
 
     @property
     def changes_graph(self) -> bool:
-        return self.kind in ("line_open", "line_close", "bus_split", "bus_merge")
-
-
-@dataclass(frozen=True)
-class MergeRecord:
-    """Pre-merge state recorded when a switch closure contracts two buses.
-
-    A later ``bus_split`` restores exactly this partition instead of trying
-    to re-derive one. The merged switch itself lives here while contracted
-    (it has no representable endpoints in the bus-branch model). Merge
-    records are runtime state and are not serialized into case documents.
-    """
-
-    switch: "SwitchLink"
-    kept: Bus          # original bus object that remained (possibly modified)
-    removed: Bus       # original bus object that was absorbed
-    branch_from: tuple[int, ...]  # branches whose from_bus pointed at removed
-    branch_to: tuple[int, ...]
-    gens: tuple[int, ...]
-    loads: tuple[int, ...]
-    switch_a: tuple[int, ...]  # other switches whose bus_a pointed at removed
-    switch_b: tuple[int, ...]
-
-    @property
-    def switch_id(self) -> int:
-        return self.switch.id
+        return self.kind in ("line_open", "line_close")
 
 
 @dataclass(frozen=True)
@@ -177,8 +136,6 @@ class GridCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     loads: tuple[Load, ...]
-    switches: tuple[SwitchLink, ...] = ()
-    merge_records: tuple[MergeRecord, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         validate_case(self)
@@ -206,12 +163,6 @@ class GridCase:
                 return g
         raise GridModelError(f"unknown generator {gen_id}")
 
-    def switch(self, switch_id: int) -> SwitchLink:
-        for s in self.switches:
-            if s.id == switch_id:
-                return s
-        raise GridModelError(f"unknown switch {switch_id}")
-
     def loads_at(self, bus_id: int) -> list[Load]:
         return [l for l in self.loads if l.bus == bus_id]
 
@@ -219,10 +170,11 @@ class GridCase:
         return [g for g in self.generators if g.bus == bus_id]
 
     def closed_branch_key(self) -> frozenset[tuple[int, int, int]]:
-        """Identity of the electrical topology: closed branches with endpoints.
+        """Identity of the electrical topology: the closed branches.
 
-        Including endpoints makes bus merges/splits visible, not just status
-        flips.
+        Events never move a branch's endpoints, so the branch id alone would
+        do; the (id, from bus, to bus) triples are kept so that topology keys
+        keep their format.
         """
         return frozenset((br.id, br.from_bus, br.to_bus) for br in self.branches if br.closed)
 
@@ -248,7 +200,7 @@ def validate_case(case: GridCase) -> None:
         dup = sorted(i for i in bus_set if bus_ids.count(i) > 1)
         raise GridModelError(f"duplicate bus ids {dup}")
     for coll, label in ((case.branches, "branch"), (case.generators, "gen"),
-                        (case.loads, "load"), (case.switches, "switch")):
+                        (case.loads, "load")):
         ids = [c.id for c in coll]
         if len(set(ids)) != len(ids):
             raise GridModelError(f"duplicate {label} ids")
@@ -262,24 +214,17 @@ def validate_case(case: GridCase) -> None:
     for l in case.loads:
         if l.bus not in bus_set:
             raise GridModelError(f"load {l.id}: unknown bus {l.bus}")
-    for s in case.switches:
-        for end in (s.bus_a, s.bus_b):
-            if end not in bus_set:
-                raise GridModelError(f"switch {s.id}: unknown bus {end}")
     _check_island_slacks(case)
 
 
 def _check_island_slacks(case: GridCase) -> None:
-    """No bus-branch island may hold more than one slack bus.
+    """No island may hold more than one slack bus.
 
-    Closed switches are deliberately excluded here: two slack buses joined
-    only by a closed switch are a node-breaker artifact that the topology
-    processor rejects ("conflicting slack") when it contracts them. A
-    load-bearing island *without* a slack is legal at the model level
+    A load-bearing island *without* a slack is legal at the model level
     (topology events can create one); it is reported by connectivity_check
     and rejected by the power-flow solver, not here.
     """
-    for members in islands_of(case, include_switches=False):
+    for members in islands_of(case):
         slacks = [b for b in members if case.bus(b).kind == "slack"]
         if len(slacks) > 1:
             raise GridModelError(f"island with buses {sorted(members)} has multiple slack buses {slacks}")
@@ -296,26 +241,18 @@ def require_slack_per_active_island(case: GridCase) -> None:
                 f"island with buses {sorted(members)} has load/generation but no slack bus")
 
 
-def islands_of(case: GridCase, include_switches: bool = True) -> list[list[int]]:
+def islands_of(case: GridCase) -> list[list[int]]:
     """Bus ids grouped into islands, each sorted, ordered by smallest member."""
-    comp = island_membership(case, include_switches=include_switches)
+    comp = island_membership(case)
     groups: dict[int, list[int]] = {}
     for bus_id, root in comp.items():
         groups.setdefault(root, []).append(bus_id)
     return [sorted(v) for _, v in sorted(groups.items())]
 
 
-def island_membership(case: GridCase, include_switches: bool = True) -> dict[int, int]:
-    """Map bus id -> island root over closed branches (and closed switches)."""
-    links = [(br.from_bus, br.to_bus) for br in case.branches if br.closed]
-    if include_switches:
-        links += [(s.bus_a, s.bus_b) for s in case.switches if s.status == "closed"]
-    return _union_find([b.id for b in case.buses], links)
-
-
-def _union_find(nodes: list[int], links: list[tuple[int, int]]) -> dict[int, int]:
-    """Map node -> smallest node of its connected component under ``links``."""
-    parent = {i: i for i in nodes}
+def island_membership(case: GridCase) -> dict[int, int]:
+    """Map bus id -> smallest bus id of its island over closed branches."""
+    parent = {b.id: b.id for b in case.buses}
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -323,8 +260,9 @@ def _union_find(nodes: list[int], links: list[tuple[int, int]]) -> dict[int, int
             i = parent[i]
         return i
 
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {i: find(i) for i in nodes}
+    for br in case.branches:
+        if br.closed:
+            ra, rb = find(br.from_bus), find(br.to_bus)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    return {i: find(i) for i in parent}

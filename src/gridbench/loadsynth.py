@@ -324,11 +324,3 @@ def profiles_matrix(params: list[StyleParams], horizon: int, seed: int) -> np.nd
     cols = [style_profile(p, horizon, seed=derive_seed(seed, i))
             for i, p in enumerate(params)]
     return np.column_stack(cols)
-
-
-def write_profiles_csv(path: str, load_ids: list, matrix: np.ndarray) -> None:
-    """One column per load, header row of load ids, one row per tick."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(str(i) for i in load_ids) + "\n")
-        for row in np.atleast_2d(matrix):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")

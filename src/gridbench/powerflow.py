@@ -261,9 +261,6 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
     reported in the result, not raised; a singular Jacobian raises
     :class:`PowerFlowError`.
     """
-    if any(s.status == "closed" for s in case.switches):
-        raise PowerFlowError(
-            "case still has closed switches; run the topology processor first")
     ybus = build_ybus(case)
     n = ybus.dimension
     kinds = np.array(effective_bus_kinds(case))

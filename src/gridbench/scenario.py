@@ -106,10 +106,8 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     if overlap:
         raise ScenarioError(f"known and anomaly events share ticks {sorted(overlap)}")
 
-    events = tuple(sorted(
-        [ev if ev.label == "known" else ev for ev in config.known_events] +
-        list(config.anomaly_events),
-        key=lambda e: (e.tick, e.label, e.kind, e.target)))
+    events = tuple(sorted(config.known_events + config.anomaly_events,
+                          key=lambda e: (e.tick, e.label, e.kind, e.target)))
 
     # daily multiplier patterns tiled over the horizon
     day = config.ticks_per_day
@@ -282,7 +280,12 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
 # ----------------------------------------------------------- event rates
 
 def expected_event_counts(case: GridCase, hours: float = 24.0) -> dict[str, float]:
-    """Expected event counts from the observed per-component daily rates."""
+    """Expected event counts from the observed per-component daily rates.
+
+    ``bus_ops`` is the paper's observed bus split/merge rate, reported for
+    comparison only: the grid model is bus-branch, so no schedule emits a
+    bus operation.
+    """
     scale = hours / 24.0
     return {
         "bus_ops": RATE_BUS_OPS_PER_BUS * len(case.buses) * scale,
@@ -495,8 +498,7 @@ def write_topology_csv(stream: LabeledStream, case: GridCase, path: str) -> None
     """Announced topology per tick with line-status context.
 
     Each registry entry is rendered as the set of open branch ids relative
-    to the full branch list; endpoint-level changes (bus splits) are not
-    representable in this export and keep the base rendering.
+    to the full branch list.
     """
     all_ids = {br.id for br in case.branches}
     open_of = {}

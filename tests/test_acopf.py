@@ -1,10 +1,13 @@
 """Violation metric, penalty gradients, data generation, sweep plumbing."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridbench.acopf
 from gridbench.acopf import (
     DecisionSpace,
     ExperimentConfig,
@@ -14,7 +17,6 @@ from gridbench.acopf import (
     build_mlp,
     evaluate_decisions,
     experiment_sweep,
-    feasible_decision_from_pf,
     gen_augmented,
     gen_realistic,
     penalty_loss_and_grad,
@@ -25,7 +27,9 @@ from gridbench.acopf import (
 from gridbench.acopf.mlp import mlp_backward, mlp_forward
 from gridbench.acopf.train import decision_loss_and_input_grad
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
+from gridbench.powerflow import solve_pf
 from gridbench.rng import Rng
+from gridbench.scenario import generation_dispatch
 
 
 def toy_case():
@@ -46,11 +50,67 @@ def toy_case():
     )
 
 
+def feasible_decision_from_pf(space, pd=None, qd=None):
+    """Decision assembled from a dispatched, converged power flow.
+
+    Generation follows the demand (proportional-to-capacity dispatch with a
+    small loss allowance) so the slack lands inside its active range.
+    """
+    case = space.case
+    if pd is not None:
+        loads = tuple(replace(l, pd=pd[j], qd=qd[j])
+                      for j, l in enumerate(case.loads))
+        case = case.with_loads(loads)
+    total = sum(l.pd for l in case.loads)
+    dispatch = generation_dispatch(case, total * 1.02)
+    case = replace(case, generators=tuple(
+        replace(g, pg=dispatch[g.id]) if g.online else g
+        for g in case.generators))
+    sol = solve_pf(case)
+    if not sol.converged:
+        raise RuntimeError("power flow failed while building a feasible decision")
+    pg = []
+    qg = []
+    for g, bus in zip(space.gens, space.gen_bus):
+        gens_here = [h for h in space.gens if space.bus_index[h.bus] == bus]
+        pg.append(sol.pg[bus] / len(gens_here))
+        qg.append(sol.qg[bus] / len(gens_here))
+    return space.pack(sol.vm, sol.va, np.array(pg), np.array(qg))
+
+
 def scaled_case30(factor):
     case = bundled_case("case30")
     loads = tuple(replace(l, pd=l.pd * factor, qd=l.qd * factor)
                   for l in case.loads)
     return case.with_loads(loads)
+
+
+# ------------------------------------------------------------- layering
+
+def _imported_modules(tree, package):
+    """Absolute names of every module (and ``from`` name) an AST imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.rsplit(".", node.level - 1)[0]
+                base = f"{parent}.{base}" if base else parent
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+def test_acopf_does_not_import_scenario():
+    # layering: grid -> powerflow -> {scenario, acopf, detectors}
+    package_dir = Path(gridbench.acopf.__file__).parent
+    offenders = [
+        f"{path.name}: {name}"
+        for path in sorted(package_dir.glob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")),
+                                      "gridbench.acopf")
+        if name == "gridbench.scenario" or name.startswith("gridbench.scenario.")]
+    assert offenders == []
 
 
 # ------------------------------------------------------------- violations

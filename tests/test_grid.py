@@ -1,6 +1,5 @@
 """Grid model, case documents, and topology operations."""
 
-import numpy as np
 import pytest
 
 from gridbench.grid import (
@@ -10,18 +9,13 @@ from gridbench.grid import (
     Generator,
     GridCase,
     GridModelError,
-    Load,
-    SwitchLink,
     TopologyEvent,
-    TopologyError,
     apply_event,
     bundled_case,
     connectivity_check,
     load_case,
     serialize_case,
-    topology_processor,
 )
-from gridbench.powerflow import build_ybus
 from gridbench.rng import Rng
 
 MINIMAL_2BUS = """
@@ -37,13 +31,6 @@ load 1 bus=2 pd=0.5 qd=0.0
 
 def two_bus():
     return load_case(MINIMAL_2BUS)
-
-
-def chain_case(n_buses, switches):
-    buses = tuple(Bus(id=i, kind="slack" if i == 1 else "pq") for i in range(1, n_buses + 1))
-    return GridCase(name="chain", base_mva=100.0, buses=buses, branches=(),
-                    generators=(Generator(id=1, bus=1, p_max=1.0),),
-                    loads=(), switches=switches)
 
 
 # ---------------------------------------------------------------- parsing
@@ -80,15 +67,15 @@ def test_missing_required_field():
         load_case(bad)
 
 
+def test_switch_record_is_unknown():
+    # the model is bus-branch only: a bus-section switch is not a record type
+    with pytest.raises(CaseParseError, match="line 9: unknown record type 'switch'"):
+        load_case(MINIMAL_2BUS + "switch 1 a=1 b=2\n")
+
+
 @pytest.mark.parametrize("name", ["case14", "case30", "case57"])
 def test_serialize_round_trip(name):
     case = bundled_case(name)
-    assert load_case(serialize_case(case)) == case
-
-
-def test_round_trip_preserves_switches():
-    case = two_bus()
-    case = GridCase(**{**case.__dict__, "switches": (SwitchLink(1, 1, 2, "open"),)})
     assert load_case(serialize_case(case)) == case
 
 
@@ -101,92 +88,6 @@ def test_invariant_validation():
         Bus(id=1, kind="pq", v_min=1.1, v_max=0.9)
     with pytest.raises(GridModelError, match="p_min"):
         Generator(id=1, bus=1, p_min=2.0, p_max=1.0)
-    with pytest.raises(GridModelError, match="endpoints"):
-        SwitchLink(id=1, bus_a=3, bus_b=3)
-
-
-# ---------------------------------------------------- topology processor
-
-def test_processor_identity_when_all_open():
-    sw = (SwitchLink(1, 1, 2, "open"),)
-    case = chain_case(3, sw)
-    out = topology_processor(case)
-    assert [b.id for b in out.buses] == [1, 2, 3]
-    assert out.switches == sw
-
-
-def test_processor_single_contraction():
-    case = GridCase(
-        name="t", base_mva=100.0,
-        buses=(Bus(1, "slack"), Bus(2, "pq", gs=0.1, bs=0.2), Bus(3, "pq")),
-        branches=(Branch(1, 2, 3, r=0.01, x=0.1),),
-        generators=(Generator(1, bus=1, p_max=1.0),),
-        loads=(Load(1, bus=2, pd=0.3, qd=0.1),),
-        switches=(SwitchLink(1, 1, 2, "closed"),),
-    )
-    out = topology_processor(case)
-    assert [b.id for b in out.buses] == [1, 3]
-    merged = out.bus(1)
-    assert merged.gs == pytest.approx(0.1) and merged.bs == pytest.approx(0.2)
-    assert out.loads[0].bus == 1
-    assert out.branches[0].from_bus == 1
-    assert out.switches == ()
-
-
-def test_processor_chain_matches_union_find_oracle():
-    # chain 1-2-3 all closed -> one bus; oracle is an independent BFS
-    sw = (SwitchLink(1, 1, 2, "closed"), SwitchLink(2, 2, 3, "closed"))
-    case = chain_case(3, sw)
-    out = topology_processor(case)
-    assert len(out.buses) == 1
-
-    # randomized: n buses, random closed switches; component count must match BFS
-    rng = Rng(2024)
-    for trial in range(30):
-        n = 6 + rng.randrange(5)
-        links = []
-        for k in range(8):
-            a = 1 + rng.randrange(n)
-            b = 1 + rng.randrange(n)
-            if a != b:
-                links.append(SwitchLink(k + 1, a, b, "closed" if rng.random() < 0.6 else "open"))
-        case = chain_case(n, tuple(links))
-        out = topology_processor(case)
-        # independent BFS over closed switch edges
-        adj = {i: set() for i in range(1, n + 1)}
-        for s in links:
-            if s.status == "closed":
-                adj[s.bus_a].add(s.bus_b)
-                adj[s.bus_b].add(s.bus_a)
-        seen, comps = set(), 0
-        for start in range(1, n + 1):
-            if start in seen:
-                continue
-            comps += 1
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(adj[u] - seen)
-        assert len(out.buses) == comps, f"trial {trial}"
-
-
-def test_processor_idempotent():
-    sw = (SwitchLink(1, 1, 2, "closed"), SwitchLink(2, 4, 5, "closed"),
-          SwitchLink(3, 2, 3, "open"))
-    case = chain_case(5, sw)
-    once = topology_processor(case)
-    twice = topology_processor(once)
-    assert once == twice
-
-
-def test_processor_conflicting_slack():
-    buses = (Bus(1, "slack"), Bus(2, "slack"))
-    case = GridCase("t", 100.0, buses, (), (), (), (SwitchLink(1, 1, 2, "closed"),))
-    with pytest.raises(TopologyError, match="conflicting slack"):
-        topology_processor(case)
 
 
 # ------------------------------------------------------------- events
@@ -206,46 +107,18 @@ def test_open_already_open_warns_noop():
     assert again == out
 
 
+@pytest.mark.parametrize("kind", ["bus_merge", "bus_split"])
+def test_bus_section_event_kinds_rejected(kind):
+    with pytest.raises(GridModelError, match="unknown kind"):
+        TopologyEvent(0, kind, 1)
+
+
 def test_gen_off_makes_island_unservable():
     case = two_bus()
     out = apply_event(case, TopologyEvent(0, "gen_off", 1))
     reports = connectivity_check(out)
     assert len(reports) == 1
     assert reports[0].unservable
-
-
-def test_merge_then_split_restores_ybus():
-    case = GridCase(
-        name="nb", base_mva=100.0,
-        buses=(Bus(1, "slack"), Bus(2, "pq", bs=0.05), Bus(3, "pq"), Bus(4, "pq")),
-        branches=(Branch(1, 1, 2, r=0.01, x=0.05), Branch(2, 2, 3, r=0.02, x=0.08),
-                  Branch(3, 1, 4, r=0.01, x=0.04)),
-        generators=(Generator(1, bus=1, p_max=5.0),),
-        loads=(Load(1, bus=2, pd=0.2, qd=0.05), Load(2, bus=3, pd=0.1, qd=0.02)),
-        switches=(SwitchLink(1, 2, 4, "open"),),
-    )
-    y0 = build_ybus(case).matrix
-    merged = apply_event(case, TopologyEvent(5, "bus_merge", 1))
-    assert len(merged.buses) == 3
-    split = apply_event(merged, TopologyEvent(9, "bus_split", 1))
-    assert split.bus_ids() == case.bus_ids()
-    y1 = build_ybus(split).matrix
-    np.testing.assert_allclose(y1, y0, atol=1e-15)
-    assert [l.bus for l in split.loads] == [l.bus for l in case.loads]
-
-
-def test_split_without_merge_errors():
-    case = two_bus()
-    case = GridCase(**{**case.__dict__, "switches": (SwitchLink(1, 1, 2, "open"),)})
-    with pytest.raises(TopologyError, match="never merged"):
-        apply_event(case, TopologyEvent(0, "bus_split", 1))
-
-
-def test_merge_two_slacks_rejected():
-    buses = (Bus(1, "slack"), Bus(2, "slack"))
-    case = GridCase("t", 100.0, buses, (), (), (), (SwitchLink(1, 1, 2, "open"),))
-    with pytest.raises(TopologyError, match="conflicting slack"):
-        apply_event(case, TopologyEvent(0, "bus_merge", 1))
 
 
 # ------------------------------------------------------- connectivity
