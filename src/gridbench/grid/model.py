@@ -142,9 +142,6 @@ class GridCase:
 
     # -- lookup helpers ---------------------------------------------------
 
-    def bus_ids(self) -> list[int]:
-        return [b.id for b in self.buses]
-
     def bus(self, bus_id: int) -> Bus:
         for b in self.buses:
             if b.id == bus_id:
@@ -163,12 +160,6 @@ class GridCase:
                 return g
         raise GridModelError(f"unknown generator {gen_id}")
 
-    def loads_at(self, bus_id: int) -> list[Load]:
-        return [l for l in self.loads if l.bus == bus_id]
-
-    def gens_at(self, bus_id: int) -> list[Generator]:
-        return [g for g in self.generators if g.bus == bus_id]
-
     def closed_branch_key(self) -> frozenset[tuple[int, int, int]]:
         """Identity of the electrical topology: the closed branches.
 
@@ -185,9 +176,6 @@ class GridCase:
 
     def with_generator(self, gen: Generator) -> "GridCase":
         return replace(self, generators=tuple(gen if g.id == gen.id else g for g in self.generators))
-
-    def with_loads(self, loads: tuple[Load, ...]) -> "GridCase":
-        return replace(self, loads=loads)
 
 
 def validate_case(case: GridCase) -> None:

@@ -1,6 +1,6 @@
 """Vectorized network arrays and Newton-Raphson AC power flow.
 
-``build_ybus`` compiles a case once into dense arrays: the bus admittance
+``build_ybus`` compiles a case into dense arrays: the bus admittance
 matrix plus, for every closed branch, its position in ``case.branches``,
 its terminal bus indices and its pi-model admittances (``BranchArrays``).
 Every branch quantity in the package (flows, losses, the ACOPF decision
@@ -8,6 +8,13 @@ space) is evaluated from these arrays. A ``PFSolution`` keeps the matrix it
 was solved on, so flows and losses need no rebuild. The bundled cases have
 at most 57 buses, so the admittance matrix and the Jacobian are plain dense
 arrays and each Newton step is one dense solve.
+
+``network`` compiles one topology of a case for the solver into a
+``Network`` record: the admittance matrix, the slack/PV/PQ bus index
+vectors (after the island check), the voltage setpoints, the slack angles
+and the bus of each load and online generator. A scenario tick supplies
+only the per-bus demand and scheduled injections
+(``Network.with_injections``); ``solve_pf`` also takes a case and compiles it.
 
 Conventions:
     - complex voltage V = vm * exp(j*va), arrays ordered like case.buses
@@ -23,12 +30,13 @@ bus with no online generator is treated as PQ.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .grid.model import Branch, GridCase, islands_of
+from .grid.model import Branch, GridCase
+from .grid.topology import connectivity_check
 
 
 class PowerFlowError(RuntimeError):
@@ -91,6 +99,45 @@ class AdmittanceMatrix:
 
 
 @dataclass(frozen=True)
+class Network:
+    """One topology of a case compiled for the solver (see ``network``).
+
+    Index vectors hold bus positions. A PV bus without an online generator
+    is PQ; buses of inert slackless islands are in none of slack/pv/pq.
+    Only the per-bus demand and scheduled net injection (online generation
+    minus demand, pu) change with loads and dispatch.
+    """
+
+    ybus: AdmittanceMatrix
+    slack: np.ndarray
+    pv: np.ndarray
+    pq: np.ndarray
+    vm_set: np.ndarray  # vm setpoint at slack/PV buses (the bus vm elsewhere)
+    va_slack: np.ndarray  # angle of each slack bus
+    load_bus: np.ndarray  # bus of each load, in case order
+    gen_bus: np.ndarray  # bus of each online generator, in case order
+    pd: np.ndarray
+    qd: np.ndarray
+    p_spec: np.ndarray
+    q_spec: np.ndarray
+
+    def with_injections(self, pd: Sequence[float], qd: Sequence[float],
+                        pg: Sequence[float], qg: Sequence[float]) -> "Network":
+        """This topology at per-load demand and per-online-generator output."""
+        n = self.ybus.dimension
+        at = np.concatenate([self.gen_bus, self.load_bus])
+        return replace(
+            self, pd=_bus_sums(self.load_bus, pd, n), qd=_bus_sums(self.load_bus, qd, n),
+            p_spec=_bus_sums(at, np.concatenate([pg, np.negative(pd)]), n),
+            q_spec=_bus_sums(at, np.concatenate([qg, np.negative(qd)]), n))
+
+
+def _bus_sums(at: np.ndarray, weights: Sequence[float], n: int) -> np.ndarray:
+    """Per-bus sums of ``weights`` added in order (float even when empty)."""
+    return np.bincount(at, weights, n).astype(float)
+
+
+@dataclass(frozen=True)
 class PFSolution:
     bus_ids: tuple[int, ...]
     vm: np.ndarray
@@ -148,62 +195,17 @@ def build_ybus(case: GridCase) -> AdmittanceMatrix:
                             branches=BranchArrays(pos, f, t, yff, yft, ytf, ytt))
 
 
-def bus_demand(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bus total load (pd, qd), pu, arrays ordered like case.buses."""
-    idx = {b.id: i for i, b in enumerate(case.buses)}
-    at = np.array([idx[l.bus] for l in case.loads], dtype=int)
-    n = len(case.buses)
-    return (np.bincount(at, weights=[l.pd for l in case.loads], minlength=n),
-            np.bincount(at, weights=[l.qd for l in case.loads], minlength=n))
-
-
-def specified_injections(case: GridCase) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bus scheduled net injection (online generation minus demand), pu."""
-    idx = {b.id: i for i, b in enumerate(case.buses)}
-    p = np.zeros(len(case.buses))
-    q = np.zeros(len(case.buses))
-    for g in case.generators:
-        if g.online:
-            p[idx[g.bus]] += g.pg
-            q[idx[g.bus]] += g.qg
-    for l in case.loads:
-        p[idx[l.bus]] -= l.pd
-        q[idx[l.bus]] -= l.qd
-    return p, q
-
-
-def effective_bus_kinds(case: GridCase) -> list[str]:
-    """Bus kinds used by the solver: PV without an online generator is PQ."""
-    online_gen_buses = {g.bus for g in case.generators if g.online}
-    return ["pq" if b.kind == "pv" and b.id not in online_gen_buses else b.kind
-            for b in case.buses]
-
-
-def _setpoint_voltages(case: GridCase) -> np.ndarray:
-    """vm targets for slack/PV buses: first online generator's v_set."""
-    vset = np.array([b.vm for b in case.buses])
-    idx = {b.id: i for i, b in enumerate(case.buses)}
-    seen = set()
-    for g in sorted(case.generators, key=lambda g: g.id):
-        if g.online and g.bus not in seen:
-            vset[idx[g.bus]] = g.v_set
-            seen.add(g.bus)
-    return vset
-
-
 def calculated_injections(ybus: AdmittanceMatrix, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     v = vm * np.exp(1j * va)
     return v * np.conj(ybus.matrix @ v)
 
 
-def mismatch(case: GridCase, vm: np.ndarray, va: np.ndarray,
-             ybus: AdmittanceMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mismatch(net: Network | GridCase, vm: np.ndarray,
+             va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, Q) mismatch = specified minus calculated injection, all buses."""
-    if ybus is None:
-        ybus = build_ybus(case)
-    p_spec, q_spec = specified_injections(case)
-    s = calculated_injections(ybus, vm, va)
-    return p_spec - s.real, q_spec - s.imag
+    net = network(net) if isinstance(net, GridCase) else net
+    s = calculated_injections(net.ybus, vm, va)
+    return net.p_spec - s.real, net.q_spec - s.imag
 
 
 def _dSbus_dV(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,63 +217,80 @@ def _dSbus_dV(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ds_dva, ds_dvm
 
 
-def jacobian(case: GridCase, vm: np.ndarray, va: np.ndarray,
-             ybus: AdmittanceMatrix | None = None) -> np.ndarray:
+def jacobian(net: Network | GridCase, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     """Full 2n x 2n real Jacobian of the mismatch wrt (va, vm).
 
     Row order: P mismatch of every bus, then Q mismatch of every bus.
     Column order: va of every bus, then vm of every bus.
     """
-    if ybus is None:
-        ybus = build_ybus(case)
+    ybus = net.ybus if isinstance(net, Network) else build_ybus(net)
     ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
     return -np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
 
 
-def _check_islands_solvable(case: GridCase) -> list[int]:
+def _check_islands_solvable(case: GridCase, idx: dict[int, int]) -> list[int]:
     """Indices of buses excluded from the solve (inert slackless islands).
 
     An island without a slack bus is only tolerated when nothing electrical
     happens there: no load, no online generator, no shunt, and no closed
     branch (line charging would inject reactive power).
     """
-    idx = {b.id: i for i, b in enumerate(case.buses)}
     excluded: list[int] = []
-    for members in islands_of(case):
-        mset = set(members)
-        if any(case.bus(b).kind == "slack" for b in members):
+    for rep in connectivity_check(case):
+        if rep.has_slack:
             continue
-        has_load = any(l.bus in mset for l in case.loads)
-        has_gen = any(g.bus in mset and g.online for g in case.generators)
-        has_shunt = any(case.bus(b).gs != 0 or case.bus(b).bs != 0 for b in members)
+        mset = set(rep.buses)
+        has_shunt = any(case.bus(b).gs != 0 or case.bus(b).bs != 0 for b in mset)
         has_branch = any(br.closed and br.from_bus in mset for br in case.branches)
-        if has_load or has_gen or has_shunt or has_branch:
+        if rep.has_load or rep.has_online_gen or has_shunt or has_branch:
             raise PowerFlowError(
-                f"island with buses {members} has no slack bus but carries "
+                f"island with buses {list(rep.buses)} has no slack bus but carries "
                 "load, generation, shunts, or energized branches")
-        excluded.extend(idx[b] for b in members)
+        excluded.extend(idx[b] for b in rep.buses)
     return excluded
 
 
-def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat",
+def network(case: GridCase) -> Network:
+    """Compile one topology of ``case``, at its loads and generator outputs.
+
+    Raises :class:`PowerFlowError` if the case has no slack bus or an
+    energized island without one.
+    """
+    ybus = build_ybus(case)
+    n, idx = ybus.dimension, ybus.index
+    online = [g for g in case.generators if g.online]
+    gen_bus = np.array([idx[g.bus] for g in online], dtype=int)
+    kinds = np.array([b.kind for b in case.buses])
+    kinds[(kinds == "pv") & ~np.isin(np.arange(n), gen_bus)] = "pq"
+    kinds[_check_islands_solvable(case, idx)] = "inert"
+    slack = np.flatnonzero(kinds == "slack")
+    if not len(slack):
+        raise PowerFlowError("case has no slack bus")
+    vm_set = np.array([b.vm for b in case.buses])
+    for g in sorted(online, key=lambda g: g.id, reverse=True):
+        vm_set[idx[g.bus]] = g.v_set  # the lowest-id online generator wins
+    empty = np.zeros(n)
+    net = Network(ybus, slack, np.flatnonzero(kinds == "pv"), np.flatnonzero(kinds == "pq"),
+                  vm_set, np.array([case.buses[i].va for i in slack]),
+                  np.array([idx[l.bus] for l in case.loads], dtype=int), gen_bus,
+                  empty, empty, empty, empty)
+    return net.with_injections([l.pd for l in case.loads], [l.qd for l in case.loads],
+                               [g.pg for g in online], [g.qg for g in online])
+
+
+def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat",
              tol: float = 1e-8, max_iter: int = 30) -> PFSolution:
     """Newton-Raphson power flow in polar form.
 
+    ``net`` is a compiled :class:`Network`; a case is compiled first.
     ``start`` is "flat" or a (vm, va) warm-start pair. Non-convergence is
     reported in the result, not raised; a singular Jacobian raises
     :class:`PowerFlowError`.
     """
-    ybus = build_ybus(case)
+    net = network(net) if isinstance(net, GridCase) else net
+    ybus = net.ybus
     n = ybus.dimension
-    kinds = np.array(effective_bus_kinds(case))
-    solved = np.ones(n, dtype=bool)
-    solved[_check_islands_solvable(case)] = False
-
-    slack = np.flatnonzero(kinds == "slack")
-    pv = np.flatnonzero((kinds == "pv") & solved)
-    pq = np.flatnonzero((kinds == "pq") & solved)
-    if not len(slack):
-        raise PowerFlowError("case has no slack bus")
+    slack, pv, pq = net.slack, net.pv, net.pq
     regulated = np.concatenate([slack, pv])  # buses that hold their vm setpoint
     pvpq = np.concatenate([pv, pq])
     # unknowns (va at PV/PQ buses, vm at PQ buses); the same index vector
@@ -280,27 +299,25 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
 
     if start == "flat":
         vm = np.ones(n)
-        va = np.full(n, case.buses[slack[0]].va if len(slack) == 1 else 0.0)
+        va = np.full(n, net.va_slack[0] if len(slack) == 1 else 0.0)
     else:
         vm0, va0 = start
         vm = np.array(vm0, dtype=float)
         va = np.array(va0, dtype=float)
         if vm.shape != (n,) or va.shape != (n,):
             raise PowerFlowError("warm start dimensions do not match case")
-    vm[regulated] = _setpoint_voltages(case)[regulated]
-    va[slack] = [case.buses[i].va for i in slack]
-
-    p_spec, q_spec = specified_injections(case)
+    vm[regulated] = net.vm_set[regulated]
+    va[slack] = net.va_slack
 
     def current_mismatch():
         s = calculated_injections(ybus, vm, va)
-        return np.concatenate([p_spec - s.real, q_spec - s.imag])[unknowns]
+        return np.concatenate([net.p_spec - s.real, net.q_spec - s.imag])[unknowns]
 
     iterations = 0
     f = current_mismatch()
     max_mis = float(np.max(np.abs(f))) if len(f) else 0.0
     while max_mis > tol and iterations < max_iter:
-        jac = jacobian(case, vm, va, ybus)[np.ix_(unknowns, unknowns)]
+        jac = jacobian(net, vm, va)[np.ix_(unknowns, unknowns)]
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
@@ -317,13 +334,12 @@ def solve_pf(case: GridCase, start: str | tuple[np.ndarray, np.ndarray] = "flat"
 
     converged = max_mis <= tol
     s = calculated_injections(ybus, vm, va)
-    pd, qd = bus_demand(case)
     # Recovered net generation: scheduled at PV/PQ buses, balanced at the
     # slack; PV-bus reactive output comes from the solution.
-    pg = p_spec + pd
-    qg = q_spec + qd
-    pg[slack] = s.real[slack] + pd[slack]
-    qg[regulated] = s.imag[regulated] + qd[regulated]
+    pg = net.p_spec + net.pd
+    qg = net.q_spec + net.qd
+    pg[slack] = s.real[slack] + net.pd[slack]
+    qg[regulated] = s.imag[regulated] + net.qd[regulated]
     return PFSolution(bus_ids=ybus.bus_ids, vm=vm, va=va, pg=pg, qg=qg,
                       iterations=iterations, converged=converged,
                       max_mismatch=max_mis, ybus=ybus)

@@ -2,7 +2,8 @@
 
 A scenario couples a grid case with per-load style profiles and a schedule
 of topology/generator events, some announced ("known") and some not
-("anomaly"). Running it walks the tick loop: apply due events, set loads,
+("anomaly"). Running it walks the tick loop: apply due events (and only
+then recompile the true topology's ``powerflow.Network``), set loads,
 dispatch generation to follow demand, solve the power flow warm-started
 from the previous tick (from a flat start when the warm start diverges),
 and emit noisy sensor readings. The stream is two ticks x sensors arrays,
@@ -16,14 +17,14 @@ detector benchmark probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid.model import GridCase, Load, TopologyEvent, islands_of
+from .grid.model import GridCase, TopologyEvent, islands_of
 from .grid.topology import apply_event, connectivity_check
 from .loadsynth import StyleParams, profiles_matrix, sample_population
-from .powerflow import PFSolution, branch_flows, bus_demand, solve_pf
+from .powerflow import Network, PFSolution, PowerFlowError, branch_flows, network, solve_pf
 from .rng import Rng, derive_seed
 
 # paper-observed daily event rates per component (operations per 24h per unit)
@@ -192,12 +193,11 @@ def _sensor_roster(case: GridCase) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(ids), tuple(types)
 
 
-def _truth_vector(case: GridCase, sol: PFSolution) -> np.ndarray:
+def _truth_vector(case: GridCase, net: Network, sol: PFSolution) -> np.ndarray:
     """Noise-free readings in roster order (see ``_sensor_roster``)."""
     flows = branch_flows(case, sol)
-    pd, qd = bus_demand(case)
     return np.concatenate([
-        np.column_stack([sol.vm, sol.pg - pd, sol.qg - qd]).ravel(),
+        np.column_stack([sol.vm, sol.pg - net.pd, sol.qg - net.qd]).ravel(),
         np.column_stack([flows.p_from, flows.q_from, flows.i_from_mag]).ravel()])
 
 
@@ -229,34 +229,26 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     for t in range(cfg.horizon):
         for ev in by_tick.get(t, ()):
             current = apply_event(current, ev)
+        if t == 0 or t in by_tick:
+            net = network(current)
+            online = [g for g in current.generators if g.online]
         mult = scenario.multipliers[t]
-        loads = tuple(
-            Load(id=l.id, bus=l.bus, pd=base_pd[j] * mult[j],
-                 qd=base_qd[j] * mult[j], group=l.group, style=l.style)
-            for j, l in enumerate(current.loads))
-        current = current.with_loads(loads)
-        total_pd = float(base_pd @ mult)
-        dispatch = generation_dispatch(current, total_pd * (1.0 + loss_frac))
-        gens = tuple(
-            replace(g, pg=dispatch[g.id]) if g.online else g
-            for g in current.generators)
-        current = replace(current, generators=gens)
+        dispatch = generation_dispatch(current, float(base_pd @ mult) * (1.0 + loss_frac))
+        tick = net.with_injections(base_pd * mult, base_qd * mult,
+                                   [dispatch[g.id] for g in online], [g.qg for g in online])
 
-        if prev is not None and prev.bus_ids == tuple(b.id for b in current.buses):
-            start = (prev.vm, prev.va)
-        else:
-            start = "flat"
-        sol = solve_pf(current, start=start)
+        start = "flat" if prev is None else (prev.vm, prev.va)
+        sol = solve_pf(tick, start=start)
         if not sol.converged and start != "flat":
             # a warm start carried from a disturbed state can diverge where
             # a flat start converges (e.g. when a tripped line recloses)
-            sol = solve_pf(current)
+            sol = solve_pf(tick)
         if not sol.converged:
             raise ScenarioError(
                 f"power flow diverged at tick {t} (max mismatch {sol.max_mismatch:.2e})")
         prev = sol
 
-        truth = _truth_vector(current, sol)
+        truth = _truth_vector(case, tick, sol)
         sigmas[t] = cfg.noise_sigma_rel * np.maximum(np.abs(truth), cfg.noise_floor)
         if cfg.noise_sigma_rel > 0:
             values[t] = truth + np.array([noise_rng.normal(0.0, s) for s in sigmas[t]])
@@ -346,7 +338,7 @@ def _outage_ok(case: GridCase, branch_ids: tuple[int, ...]) -> bool:
         return False
     try:
         return solve_pf(trial).converged
-    except Exception:
+    except PowerFlowError:
         return False
 
 

@@ -60,7 +60,7 @@ def feasible_decision_from_pf(space, pd=None, qd=None):
     if pd is not None:
         loads = tuple(replace(l, pd=pd[j], qd=qd[j])
                       for j, l in enumerate(case.loads))
-        case = case.with_loads(loads)
+        case = replace(case, loads=loads)
     total = sum(l.pd for l in case.loads)
     dispatch = generation_dispatch(case, total * 1.02)
     case = replace(case, generators=tuple(
@@ -82,7 +82,7 @@ def scaled_case30(factor):
     case = bundled_case("case30")
     loads = tuple(replace(l, pd=l.pd * factor, qd=l.qd * factor)
                   for l in case.loads)
-    return case.with_loads(loads)
+    return replace(case, loads=loads)
 
 
 # ------------------------------------------------------------- layering
@@ -294,7 +294,7 @@ def test_training_divergence_reports_epoch():
 def test_single_group_constant_style_reproduces_base():
     case = toy_case()
     loads = tuple(replace(l, style="constant") for l in case.loads)
-    case = case.with_loads(loads)
+    case = replace(case, loads=loads)
     samples = gen_realistic(case, 30, seed=0)
     base = np.array([l.pd for l in case.loads])
     np.testing.assert_allclose(samples.pd, np.tile(base, (30, 1)))

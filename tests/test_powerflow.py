@@ -26,11 +26,10 @@ from gridbench.powerflow import (
     branch_flows,
     build_ybus,
     calculated_injections,
-    effective_bus_kinds,
     jacobian,
     mismatch,
+    network,
     solve_pf,
-    specified_injections,
     total_losses,
 )
 from gridbench.rng import Rng
@@ -104,6 +103,19 @@ def test_zero_injection_flat_start_zero_iterations():
     np.testing.assert_allclose(sol.va, [0.0, 0.0])
 
 
+def test_slack_supplies_shunt_of_case_without_loads_or_generators():
+    """With no load and no generator to sum, the per-bus injections stay
+    real-valued, so the slack's recovered output is the shunt consumption."""
+    case = GridCase(
+        "t", 100.0,
+        buses=(Bus(1, "slack"), Bus(2, "pq", gs=0.1)),
+        branches=(Branch(1, 1, 2, r=0.01, x=0.1),), generators=(), loads=())
+    sol = solve_pf(case)
+    assert sol.converged
+    assert sol.pg[0] == pytest.approx(total_losses(case, sol), abs=1e-8)
+    assert sol.pg[0] > 0.09
+
+
 def test_two_bus_matches_root_finder_oracle():
     # frozen from scipy.optimize.root on the two mismatch equations
     case = load_case(MINIMAL_2BUS)
@@ -139,7 +151,8 @@ def test_case30_cross_checked_against_independent_solver():
     pv = [i for i in range(n) if kinds[i] == "pv"]
     pq = [i for i in range(n) if kinds[i] == "pq"]
     pvpq = pv + pq
-    ps, qs = specified_injections(case)
+    net = network(case)
+    ps, qs = net.p_spec, net.q_spec
     vset = sol.vm.copy()  # magnitudes at pv/slack equal setpoints already
 
     def fullmis(z):
@@ -187,7 +200,7 @@ def test_singular_jacobian_raises():
     case = bundled_case("case14")
     n = len(case.buses)
     vm = np.ones(n)
-    vm[effective_bus_kinds(case).index("pq")] = 0.0
+    vm[network(case).pq[0]] = 0.0
     with np.errstate(invalid="ignore"), pytest.raises(PowerFlowError):
         solve_pf(case, start=(vm, np.zeros(n)))
 
@@ -215,7 +228,7 @@ def test_per_bus_power_balance_invariant():
 # -------------------------------------------------------------- jacobian
 
 def finite_difference_jacobian(case, vm, va, eps=1e-7):
-    yb = build_ybus(case)
+    net = network(case)
     n = len(vm)
     jac = np.zeros((2 * n, 2 * n))
     for k in range(n):
@@ -228,8 +241,8 @@ def finite_difference_jacobian(case, vm, va, eps=1e-7):
             else:
                 vm_p[k] += eps
                 vm_m[k] -= eps
-            pp, qp = mismatch(case, vm_p, va_p, yb)
-            pm, qm = mismatch(case, vm_m, va_m, yb)
+            pp, qp = mismatch(net, vm_p, va_p)
+            pm, qm = mismatch(net, vm_m, va_m)
             col = np.concatenate([(pp - pm), (qp - qm)]) / (2 * eps)
             jac[:, which * n + k] = col
     return jac

@@ -1,11 +1,13 @@
 """Scenario construction, tick loop, dispatch, and exports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from gridbench.grid import TopologyEvent, bundled_case, load_case
+from gridbench.grid import TopologyEvent, apply_event, bundled_case, load_case
 from gridbench.loadsynth import StyleParams
-from gridbench.powerflow import solve_pf
+from gridbench.powerflow import branch_flows, solve_pf
 from gridbench.scenario import (
     ScenarioConfig,
     ScenarioError,
@@ -141,17 +143,38 @@ def test_dispatch_over_capacity_errors():
 # ------------------------------------------------------------ execution
 
 def test_zero_noise_frames_equal_pf_truth():
+    """Every tick's vm and flow readings equal a fresh power flow of that
+    tick's case, across a generator switched off and on at a PV bus and an
+    unannounced line trip and reclose."""
     case = bundled_case("case14")
-    scen = build_scenario(small_config(case, horizon=3))
+    gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
+    known = [TopologyEvent(2, "gen_off", gen.id), TopologyEvent(8, "gen_on", gen.id)]
+    anomalies = [TopologyEvent(4, "line_open", 7, "anomaly"),
+                 TopologyEvent(6, "line_close", 7, "anomaly")]
+    styles = tuple(StyleParams(style="smooth", peak_tick=5, amplitude=0.2)
+                   for _ in case.loads)
+    scen = build_scenario(small_config(case, horizon=10, known=known,
+                                       anomalies=anomalies, styles=styles))
     stream = run_scenario(scen)
-    # re-derive tick 0 truth directly
-    from dataclasses import replace as _replace
-    demand = sum(l.pd for l in case.loads) * 1.02
-    disp = generation_dispatch(case, demand)
-    gens = tuple(_replace(g, pg=disp[g.id]) for g in case.generators)
-    sol = solve_pf(_replace(case, generators=gens))
-    pos = stream.sensor_ids.index(f"vm:{case.buses[5].id}")
-    assert stream.values[0, pos] == pytest.approx(sol.vm[5], abs=1e-12)
+    vm_cols = [stream.sensor_ids.index(f"vm:{b.id}") for b in case.buses]
+    pf_cols = [stream.sensor_ids.index(f"pf:{br.id}") for br in case.branches]
+    current, prev = case, None
+    for t in range(scen.config.horizon):
+        for ev in scen.events:
+            if ev.tick == t:
+                current = apply_event(current, ev)
+        mult = scen.multipliers[t]
+        loads = tuple(replace(l, pd=l.pd * m, qd=l.qd * m)
+                      for l, m in zip(case.loads, mult))
+        disp = generation_dispatch(current, sum(l.pd for l in loads) * 1.02)
+        tick_case = replace(current, loads=loads, generators=tuple(
+            replace(g, pg=disp[g.id]) if g.online else g for g in current.generators))
+        sol = solve_pf(tick_case, start="flat" if prev is None else (prev.vm, prev.va))
+        assert sol.converged
+        np.testing.assert_allclose(stream.values[t, vm_cols], sol.vm, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stream.values[t, pf_cols],
+                                   branch_flows(tick_case, sol).p_from, rtol=0, atol=1e-12)
+        prev = sol
 
 
 def test_line_open_zeroes_flow_sensors():
@@ -258,6 +281,23 @@ def test_benchmark_config_line_ranking_ignores_flow_roundoff(monkeypatch):
 
     monkeypatch.setattr(scenario, "branch_flows", nudged)
     assert benchmark_config(case, variant="small", seed=0) == base
+
+
+def test_outage_screen_lets_programming_faults_through(monkeypatch):
+    """A candidate outage that fails to solve is skipped; a fault in the
+    program itself is raised, not counted as an unremovable line."""
+    import gridbench.scenario as scenario
+
+    solve = scenario.solve_pf
+
+    def faulty(case, *args, **kwargs):
+        if all(br.closed for br in case.branches):
+            return solve(case, *args, **kwargs)
+        raise TypeError("programming fault")
+
+    monkeypatch.setattr(scenario, "solve_pf", faulty)
+    with pytest.raises(TypeError, match="programming fault"):
+        benchmark_config(bundled_case("case14"), variant="small", seed=0)
 
 
 # -------------------------------------------------------------- exports
