@@ -207,20 +207,23 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     A tick whose warm-started power flow diverges is solved again from a
     flat start. Aborts with the tick index if that fails too; ticks are
     never silently skipped.
+
+    The loop fills the noise-free readings. The measurement noise is drawn
+    after it, in one call for the whole horizon and in reading order (tick
+    by tick, each tick in roster order), so reading ``(t, j)`` gets the
+    same draw as a per-reading loop would give it.
     """
     cfg = scenario.config
     case = cfg.case
     base_pd = np.array([l.pd for l in case.loads])
     base_qd = np.array([l.qd for l in case.loads])
     sensor_ids, sensor_types = _sensor_roster(case)
-    noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
 
     by_tick: dict[int, list[TopologyEvent]] = {}
     for ev in scenario.events:
         by_tick.setdefault(ev.tick, []).append(ev)
 
     values = np.empty((cfg.horizon, len(sensor_ids)))
-    sigmas = np.empty_like(values)
     current = case
     prev: PFSolution | None = None
     # fixed loss allowance keeps the dispatch a pure function of the tick's
@@ -248,12 +251,12 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
                 f"power flow diverged at tick {t} (max mismatch {sol.max_mismatch:.2e})")
         prev = sol
 
-        truth = _truth_vector(case, tick, sol)
-        sigmas[t] = cfg.noise_sigma_rel * np.maximum(np.abs(truth), cfg.noise_floor)
-        if cfg.noise_sigma_rel > 0:
-            values[t] = truth + np.array([noise_rng.normal(0.0, s) for s in sigmas[t]])
-        else:
-            values[t] = truth
+        values[t] = _truth_vector(case, tick, sol)
+
+    sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
+    if cfg.noise_sigma_rel > 0:
+        noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
+        values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
 
     return LabeledStream(
         anomaly_ticks=frozenset(ev.tick for ev in scenario.events if ev.label == "anomaly"),

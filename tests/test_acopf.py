@@ -25,6 +25,7 @@ from gridbench.acopf import (
     train_penalty,
 )
 from gridbench.acopf.mlp import mlp_backward, mlp_forward
+from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
 from gridbench.acopf.train import decision_loss_and_input_grad
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
 from gridbench.powerflow import solve_pf
@@ -404,7 +405,7 @@ def test_train_beats_test_for_naive_mode_seeded():
     case = bundled_case("case30")
     cfg = ExperimentConfig(case=case, n_real=120, n_fake=(150,), seeds=(0,),
                            train=TrainConfig(epochs=80, lr=0.01))
-    realistic = gen_realistic(case, cfg.n_real, 0)
+    realistic = gen_realistic(case, cfg.n_real, 0, noise_sigma=_REALISTIC_NOISE_SIGMA)
     train_pool, test_set = split_realistic(realistic, cfg.test_fraction)
     base_pd = train_pool.pd.mean(axis=0)
     base_qd = train_pool.qd.mean(axis=0)

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridbench.rng import Rng
+from gridbench.rng import _CHUNK, _CROSSOVER, Rng
 
 M64 = (1 << 64) - 1
 
@@ -79,6 +81,14 @@ def test_normal_moments():
     assert abs(xs.std() - 1.0) < 0.03
 
 
+@pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF])
+def test_bulk_uniforms_match_reference_stream(seed):
+    # enough words for many lanes, and a count that is no multiple of a lane
+    n = 5 * _CROSSOVER + 7
+    expect = [(w >> 11) * 2.0**-53 for w in _ref_xoshiro_stream(seed, n)]
+    assert Rng(seed).uniforms(n).tolist() == expect
+
+
 def test_normal_box_muller_reference():
     # First normal must equal the Box-Muller transform of the first two
     # 53-bit uniforms from the raw stream.
@@ -131,3 +141,78 @@ def test_spawn_children_differ():
     streams = {tuple(root.spawn(k).normals(4).tolist()) for k in range(20)}
     assert len(streams) == 20
     assert tuple(root.spawn(0).normals(4)) != tuple(Rng(42).normals(4))
+
+
+def _scalar_normals(rng, n, mu, sigma):
+    sigmas = sigma if np.ndim(sigma) else [sigma] * n
+    return np.array([rng.normal(mu, s) for s in sigmas], dtype=float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       n=st.integers(0, 3 * _CROSSOVER),
+       spare=st.booleans(),
+       array_sigma=st.booleans())
+@example(seed=1, n=_CROSSOVER - 1, spare=False, array_sigma=False)
+@example(seed=1, n=_CROSSOVER, spare=True, array_sigma=False)
+@example(seed=1, n=_CROSSOVER + 1, spare=False, array_sigma=True)
+@example(seed=1, n=_CROSSOVER + 1, spare=True, array_sigma=True)
+@example(seed=2, n=4 * _CHUNK + 1, spare=True, array_sigma=True)  # several chunks
+@example(seed=2, n=2 * _CHUNK + 1, spare=False, array_sigma=False)
+def test_normals_equal_scalar_draws(seed, n, spare, array_sigma):
+    """normals(n) on either side of the crossover gives the values and leaves
+    the state (words and cached Box-Muller spare) of n normal() calls."""
+    bulk, scalar = Rng(seed), Rng(seed)
+    if spare:
+        assert bulk.normal() == scalar.normal()
+    sigma = Rng(seed ^ 1).uniforms(n, 0.5, 2.0) if array_sigma else 0.7
+    got = bulk.normals(n, 0.25, sigma)
+    assert got.dtype == float and got.shape == (n,)
+    assert np.array_equal(got, _scalar_normals(scalar, n, 0.25, sigma))
+    assert bulk.normal(1.0, 3.0) == scalar.normal(1.0, 3.0)
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3 * _CROSSOVER))
+def test_uniforms_equal_scalar_draws(seed, n):
+    bulk, scalar = Rng(seed), Rng(seed)
+    got = bulk.uniforms(n, -0.3, 1.9)
+    assert np.array_equal(got, np.array([scalar.uniform(-0.3, 1.9) for _ in range(n)]))
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("spare", [False, True])
+def test_normals_redraw_zero_u1_as_normal_does(spare):
+    """With _s1 = 0 the next word is 0, so the first u1 is 0: normal()
+    rejects it and draws again, and normals() must do the same."""
+    bulk, scalar, probe = Rng(8), Rng(8), Rng(8)
+    if spare:
+        bulk.normal(), scalar.normal()
+    for rng in (bulk, scalar, probe):
+        rng._s0, rng._s1, rng._s2, rng._s3 = 11, 0, 22, 33
+    assert probe.next_u64() == 0
+    n = 2 * _CROSSOVER + 1
+    assert np.array_equal(bulk.normals(n), _scalar_normals(scalar, n, 0.0, 1.0))
+    assert bulk.normal() == scalar.normal()
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("n", [-1, -_CROSSOVER - 1])
+def test_negative_draw_count_raises(n):
+    rng = Rng(1)
+    with pytest.raises(ValueError):
+        rng.normals(n)
+    with pytest.raises(ValueError):
+        rng.uniforms(n)
+    with pytest.raises(ValueError):
+        rng.normals(n, 0.0, np.ones(3))
+
+
+def test_zero_draws_and_sigma_length():
+    rng = Rng(1)
+    for empty in (rng.normals(0), rng.uniforms(0), rng.normals(0, 0.0, np.ones(0))):
+        assert empty.dtype == float and empty.shape == (0,)
+    assert rng.next_u64() == Rng(1).next_u64()
+    with pytest.raises(ValueError, match="sigma"):
+        rng.normals(4, 0.0, np.ones(3))

@@ -8,7 +8,9 @@ import pytest
 from gridbench.grid import TopologyEvent, apply_event, bundled_case, load_case
 from gridbench.loadsynth import StyleParams
 from gridbench.powerflow import branch_flows, solve_pf
+from gridbench.rng import Rng
 from gridbench.scenario import (
+    _NOISE_SEED_KEY,
     ScenarioConfig,
     ScenarioError,
     benchmark_config,
@@ -193,6 +195,19 @@ def test_fixed_seed_stream_bit_identical():
     a = run_scenario(build_scenario(cfg))
     b = run_scenario(build_scenario(cfg))
     assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_noise_is_the_scalar_stream_over_readings_in_order():
+    """A noisy stream is its noise-free run plus one scalar ``normal(0, sigma)``
+    per reading from the seed's noise stream, tick by tick in roster order."""
+    cfg = benchmark_config(bundled_case("case14"), variant="realistic", seed=3)
+    noisy = run_scenario(build_scenario(cfg))
+    clean = run_scenario(build_scenario(replace(cfg, noise_sigma_rel=0.0)))
+    assert np.array_equal(noisy.sigmas, cfg.noise_sigma_rel
+                          * np.maximum(np.abs(clean.values), cfg.noise_floor))
+    rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
+    noise = np.array([rng.normal(0.0, s) for s in noisy.sigmas.ravel()])
+    assert np.array_equal(noisy.values, clean.values + noise.reshape(clean.values.shape))
 
 
 def test_zero_noise_no_events_frames_track_load_profiles_only():
