@@ -4,13 +4,16 @@
       + w_eq   * mean(equality residual^2)
       + w_ineq * mean(clipped inequality excess^2)
 
-The voltage-dependent terms back-propagate through the polar injection and
-branch-flow derivatives in closed form:
+The voltage-dependent terms are all complex powers of the one form
+S = (C V) * conj(Y V) (see ``space``): the bus injections (identity, Ybus)
+and both ends of every rated branch (MATPOWER's Cf/Yf and Ct/Yt). Each
+back-propagates through the same closed-form adjoint; for a loss adjoint c
+on S, dL = Re(conj(c)^T dS) and
 
-    dS/d(va_k) = j V_k e_k . conj(I) + diag(V) conj(Y (j V_k e_k))
-    dS/d(vm_k) = E_k e_k . conj(I) + diag(V) conj(Y (E_k e_k)),  E = V/|V|
+    dS = (C dV) * conj(Y V) + (C V) * conj(Y dV),  dV = j V dva + E dvm,
 
-collapsed into batched matrix products against the loss adjoints.
+with E = V/|V|, collapsed into two batched matrix products against C and
+conj(Y).
 """
 
 from __future__ import annotations
@@ -29,49 +32,19 @@ class PenaltyWeights:
     w_ineq: float = 10.0
 
 
-def _bus_adjoint_to_grads(space: DecisionSpace, c: np.ndarray, v: np.ndarray,
-                          i_bus: np.ndarray):
-    """Gradient contributions of dL = Re(conj(c)^T dS) wrt (va, vm)."""
-    u = np.conj(c) * v                      # (B, n)
-    w = u @ np.conj(space.y)                # sum_i u_i conj(Y_ik)
-    first = np.conj(c) * np.conj(i_bus)     # conj(c_k) conj(I_k)
+def _adjoint_to_grads(c: np.ndarray, v: np.ndarray, v_end: np.ndarray,
+                      i_end: np.ndarray, C: np.ndarray, Y: np.ndarray):
+    """Gradients wrt (va, vm) of dL = Re(conj(c)^T dS), S = (C V) * conj(Y V).
+
+    ``v_end`` = C V and ``i_end`` = Y V are the term's evaluated end voltages
+    and currents. dS = (C dV) conj(I) + V_end conj(Y dV), with
+    dV = j V dva + E dvm, E = V/|V|.
+    """
+    first = (np.conj(c) * np.conj(i_end)) @ C  # coefficient on dV
+    w = (np.conj(c) * v_end) @ np.conj(Y)      # coefficient on conj(dV)
     e = v / np.abs(v)
     g_va = np.real(1j * v * first) + np.real(-1j * np.conj(v) * w)
     g_vm = np.real(e * first) + np.real(np.conj(e) * w)
-    return g_va, g_vm
-
-
-def _branch_adjoint_to_grads(space: DecisionSpace, mu_eta: np.ndarray,
-                             v: np.ndarray, v_end: np.ndarray, i_br: np.ndarray,
-                             from_side: bool):
-    """Gradients of dL = sum_l Re(mu_eta_l dS_l) for one end of the rated branches.
-
-    S_l = V_{e(l)} conj(I_l) with I_l = y1 V_f + y2 V_t; ``from_side``
-    selects which end e(l) and admittance pair applies.
-    """
-    n = space.n_bus
-    b = mu_eta.shape[0]
-    br = space.rated
-    if from_side:
-        end_idx, y_to_f, y_to_t = br.f, br.yff, br.yft
-    else:
-        end_idx, y_to_f, y_to_t = br.t, br.ytf, br.ytt
-    a = mu_eta * np.conj(i_br)   # (B, nbr): coefficient on dV at the metered end
-    g_va = np.zeros((b, n))
-    g_vm = np.zeros((b, n))
-    e = v / np.abs(v)
-    # dV at the metered end
-    term = np.real(1j * v[:, end_idx] * a)
-    np.add.at(g_va, (slice(None), end_idx), term)
-    term = np.real(e[:, end_idx] * a)
-    np.add.at(g_vm, (slice(None), end_idx), term)
-    # conj(Y dV) terms at both terminals
-    for idx, coeff in ((br.f, y_to_f), (br.t, y_to_t)):
-        bb = mu_eta * v_end * np.conj(coeff)
-        term_va = np.real(-1j * np.conj(v[:, idx]) * bb)
-        term_vm = np.real(np.conj(e[:, idx]) * bb)
-        np.add.at(g_va, (slice(None), idx), term_va)
-        np.add.at(g_vm, (slice(None), idx), term_vm)
     return g_va, g_vm
 
 
@@ -81,7 +54,7 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     """Scalar loss, gradient wrt the packed decision, and term breakdown."""
     decision = np.atleast_2d(decision)
     b = decision.shape[0]
-    n, g = space.n_bus, space.n_gen
+    n = space.n_bus
     ev = space.evaluate(decision, pd_bus, qd_bus)
     exc = ev.excess
 
@@ -97,21 +70,14 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
             + weights.w_ineq * loss_ineq)
 
     # ---- gradients --------------------------------------------------------
-    g_vm = np.zeros((b, n))
-    g_va = np.zeros((b, n))
-    g_pg = np.zeros((b, g))
-    g_qg = np.zeros((b, g))
-
     # equality: adjoint on calculated injections
     lam_p = -2.0 * weights.w_eq * ev.r_p / (b * n_eq)
     lam_q = -2.0 * weights.w_eq * ev.r_q / (b * n_eq)
-    c = lam_p + 1j * lam_q
-    dva, dvm = _bus_adjoint_to_grads(space, c, ev.v, ev.i_bus)
-    g_va += dva
-    g_vm += dvm
+    g_va, g_vm = _adjoint_to_grads(lam_p + 1j * lam_q, ev.v, ev.v, ev.i_bus,
+                                   np.eye(n), space.y)
     # and directly on generator injections
-    g_pg += -lam_p[:, space.gen_bus]
-    g_qg += -lam_q[:, space.gen_bus]
+    g_pg = -lam_p @ space.gen_inc.T
+    g_qg = -lam_q @ space.gen_inc.T
 
     # inequality: box terms
     k_ineq = 2.0 * weights.w_ineq / (b * n_ineq)
@@ -119,17 +85,17 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     g_qg += k_ineq * (exc["qg_hi"] - exc["qg_lo"])
     g_vm += k_ineq * (exc["vm_hi"] - exc["vm_lo"])
 
-    # inequality: thermal terms through the branch flows
+    # inequality: thermal terms through the branch end flows
     ends = ev.ends
-    for s_br, i_br, v_end, excess, from_side in (
-            (ends.s_f, ends.i_f, ends.vf, exc["th_f"], True),
-            (ends.s_t, ends.i_t, ends.vt, exc["th_t"], False)):
+    for s_end, v_end, i_end, excess, C, Y in (
+            (ends.s_f, ends.vf, ends.i_f, exc["th_f"], space.cf, space.yf),
+            (ends.s_t, ends.vt, ends.i_t, exc["th_t"], space.ct, space.yt)):
         active = excess > 0
         if not active.any():
             continue
-        eta = np.where(active, np.conj(s_br) / np.maximum(np.abs(s_br), 1e-12), 0.0)
-        mu_eta = k_ineq * excess * eta
-        dva, dvm = _branch_adjoint_to_grads(space, mu_eta, ev.v, v_end, i_br, from_side)
+        # d|S| = Re(conj(S)/|S| dS)
+        eta = np.where(active, s_end / np.maximum(np.abs(s_end), 1e-12), 0.0)
+        dva, dvm = _adjoint_to_grads(k_ineq * excess * eta, ev.v, v_end, i_end, C, Y)
         g_va += dva
         g_vm += dvm
 
@@ -138,6 +104,6 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
         space.cost_ref * b)
 
     g_va[:, space.slack] = 0.0  # pinned angle
-    grad = np.concatenate([g_vm, g_va, g_pg, g_qg], axis=1)
+    grad = space.pack(g_vm, g_va, g_pg, g_qg)
     parts = {"cost": loss_cost, "eq": loss_eq, "ineq": loss_ineq}
     return loss, grad, parts

@@ -3,7 +3,9 @@
 The raw network output is squashed into the box constraints where the
 decision is naturally bounded: vm through a sigmoid window over the bus
 voltage band, pg likewise over the generator active range; va and qg pass
-through unsquashed (the slack angle is pinned downstream). Inputs are
+through unsquashed (the slack angle is pinned downstream). Which entries
+are squashed, and into what range, comes from ``DecisionSpace``'s
+``boxed``/``lo``/``span``. Inputs are
 standardized with the training-set statistics stored on the model.
 """
 
@@ -18,12 +20,10 @@ from ..rng import Rng
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    overflows."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 @dataclass
@@ -81,35 +81,17 @@ def mlp_forward(model: MlpModel, inputs: np.ndarray):
         activations.append(h)
     raw = h @ model.weights[-1] + model.biases[-1]
 
-    n, g = space.n_bus, space.n_gen
-    z_vm = raw[:, :n]
-    z_va = raw[:, n:2 * n]
-    z_pg = raw[:, 2 * n:2 * n + g]
-    z_qg = raw[:, 2 * n + g:]
-    s_vm = _sigmoid(z_vm)
-    s_pg = _sigmoid(z_pg)
-    vm = space.v_min + (space.v_max - space.v_min) * s_vm
-    pg = space.p_min + (space.p_max - space.p_min) * s_pg
-    decision = np.concatenate([vm, z_va, pg, z_qg], axis=1)
-    cache = {"activations": activations, "s_vm": s_vm, "s_pg": s_pg}
-    return decision, cache
+    s = _sigmoid(raw)
+    decision = np.where(space.boxed, space.lo + space.span * s, raw)
+    return decision, {"activations": activations, "s": s}
 
 
 def mlp_backward(model: MlpModel, cache: dict, grad_decision: np.ndarray):
     """Gradients of the loss wrt weights/biases given d L / d decision."""
     space = model.space
-    n, g = space.n_bus, space.n_gen
-    s_vm, s_pg = cache["s_vm"], cache["s_pg"]
-    g_vm = grad_decision[:, :n]
-    g_va = grad_decision[:, n:2 * n]
-    g_pg = grad_decision[:, 2 * n:2 * n + g]
-    g_qg = grad_decision[:, 2 * n + g:]
-    d_raw = np.concatenate([
-        g_vm * (space.v_max - space.v_min) * s_vm * (1 - s_vm),
-        g_va,
-        g_pg * (space.p_max - space.p_min) * s_pg * (1 - s_pg),
-        g_qg,
-    ], axis=1)
+    s = cache["s"]
+    d_raw = np.where(space.boxed, grad_decision * space.span * s * (1 - s),
+                     grad_decision)
 
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)

@@ -1,13 +1,23 @@
-"""Decision-vector layout, constraint violations, and analytic gradients.
+"""Decision-vector layout and constraint violations.
 
 A decision is (vm all buses, va all buses with the slack angle pinned to 0,
-pg and qg of every online generator). Violations split into equality
-(per-bus active/reactive balance residuals) and inequality (clipped excess
-over generator limits, voltage bounds, and branch thermal ratings).
+pg and qg of every online generator). Only ``DecisionSpace`` knows this
+layout: it packs and unpacks it, and its ``boxed``/``lo``/``span`` vectors
+say which entries the model squashes into a box. Violations split into
+equality (per-bus active/reactive balance residuals) and inequality
+(clipped excess over generator limits, voltage bounds, and branch thermal
+ratings).
 
-Gradients of the squared residual/excess terms with respect to the
-decision are assembled from the polar power-flow derivative blocks; finite
-differences in the tests pin every sign.
+Every power term has the one form S = (C V) * conj(Y V), elementwise, with
+MATPOWER's ``makeYbus`` matrices (Zimmerman et al., IEEE TPWRS 2011):
+
+    bus injections           C = identity, Y = Ybus
+    from end of each branch  C = Cf,       Yf = yff Cf + yft Ct
+    to end of each branch    C = Ct,       Yt = ytf Cf + ytt Ct
+
+``Cf``/``Ct`` are the rated-branch incidence matrices (rows branches,
+columns buses). Loads and online generators reach the buses through their
+own incidence matrices, so a bus with several of either sums them.
 """
 
 from __future__ import annotations
@@ -72,7 +82,7 @@ class DecisionSpace:
 
         self.gens = tuple(g for g in case.generators if g.online)
         self.n_gen = len(self.gens)
-        self.gen_bus = np.array([self.bus_index[g.bus] for g in self.gens])
+        self.gen_bus = np.array([self.bus_index[g.bus] for g in self.gens], dtype=int)
         self.p_min = np.array([g.p_min for g in self.gens])
         self.p_max = np.array([g.p_max for g in self.gens])
         self.q_min = np.array([g.q_min for g in self.gens])
@@ -86,19 +96,32 @@ class DecisionSpace:
 
         # thermal limits apply to the closed branches with a rating
         rate = np.array([br.rate_a for br in case.branches])[ybus.branches.pos]
-        self.rated = ybus.branches.subset(rate > 0)
+        self.rated = br = ybus.branches.subset(rate > 0)
         self.rate = rate[rate > 0]
         self.n_rated = len(self.rate)
+        # incidence matrices: rows are branches / loads / online generators
+        eye = np.eye(self.n_bus)
+        self.cf, self.ct = eye[br.f], eye[br.t]
+        self.yf = br.yff[:, None] * self.cf + br.yft[:, None] * self.ct
+        self.yt = br.ytf[:, None] * self.cf + br.ytt[:, None] * self.ct
+        self.gen_inc = eye[self.gen_bus]
 
         # loads aggregated onto buses for the bundled case demand
         self.n_load = len(case.loads)
-        self.load_bus = np.array([self.bus_index[l.bus] for l in case.loads], dtype=int)
+        self.load_inc = eye[[self.bus_index[l.bus] for l in case.loads]]
         self.base_pd_bus, self.base_qd_bus = self.loads_to_buses(
             np.array([[l.pd for l in case.loads]]),
             np.array([[l.qd for l in case.loads]]))
 
         self.dim = 2 * self.n_bus + 2 * self.n_gen
         self.n_ineq = (4 * self.n_gen + 2 * self.n_bus + 2 * self.n_rated)
+        # vm and pg are squashed into [lo, lo + span]; va and qg are free
+        n, g = self.n_bus, self.n_gen
+        self.boxed = self.pack(np.ones(n, bool), np.zeros(n, bool),
+                               np.ones(g, bool), np.zeros(g, bool))
+        self.lo = self.pack(self.v_min, np.zeros(n), self.p_min, np.zeros(g))
+        self.span = self.pack(self.v_max - self.v_min, np.zeros(n),
+                              self.p_max - self.p_min, np.zeros(g))
 
     # -- packing -----------------------------------------------------------
 
@@ -117,21 +140,7 @@ class DecisionSpace:
 
     def loads_to_buses(self, pd: np.ndarray, qd: np.ndarray):
         """Aggregate per-load columns onto buses: (B, n_load) -> (B, n_bus)."""
-        pd = np.atleast_2d(pd)
-        qd = np.atleast_2d(qd)
-        idx = self.load_bus
-        pdb = np.zeros((pd.shape[0], self.n_bus))
-        qdb = np.zeros((qd.shape[0], self.n_bus))
-        np.add.at(pdb, (slice(None), idx), pd)
-        np.add.at(qdb, (slice(None), idx), qd)
-        return pdb, qdb
-
-    def gens_to_buses(self, pg: np.ndarray, qg: np.ndarray):
-        pgb = np.zeros((pg.shape[0], self.n_bus))
-        qgb = np.zeros((qg.shape[0], self.n_bus))
-        np.add.at(pgb, (slice(None), self.gen_bus), pg)
-        np.add.at(qgb, (slice(None), self.gen_bus), qg)
-        return pgb, qgb
+        return np.atleast_2d(pd) @ self.load_inc, np.atleast_2d(qd) @ self.load_inc
 
     # -- physics ------------------------------------------------------------
 
@@ -143,7 +152,6 @@ class DecisionSpace:
         i_bus = v @ self.y.T
         s_calc = v * np.conj(i_bus)
         ends = self.rated.terminals(v)
-        pgb, qgb = self.gens_to_buses(pg, qg)
         excess = {
             "pg_hi": np.maximum(0.0, pg - self.p_max),
             "pg_lo": np.maximum(0.0, self.p_min - pg),
@@ -155,8 +163,8 @@ class DecisionSpace:
             "th_t": np.maximum(0.0, np.abs(ends.s_t) - self.rate),
         }
         return Evaluation(pg, v, i_bus, ends,
-                          pgb - pd_bus - s_calc.real, qgb - qd_bus - s_calc.imag,
-                          excess)
+                          pg @ self.gen_inc - pd_bus - s_calc.real,
+                          qg @ self.gen_inc - qd_bus - s_calc.imag, excess)
 
     def residuals(self, decision, pd_bus, qd_bus):
         """Equality residuals r_P, r_Q (B, n_bus) and thermal excesses."""

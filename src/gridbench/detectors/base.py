@@ -58,7 +58,6 @@ class GesdConfig:
 class ArimaConfig:
     p: int = 5
     d: int = 1
-    q: int = 0  # pure AR residual model; q is fixed at 0
     fit_window: int = 200
     refit_every: int = 5
     ridge: float = 1e-8

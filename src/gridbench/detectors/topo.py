@@ -45,18 +45,15 @@ def sensitivity_weights(case: GridCase) -> dict[int, float]:
 
 
 def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
-                   case_or_weights: GridCase | dict[int, float]) -> float:
+                   weights: dict[int, float]) -> float:
     """Weighted size of the symmetric difference of closed-branch sets.
 
     Keys contain (branch id, from bus, to bus) triples; each triple in
-    only one key adds its branch's weight. A nonnegative metric:
+    only one key adds its branch's weight from ``weights`` (branch id ->
+    weight, as ``sensitivity_weights`` returns). A nonnegative metric:
     symmetric, zero iff equal keys, triangle inequality via the
     symmetric-difference union bound.
     """
-    if isinstance(case_or_weights, GridCase):
-        weights = sensitivity_weights(case_or_weights)
-    else:
-        weights = case_or_weights
     default = min(weights.values()) if weights else 1.0
     diff = topo_a ^ topo_b
     return float(sum(weights.get(entry[0], default) for entry in diff))

@@ -225,7 +225,8 @@ def jacobian(net: Network | GridCase, vm: np.ndarray, va: np.ndarray) -> np.ndar
     """
     ybus = net.ybus if isinstance(net, Network) else build_ybus(net)
     ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
-    return -np.block([[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]])
+    ds = np.concatenate([ds_dva, ds_dvm], axis=1)
+    return -np.concatenate([ds.real, ds.imag])
 
 
 def _check_islands_solvable(case: GridCase, idx: dict[int, int]) -> list[int]:

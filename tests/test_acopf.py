@@ -51,6 +51,17 @@ def toy_case():
     )
 
 
+def shared_bus_case():
+    """toy_case with two loads and two online generators on bus 2."""
+    case = toy_case()
+    return replace(
+        case,
+        generators=case.generators + (
+            Generator(3, bus=2, p_min=0, p_max=0.5, q_min=-0.3, q_max=0.3,
+                      cost_c2=12, cost_c1=18),),
+        loads=case.loads + (Load(3, bus=2, pd=0.15, qd=0.04, group="g1", style="smooth"),))
+
+
 def feasible_decision_from_pf(space, pd=None, qd=None):
     """Decision assembled from a dispatched, converged power flow.
 
@@ -145,66 +156,70 @@ def test_pg_excess_contributes_exactly():
 
 
 def test_equality_residuals_match_transliteration_oracle():
-    """Residuals against an explicit double-loop over G/B entries."""
-    case = bundled_case("case30")
-    space = DecisionSpace(case)
-    rng = Rng(4)
-    vm = 1.0 + 0.03 * rng.normals(space.n_bus)
-    va = 0.1 * rng.normals(space.n_bus)
-    pg = rng.uniforms(space.n_gen, 0.0, 0.5)
-    qg = rng.uniforms(space.n_gen, -0.2, 0.2)
-    dec = space.pack(vm, va, pg, qg)
-    va = va.copy()
-    va[space.slack] = 0.0
+    """Residuals against an explicit double-loop over G/B entries, on case30
+    and on a bus that carries two loads and two online generators."""
+    for case in (bundled_case("case30"), shared_bus_case()):
+        space = DecisionSpace(case)
+        rng = Rng(4)
+        vm = 1.0 + 0.03 * rng.normals(space.n_bus)
+        va = 0.1 * rng.normals(space.n_bus)
+        pg = rng.uniforms(space.n_gen, 0.0, 0.5)
+        qg = rng.uniforms(space.n_gen, -0.2, 0.2)
+        dec = space.pack(vm, va, pg, qg)
+        va = va.copy()
+        va[space.slack] = 0.0
 
-    pd = np.array([[l.pd for l in case.loads]])
-    qd = np.array([[l.qd for l in case.loads]])
-    pd_bus, qd_bus = space.loads_to_buses(pd, qd)
-    r_p, r_q, _, _ = space.residuals(dec, pd_bus, qd_bus)
+        pd = np.array([[l.pd for l in case.loads]])
+        qd = np.array([[l.qd for l in case.loads]])
+        pd_bus, qd_bus = space.loads_to_buses(pd, qd)
+        r_p, r_q, _, _ = space.residuals(dec, pd_bus, qd_bus)
 
-    g = space.y.real
-    b = space.y.imag
-    n = space.n_bus
-    for i in range(n):
-        p_calc = sum(vm[i] * vm[j] * (g[i, j] * np.cos(va[i] - va[j])
-                                      + b[i, j] * np.sin(va[i] - va[j]))
-                     for j in range(n))
-        q_calc = sum(vm[i] * vm[j] * (g[i, j] * np.sin(va[i] - va[j])
-                                      - b[i, j] * np.cos(va[i] - va[j]))
-                     for j in range(n))
-        pg_i = sum(pg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
-        qg_i = sum(qg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
-        assert r_p[0, i] == pytest.approx(pg_i - pd_bus[0, i] - p_calc, abs=1e-10)
-        assert r_q[0, i] == pytest.approx(qg_i - qd_bus[0, i] - q_calc, abs=1e-10)
+        g = space.y.real
+        b = space.y.imag
+        n = space.n_bus
+        for i in range(n):
+            p_calc = sum(vm[i] * vm[j] * (g[i, j] * np.cos(va[i] - va[j])
+                                          + b[i, j] * np.sin(va[i] - va[j]))
+                         for j in range(n))
+            q_calc = sum(vm[i] * vm[j] * (g[i, j] * np.sin(va[i] - va[j])
+                                          - b[i, j] * np.cos(va[i] - va[j]))
+                         for j in range(n))
+            pg_i = sum(pg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
+            qg_i = sum(qg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
+            here = [l for l in case.loads if space.bus_index[l.bus] == i]
+            pd_i = sum(l.pd for l in here)
+            qd_i = sum(l.qd for l in here)
+            assert r_p[0, i] == pytest.approx(pg_i - pd_i - p_calc, abs=1e-10)
+            assert r_q[0, i] == pytest.approx(qg_i - qd_i - q_calc, abs=1e-10)
 
 
 # --------------------------------------------------------------- gradients
 
 def test_penalty_gradient_matches_finite_differences():
-    case = toy_case()
-    space = DecisionSpace(case)
-    rng = Rng(7)
-    batch = 2
-    vm = 1.0 + 0.04 * rng.normals(batch * space.n_bus).reshape(batch, -1)
-    va = 0.25 * rng.normals(batch * space.n_bus).reshape(batch, -1)
-    pg = 0.55 + 0.5 * rng.normals(batch * space.n_gen).reshape(batch, -1)
-    qg = 0.3 * rng.normals(batch * space.n_gen).reshape(batch, -1)
-    dec = space.pack(vm, va, pg, qg)
-    pd = 0.4 + 0.1 * rng.normals(batch * space.n_load).reshape(batch, -1)
-    qd = 0.1 + 0.05 * rng.normals(batch * space.n_load).reshape(batch, -1)
-    pd_bus, qd_bus = space.loads_to_buses(pd, qd)
-    w = PenaltyWeights(w_cost=0.3, w_eq=5.0, w_ineq=7.0)
-    _, grad, _ = penalty_loss_and_grad(space, dec, pd_bus, qd_bus, w)
-    eps = 1e-6
-    for b_i in range(batch):
-        for k in range(space.dim):
-            up, dn = dec.copy(), dec.copy()
-            up[b_i, k] += eps
-            dn[b_i, k] -= eps
-            lp, _, _ = penalty_loss_and_grad(space, up, pd_bus, qd_bus, w)
-            lm, _, _ = penalty_loss_and_grad(space, dn, pd_bus, qd_bus, w)
-            fd = (lp - lm) / (2 * eps)
-            assert grad[b_i, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    for case in (toy_case(), shared_bus_case()):
+        space = DecisionSpace(case)
+        rng = Rng(7)
+        batch = 2
+        vm = 1.0 + 0.04 * rng.normals(batch * space.n_bus).reshape(batch, -1)
+        va = 0.25 * rng.normals(batch * space.n_bus).reshape(batch, -1)
+        pg = 0.55 + 0.5 * rng.normals(batch * space.n_gen).reshape(batch, -1)
+        qg = 0.3 * rng.normals(batch * space.n_gen).reshape(batch, -1)
+        dec = space.pack(vm, va, pg, qg)
+        pd = 0.4 + 0.1 * rng.normals(batch * space.n_load).reshape(batch, -1)
+        qd = 0.1 + 0.05 * rng.normals(batch * space.n_load).reshape(batch, -1)
+        pd_bus, qd_bus = space.loads_to_buses(pd, qd)
+        w = PenaltyWeights(w_cost=0.3, w_eq=5.0, w_ineq=7.0)
+        _, grad, _ = penalty_loss_and_grad(space, dec, pd_bus, qd_bus, w)
+        eps = 1e-6
+        for b_i in range(batch):
+            for k in range(space.dim):
+                up, dn = dec.copy(), dec.copy()
+                up[b_i, k] += eps
+                dn[b_i, k] -= eps
+                lp, _, _ = penalty_loss_and_grad(space, up, pd_bus, qd_bus, w)
+                lm, _, _ = penalty_loss_and_grad(space, dn, pd_bus, qd_bus, w)
+                fd = (lp - lm) / (2 * eps)
+                assert grad[b_i, k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def test_model_weight_gradient_matches_finite_differences():

@@ -27,6 +27,7 @@ from gridbench.detectors import (
     parzen_fit,
     parzen_log_density,
     parzen_score,
+    sensitivity_weights,
     topo_aware_score,
     var_score_stream,
 )
@@ -336,13 +337,13 @@ def test_graph_distance_identity_and_positivity():
     case = five_branch_case()
     a = topo_key(case, ())
     b = topo_key(case, (2,))
-    assert graph_distance(a, a, case) == 0.0
-    assert graph_distance(a, b, case) > 0.0
+    weights = sensitivity_weights(case)
+    assert graph_distance(a, a, weights) == 0.0
+    assert graph_distance(a, b, weights) > 0.0
 
 
 def test_graph_distance_metric_over_all_topology_triples():
     case = five_branch_case()
-    from gridbench.detectors import sensitivity_weights
     weights = sensitivity_weights(case)
     import itertools
     keys = [topo_key(case, open_ids)
@@ -359,7 +360,6 @@ def test_graph_distance_metric_over_all_topology_triples():
 
 def test_graph_distance_increases_with_extra_loaded_branch():
     case = five_branch_case()
-    from gridbench.detectors import sensitivity_weights
     weights = sensitivity_weights(case)
     base = topo_key(case, ())
     one = topo_key(case, (1,))
