@@ -67,10 +67,12 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
         batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads_w, grads_b, parts = decision_loss_and_input_grad(
-                model, inputs[idx], pd_bus[idx], qd_bus[idx], cfg.weights)
+            decision, cache = mlp_forward(model, inputs[idx])
+            loss, grad_dec, parts = penalty_loss_and_grad(
+                space, decision, pd_bus[idx], qd_bus[idx], cfg.weights)
             if not np.isfinite(loss):
-                raise TrainingDiverged(epoch)
+                raise TrainingDiverged(epoch)  # before a backward pass on it
+            grads_w, grads_b = mlp_backward(model, cache, grad_dec)
             gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads_w)
                             + sum(float((g**2).sum()) for g in grads_b))
             scale = min(1.0, cfg.grad_clip / max(gnorm, 1e-12))

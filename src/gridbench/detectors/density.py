@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 from .base import LofConfig, ParzenConfig
 
@@ -33,19 +32,15 @@ def lof_fit(train: np.ndarray, cfg: LofConfig) -> dict:
     for i in range(n):
         reach = np.maximum(kdist[neigh[i]], d[i, neigh[i]])
         lrd[i] = 1.0 / reach.mean()
-    return {"train": train, "kdist": kdist, "lrd": lrd, "k": cfg.k}
+    return {"train": train, "kdist": kdist, "lrd": lrd, "k": cfg.k,
+            "neighborhoods": neigh}
 
 
 def lof_train_scores(model: dict) -> np.ndarray:
     """LOF of each training point within the training set (self excluded)."""
-    train, kdist, lrd, k = model["train"], model["kdist"], model["lrd"], model["k"]
-    d = np.maximum(cdist(train, train), _DIST_EPS)
-    np.fill_diagonal(d, np.inf)
-    _, neigh = _k_neighborhood(d, k)
-    out = np.empty(len(train))
-    for i in range(len(train)):
-        out[i] = lrd[neigh[i]].mean() / lrd[i]
-    return out
+    lrd = model["lrd"]
+    return np.array([lrd[nb].mean() / lrd[i]
+                     for i, nb in enumerate(model["neighborhoods"])])
 
 
 def lof_score(model: dict, queries: np.ndarray) -> np.ndarray:
@@ -71,25 +66,42 @@ def silverman_bandwidths(train: np.ndarray, floor: float) -> np.ndarray:
 
 
 def parzen_fit(train: np.ndarray, cfg: ParzenConfig) -> dict:
+    """Bandwidths, and the training points scaled by them with their
+    squared norms, which every query's distances reuse."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     if len(train) < 2:
         raise ValueError("need at least 2 training points")
-    return {"train": train,
-            "h": silverman_bandwidths(train, cfg.bandwidth_floor)}
+    h = silverman_bandwidths(train, cfg.bandwidth_floor)
+    scaled = train / h
+    return {"h": h, "scaled": scaled, "sq_norms": (scaled * scaled).sum(axis=1)}
 
 
 def parzen_log_density(model: dict, queries: np.ndarray) -> np.ndarray:
-    """Log Gaussian-kernel density estimate at each query point."""
+    """Log Gaussian-kernel density estimate at each query point.
+
+    The squared scaled distances come from the expanded quadratic
+    |b|^2 - 2 b.a + |a|^2 (b = query / h, a = train / h), one matrix product
+    for all queries. Its cancellation can leave a tiny negative value where
+    a query sits on a training point, so it is clamped at 0. The
+    (queries x train) matrix is updated in place, and the log-sum-exp over
+    it is shifted by each query's nearest point, so that no more than one
+    such matrix is live.
+    """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    train, h = model["train"], model["h"]
-    n, d = train.shape
+    a, h = model["scaled"], model["h"]
+    n, d = a.shape
     log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(h).sum()
-    out = np.empty(len(queries))
-    for i, q in enumerate(queries):
-        z = (q - train) / h
-        log_kernels = log_norm - 0.5 * (z * z).sum(axis=1)
-        out[i] = logsumexp(log_kernels) - np.log(n)
-    return out
+    b = queries / h
+    sq_dist = b @ a.T
+    sq_dist *= -2.0
+    sq_dist += (b * b).sum(axis=1)[:, None]
+    sq_dist += model["sq_norms"]
+    np.maximum(sq_dist, 0.0, out=sq_dist)
+    nearest = sq_dist.min(axis=1)
+    sq_dist -= nearest[:, None]
+    sq_dist *= -0.5
+    kernel_sums = np.exp(sq_dist, out=sq_dist).sum(axis=1)  # each >= 1
+    return log_norm - 0.5 * nearest + np.log(kernel_sums) - np.log(n)
 
 
 def parzen_score(model: dict, queries: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ immediately.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .base import AnomalyScoreSeries, TopoConfig, max_z_threshold
@@ -59,14 +61,24 @@ def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
     return float(sum(weights.get(entry[0], default) for entry in diff))
 
 
-def _weighted_median_columns(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(values, order, axis=0)
-    sorted_w = w[order]
-    cum = np.cumsum(sorted_w, axis=0)
+def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Lower weighted median of each row of ``values``; ``w`` weights the
+    columns. Picks the first sorted value whose cumulative weight reaches
+    half the total.
+
+    The default (introsort) ``argsort`` is not stable, yet it picks what a
+    stable sort picks. Where a row's values are distinct, their sorted
+    order is unique. Ties only permute equal values, so the cumulative
+    weights can differ only by the rounding of the tied weights' sums, and
+    not at all when those partial sums are exact, as with the unit weights
+    of samples on the current topology.
+    """
+    order = np.argsort(values, axis=1)
+    cum = np.cumsum(w[order], axis=1)
     half = 0.5 * w.sum()
-    pick = np.argmax(cum >= half, axis=0)
-    return sorted_vals[pick, np.arange(values.shape[1])]
+    rows = np.arange(values.shape[0])
+    pick = np.argmax(cum >= half, axis=1)
+    return values[rows, order[rows, pick]]
 
 
 def topo_aware_score(values: np.ndarray, topology_id_per_tick,
@@ -83,31 +95,32 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
     if len(topo_ids) != n_ticks:
         raise ValueError("topology ids must cover every tick")
     weights_map = sensitivity_weights(case)
-    dist_cache: dict[tuple[int, int], float] = {}
+    # graph distances between the stream's topologies, computed once;
+    # dist_matrix[pos[t], pos[i]] is the distance of tick i's topology from
+    # tick t's
+    ids = sorted(set(topo_ids))
+    index = {tid: k for k, tid in enumerate(ids)}
+    pos = np.array([index[tid] for tid in topo_ids], dtype=int)
+    dist_matrix = np.zeros((len(ids), len(ids)))
+    for a, b in itertools.combinations(range(len(ids)), 2):
+        d = graph_distance(registry[ids[a]], registry[ids[b]], weights_map)
+        dist_matrix[a, b] = dist_matrix[b, a] = d
 
-    def dist(a: int, b: int) -> float:
-        if a == b:
-            return 0.0
-        key = (a, b) if a <= b else (b, a)
-        if key not in dist_cache:
-            dist_cache[key] = graph_distance(registry[a], registry[b], weights_map)
-        return dist_cache[key]
-
+    # one row per sensor, so each tick's history is a contiguous slice
+    vt = np.ascontiguousarray(values.T)
     threshold = max_z_threshold(m)
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
-    for t in range(n_ticks):
-        if t < cfg.min_history:
-            continue
+    for t in range(cfg.min_history, n_ticks):
         lo = max(0, t - cfg.history)
-        hist = values[lo:t]
-        dists = np.array([dist(topo_ids[t], topo_ids[i]) for i in range(lo, t)])
+        hist = vt[:, lo:t]
+        dists = dist_matrix[pos[t], pos[lo:t]]
         w = np.exp(-dists / cfg.tau)
         ess = float(w.sum())
         if ess < cfg.min_ess:
             continue  # announced change: not enough comparable history yet
-        med = _weighted_median_columns(hist, w)
-        mad = _weighted_median_columns(np.abs(hist - med), w)
+        med = _weighted_median_rows(hist, w)
+        mad = _weighted_median_rows(np.abs(hist - med[:, None]), w)
         dbar = float((w * dists).sum() / ess)
         slack = cfg.scale_slack * dbar * np.maximum(np.abs(med), cfg.value_floor)
         inflation = 1.0 + cfg.finite_sample / np.sqrt(ess)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
 from gridbench.detectors import (
@@ -32,6 +35,7 @@ from gridbench.detectors import (
     var_score_stream,
 )
 from gridbench.detectors.ar import ar_fit_batch
+from gridbench.detectors.topo import _weighted_median_rows
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load
 from gridbench.rng import Rng
 
@@ -258,6 +262,26 @@ def test_parzen_mirror_symmetry():
     assert a[0] == pytest.approx(b[0], rel=1e-12)
 
 
+def direct_parzen_score(train, h, q):
+    """Negative log of the mean of product Gaussian kernels at one query,
+    from the per-dimension differences (q - x) / h."""
+    z = (q - train) / h
+    log_k = -0.5 * (z * z).sum(axis=1) - np.log(np.sqrt(2 * np.pi) * h).sum()
+    return -(logsumexp(log_k) - np.log(len(train)))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_parzen_score_matches_direct_formula(dim):
+    rng = Rng(45)
+    train = rng.normals(40 * dim).reshape(40, dim)
+    queries = np.vstack([train, np.full((1, dim), 25.0), rng.normals(5 * dim).reshape(5, dim)])
+    model = parzen_fit(train, ParzenConfig())
+    got = parzen_score(model, queries)
+    want = np.array([direct_parzen_score(train, model["h"], q) for q in queries])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.argmax(got) == 40  # the far outlier
+
+
 # -------------------------------------------------------- isolation forest
 
 def test_average_path_length_exact_small_values():
@@ -270,11 +294,15 @@ def test_average_path_length_exact_small_values():
 def brute_force_tree_path(tree, value):
     idx, depth = 0, 0
     while True:
-        node = tree.nodes[idx]
-        if node.split is None:
-            return depth + average_path_length(node.size)
-        idx = node.left if value < node.split else node.right
+        if np.isnan(tree.split[idx]):
+            return depth + average_path_length(int(tree.size[idx]))
+        idx = tree.left[idx] if value < tree.split[idx] else tree.right[idx]
         depth += 1
+
+
+def brute_force_iforest_score(model, q):
+    depths = [brute_force_tree_path(t, q[t.feature]) for t in model.trees]
+    return 2.0 ** (-np.mean(depths) / average_path_length(model.subsample))
 
 
 def test_iforest_far_point_scores_highest_and_matches_path_oracle():
@@ -299,8 +327,8 @@ def test_iforest_constant_feature_degenerates():
     train = np.zeros((32, 1))
     model = iforest_fit(train, IforestConfig(trees=5), seed=1)
     for tree in model.trees:
-        assert tree.nodes[0].split is None
-        assert tree.nodes[0].size == 32
+        assert np.isnan(tree.split[0])
+        assert tree.size[0] == 32
     scores = iforest_score(model, np.array([[0.0]]))
     assert scores[0] == pytest.approx(2.0 ** -1.0)  # E[h] = c(n) exactly
 
@@ -313,6 +341,22 @@ def test_iforest_deterministic_per_seed():
     c = iforest_score(iforest_fit(train, IforestConfig(), 6), train)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_iforest_score_equals_path_oracle_for_every_query():
+    rng = Rng(9)
+    train = np.column_stack([rng.normals(60), np.full(60, 2.5), rng.uniforms(60)])
+    train[30:40] = train[0]  # duplicate rows
+    model = iforest_fit(train, IforestConfig(trees=40, subsample=32), seed=3)
+    assert any(t.feature == 1 for t in model.trees)  # the constant feature
+    split_trees = [t for t in model.trees if not np.isnan(t.split[0])]
+    on_split = np.tile(train[1], (len(split_trees), 1))  # ties go right
+    for row, t in zip(on_split, split_trees):
+        row[t.feature] = t.split[0]
+    queries = np.vstack([train, [[9.0, 2.5, 0.5], [0.0, -3.0, 7.0]], on_split])
+    got = iforest_score(model, queries)
+    want = [brute_force_iforest_score(model, q) for q in queries]
+    np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------- graph distance
@@ -365,6 +409,56 @@ def test_graph_distance_increases_with_extra_loaded_branch():
     one = topo_key(case, (1,))
     two = topo_key(case, (1, 2))
     assert graph_distance(base, two, weights) > graph_distance(base, one, weights)
+
+
+# ---------------------------------------------------------- weighted median
+
+def stable_weighted_median(x, w):
+    """First value in stable sorted order whose cumulative weight reaches
+    half the total."""
+    order = np.argsort(x, kind="stable")
+    cum = np.cumsum(w[order])
+    return x[order[np.argmax(cum >= 0.5 * w.sum())]]
+
+
+@st.composite
+def rows_and_weights(draw, values, weights, distinct):
+    """1-4 rows of one length, and one weight per column."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+    rows = [draw(st.lists(values, min_size=n, max_size=n, unique=distinct))
+            for _ in range(m)]
+    w = draw(st.lists(weights, min_size=n, max_size=n))
+    return np.array(rows, dtype=float), np.array(w)
+
+
+# the cumulative weight meets half exactly at the first value
+_HALF_AT_FIRST = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_weights(st.floats(-1e6, 1e6, allow_nan=False),
+                        st.floats(1e-12, 1e3), distinct=True))
+@example(_HALF_AT_FIRST)
+def test_weighted_median_distinct_values_equals_stable_oracle(rows_w):
+    rows, w = rows_w
+    got = _weighted_median_rows(rows, w)
+    assert np.array_equal(got, [stable_weighted_median(r, w) for r in rows])
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_weights(st.integers(-3, 3), st.integers(-6, 6).map(lambda k: 2.0 ** k),
+                        distinct=False))
+@example(_HALF_AT_FIRST)
+@example((np.array([[2.0, 1.0, 1.0, 0.0]]), np.array([1.0, 0.5, 0.5, 2.0])))
+def test_weighted_median_ties_with_dyadic_weights(rows_w):
+    """Dyadic weights sum exactly in any order, so even with tied values the
+    pick equals the stable oracle's and splits the weight at half."""
+    rows, w = rows_w
+    got = _weighted_median_rows(rows, w)
+    assert np.array_equal(got, [stable_weighted_median(r, w) for r in rows])
+    half = 0.5 * w.sum()
+    for x, med in zip(rows, got):
+        assert w[x < med].sum() < half <= w[x <= med].sum()
 
 
 # ------------------------------------------------------------ topo detector
