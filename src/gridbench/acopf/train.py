@@ -33,10 +33,15 @@ class TrainConfig:
 def decision_loss_and_input_grad(model: MlpModel, inputs: np.ndarray,
                                  pd_bus: np.ndarray, qd_bus: np.ndarray,
                                  weights: PenaltyWeights):
-    """Single forward/backward pass: loss, parameter grads, term breakdown."""
+    """Single forward/backward pass: loss, parameter grads, term breakdown.
+
+    A non-finite loss skips the backward pass; its grads are then None.
+    """
     decision, cache = mlp_forward(model, inputs)
     loss, grad_dec, parts = penalty_loss_and_grad(
         model.space, decision, pd_bus, qd_bus, weights)
+    if not np.isfinite(loss):
+        return loss, None, None, parts
     grads_w, grads_b = mlp_backward(model, cache, grad_dec)
     return loss, grads_w, grads_b, parts
 
@@ -67,12 +72,10 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
         batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            decision, cache = mlp_forward(model, inputs[idx])
-            loss, grad_dec, parts = penalty_loss_and_grad(
-                space, decision, pd_bus[idx], qd_bus[idx], cfg.weights)
+            loss, grads_w, grads_b, parts = decision_loss_and_input_grad(
+                model, inputs[idx], pd_bus[idx], qd_bus[idx], cfg.weights)
             if not np.isfinite(loss):
-                raise TrainingDiverged(epoch)  # before a backward pass on it
-            grads_w, grads_b = mlp_backward(model, cache, grad_dec)
+                raise TrainingDiverged(epoch)
             gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads_w)
                             + sum(float((g**2).sum()) for g in grads_b))
             scale = min(1.0, cfg.grad_clip / max(gnorm, 1e-12))

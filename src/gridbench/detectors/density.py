@@ -66,32 +66,37 @@ def silverman_bandwidths(train: np.ndarray, floor: float) -> np.ndarray:
 
 
 def parzen_fit(train: np.ndarray, cfg: ParzenConfig) -> dict:
-    """Bandwidths, and the training points scaled by them with their
-    squared norms, which every query's distances reuse."""
+    """Bandwidths, the training mean, and the training points centred on
+    it and scaled by the bandwidths with their squared norms, which every
+    query's distances reuse."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     if len(train) < 2:
         raise ValueError("need at least 2 training points")
     h = silverman_bandwidths(train, cfg.bandwidth_floor)
-    scaled = train / h
-    return {"h": h, "scaled": scaled, "sq_norms": (scaled * scaled).sum(axis=1)}
+    center = train.mean(axis=0)
+    scaled = (train - center) / h
+    return {"h": h, "center": center, "scaled": scaled,
+            "sq_norms": (scaled * scaled).sum(axis=1)}
 
 
 def parzen_log_density(model: dict, queries: np.ndarray) -> np.ndarray:
     """Log Gaussian-kernel density estimate at each query point.
 
     The squared scaled distances come from the expanded quadratic
-    |b|^2 - 2 b.a + |a|^2 (b = query / h, a = train / h), one matrix product
-    for all queries. Its cancellation can leave a tiny negative value where
-    a query sits on a training point, so it is clamped at 0. The
-    (queries x train) matrix is updated in place, and the log-sum-exp over
-    it is shifted by each query's nearest point, so that no more than one
-    such matrix is live.
+    |b|^2 - 2 b.a + |a|^2, one matrix product for all queries, where
+    a = (train - mean) / h and b = (query - mean) / h. Centring on the
+    training mean keeps the cancellation relative to the data's spread
+    rather than its distance from the origin. The cancellation can still
+    leave a tiny negative value where a query sits on a training point, so
+    the result is clamped at 0. The (queries x train) matrix is updated in
+    place, and the log-sum-exp over it is shifted by each query's nearest
+    point, so that no more than one such matrix is live.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     a, h = model["scaled"], model["h"]
     n, d = a.shape
     log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(h).sum()
-    b = queries / h
+    b = (queries - model["center"]) / h
     sq_dist = b @ a.T
     sq_dist *= -2.0
     sq_dist += (b * b).sum(axis=1)[:, None]

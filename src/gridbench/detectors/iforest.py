@@ -47,14 +47,14 @@ class IsolationTree:
     size: np.ndarray
     leaf_path: np.ndarray
 
-    def path_lengths(self, values: np.ndarray, cap: int) -> np.ndarray:
+    def path_lengths(self, values: np.ndarray) -> np.ndarray:
         """Path length of each value: its leaf's depth plus c(leaf size).
 
-        All values descend one level per step; ``cap`` bounds the depth.
+        All values descend one level per step until every one is at a leaf.
         """
         node = np.zeros(len(values), dtype=int)
         depth = np.zeros(len(values))
-        for _ in range(cap):
+        while True:
             split = self.split[node]
             inner = ~np.isnan(split)
             if not inner.any():
@@ -69,7 +69,6 @@ class IsolationTree:
 class IsolationForestModel:
     trees: list[IsolationTree]
     subsample: int
-    cap: int  # height cap: no tree is deeper
 
 
 def _grow(values: np.ndarray, depth: int, cap: int, rng: Rng,
@@ -114,7 +113,7 @@ def iforest_fit(train: np.ndarray, cfg: IforestConfig, seed: int) -> IsolationFo
             feature=feature, split=np.array(split), left=np.array(left),
             right=np.array(right), size=np.array(size),
             leaf_path=np.array([average_path_length(s) for s in size])))
-    return IsolationForestModel(trees=trees, subsample=psi, cap=cap)
+    return IsolationForestModel(trees=trees, subsample=psi)
 
 
 def iforest_score(model: IsolationForestModel, queries: np.ndarray) -> np.ndarray:
@@ -123,6 +122,6 @@ def iforest_score(model: IsolationForestModel, queries: np.ndarray) -> np.ndarra
     c_n = average_path_length(model.subsample)
     paths = np.empty((len(queries), len(model.trees)))
     for j, tree in enumerate(model.trees):
-        paths[:, j] = tree.path_lengths(queries[:, tree.feature], model.cap)
+        paths[:, j] = tree.path_lengths(queries[:, tree.feature])
     # a Python-float pow per query: np.power rounds some of them differently
     return np.array([2.0 ** (-e / c_n) for e in paths.mean(axis=1).tolist()])

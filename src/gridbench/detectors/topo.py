@@ -66,12 +66,14 @@ def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     columns. Picks the first sorted value whose cumulative weight reaches
     half the total.
 
-    The default (introsort) ``argsort`` is not stable, yet it picks what a
-    stable sort picks. Where a row's values are distinct, their sorted
-    order is unique. Ties only permute equal values, so the cumulative
-    weights can differ only by the rounding of the tied weights' sums, and
-    not at all when those partial sums are exact, as with the unit weights
-    of samples on the current topology.
+    The default (introsort) ``argsort`` is not stable. Where a row's values
+    are distinct, their sorted order is unique, so the pick is exactly a
+    stable sort's. Ties only permute equal values, which changes the
+    rounding of the cumulative weights from the tie block on. The pick is
+    still exactly a stable sort's when those partial sums are exact (as
+    with the unit weights of samples on the current topology); otherwise
+    it can differ only where a cumulative weight lies within rounding of
+    half the total at a tie block's boundary.
     """
     order = np.argsort(values, axis=1)
     cum = np.cumsum(w[order], axis=1)
@@ -98,9 +100,8 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
     # graph distances between the stream's topologies, computed once;
     # dist_matrix[pos[t], pos[i]] is the distance of tick i's topology from
     # tick t's
-    ids = sorted(set(topo_ids))
-    index = {tid: k for k, tid in enumerate(ids)}
-    pos = np.array([index[tid] for tid in topo_ids], dtype=int)
+    ids, pos = np.unique(topo_ids, return_inverse=True)
+    ids = ids.tolist()
     dist_matrix = np.zeros((len(ids), len(ids)))
     for a, b in itertools.combinations(range(len(ids)), 2):
         d = graph_distance(registry[ids[a]], registry[ids[b]], weights_map)

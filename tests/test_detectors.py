@@ -270,11 +270,14 @@ def direct_parzen_score(train, h, q):
     return -(logsumexp(log_k) - np.log(len(train)))
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e4])
 @pytest.mark.parametrize("dim", [1, 3])
-def test_parzen_score_matches_direct_formula(dim):
+def test_parzen_score_matches_direct_formula(dim, offset):
+    """Also far from the origin relative to the bandwidths (offset 1e4)."""
     rng = Rng(45)
-    train = rng.normals(40 * dim).reshape(40, dim)
-    queries = np.vstack([train, np.full((1, dim), 25.0), rng.normals(5 * dim).reshape(5, dim)])
+    train = offset + rng.normals(40 * dim).reshape(40, dim)
+    queries = np.vstack([train, np.full((1, dim), offset + 25.0),
+                         offset + rng.normals(5 * dim).reshape(5, dim)])
     model = parzen_fit(train, ParzenConfig())
     got = parzen_score(model, queries)
     want = np.array([direct_parzen_score(train, model["h"], q) for q in queries])
@@ -459,6 +462,25 @@ def test_weighted_median_ties_with_dyadic_weights(rows_w):
     half = 0.5 * w.sum()
     for x, med in zip(rows, got):
         assert w[x < med].sum() < half <= w[x <= med].sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_weights(st.integers(-3, 3),
+                        st.one_of(st.just(1.0), st.floats(0.0, 5.0).map(lambda d: np.exp(-d))),
+                        distinct=False))
+@example((np.array([[1.0, 0.0, 1.0, 0.0, 1.0]]),
+          np.array([np.exp(-0.3), 1.0, np.exp(-1.7), 1.0, np.exp(-0.3)])))
+def test_weighted_median_ties_with_non_dyadic_weights(rows_w):
+    """Unit weights mixed with exp(-d) ones, as the topology-aware detector
+    forms them: permuting tied values can move the cumulative weights by
+    rounding, so the pick splits the weight at half up to that rounding."""
+    rows, w = rows_w
+    got = _weighted_median_rows(rows, w)
+    half = 0.5 * w.sum()
+    tol = 4 * len(w) * np.finfo(float).eps * w.sum()
+    for x, med in zip(rows, got):
+        assert w[x < med].sum() < half + tol
+        assert half - tol <= w[x <= med].sum()
 
 
 # ------------------------------------------------------------ topo detector
