@@ -46,10 +46,18 @@ class MlpModel:
                         space=self.space)
 
 
+def input_standardization(train_inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, std) per input column; a constant column gets std 1e-6."""
+    return train_inputs.mean(axis=0), np.maximum(train_inputs.std(axis=0), 1e-6)
+
+
 def build_mlp(space: DecisionSpace, hidden_layers: int = 2, width: int = 200,
               seed: int = 0, train_inputs: np.ndarray | None = None) -> MlpModel:
     """Seeded He-style initialization; output layer starts near zero so the
-    squashed decision begins mid-band."""
+    squashed decision begins mid-band.
+
+    The weights depend on the seed and the layer sizes only: ``train_inputs``
+    sets the input standardization and nothing else."""
     n_in = 2 * space.n_load
     n_out = space.dim
     sizes = [n_in] + [width] * hidden_layers + [n_out]
@@ -61,8 +69,7 @@ def build_mlp(space: DecisionSpace, hidden_layers: int = 2, width: int = 200,
         biases.append(np.zeros(bdim))
     weights[-1] *= 0.1
     if train_inputs is not None:
-        mean = train_inputs.mean(axis=0)
-        std = np.maximum(train_inputs.std(axis=0), 1e-6)
+        mean, std = input_standardization(train_inputs)
     else:
         mean = np.zeros(n_in)
         std = np.ones(n_in)

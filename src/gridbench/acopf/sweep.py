@@ -4,16 +4,24 @@ For each (mode, n_fake, seed): draw realistic configurations, hold out a
 test slice, augment the remainder's mean load with the mode's factor
 structure, train the penalty network on the augmented data only, and
 measure mean constraint violations on the held-out realistic samples.
+
+Neither the realistic draw, its split nor the network's initial weights
+depend on the mode or n_fake, so the cells of one seed share them:
+``experiment_sweep`` prepares them once per seed (and the decision space
+once per sweep), and each cell trains its own copy of the initial network
+with its own input standardization. A sweep row is therefore ``==`` to
+``run_cell`` on its cell.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .datagen import SampleSet, gen_augmented, gen_realistic
-from .mlp import build_mlp
+from .mlp import MlpModel, build_mlp, input_standardization
 from .space import DecisionSpace
 from .train import TrainConfig, evaluate_decisions, train_penalty
 from ..grid.model import GridCase
@@ -94,40 +102,78 @@ def split_realistic(samples: SampleSet, test_fraction: float
     return train, test
 
 
-def run_cell(config: ExperimentConfig, mode: str, n_fake: int, seed: int
-             ) -> SweepRow:
-    """One (mode, n_fake, seed) cell: generate, train, evaluate."""
-    case = config.case
-    space = DecisionSpace(case)
-    realistic = gen_realistic(case, config.n_real, seed,
+@dataclass(frozen=True)
+class _SeedInputs:
+    """What the cells of one seed share."""
+    base_pd: np.ndarray  # mean training-pool load, augmented by every mode
+    base_qd: np.ndarray
+    test: SampleSet  # held-out realistic samples
+    init: MlpModel  # initial network; each cell trains a copy
+
+
+def _seed_inputs(config: ExperimentConfig, space: DecisionSpace, seed: int
+                 ) -> _SeedInputs:
+    realistic = gen_realistic(config.case, config.n_real, seed,
                               noise_sigma=_REALISTIC_NOISE_SIGMA)
     train_pool, test_set = split_realistic(realistic, config.test_fraction)
-    base_pd = train_pool.pd.mean(axis=0)
-    base_qd = train_pool.qd.mean(axis=0)
-    fake = gen_augmented(case, base_pd, base_qd, mode, n_fake,
+    init = build_mlp(space, hidden_layers=config.hidden_layers,
+                     width=config.width, seed=derive_seed(seed, 23))
+    return _SeedInputs(base_pd=train_pool.pd.mean(axis=0),
+                       base_qd=train_pool.qd.mean(axis=0), test=test_set, init=init)
+
+
+def _train_cell(config: ExperimentConfig, shared: _SeedInputs, mode: str,
+                n_fake: int, seed: int) -> SweepRow:
+    fake = gen_augmented(config.case, shared.base_pd, shared.base_qd, mode, n_fake,
                          derive_seed(seed, 17))
-    inputs = np.concatenate([fake.pd, fake.qd], axis=1)
-    model = build_mlp(space, hidden_layers=config.hidden_layers,
-                      width=config.width, seed=derive_seed(seed, 23),
-                      train_inputs=inputs)
+    model = shared.init.copy()  # training updates the weights in place
+    model.input_mean, model.input_std = input_standardization(
+        np.concatenate([fake.pd, fake.qd], axis=1))
     train_cfg = replace(config.train, seed=derive_seed(seed, 29))
     model, _ = train_penalty(model, fake.pd, fake.qd, train_cfg)
-    report = evaluate_decisions(model, test_set.pd, test_set.qd)
+    report = evaluate_decisions(model, shared.test.pd, shared.test.qd)
     return SweepRow(mode=mode, n_fake=n_fake, seed=seed,
                     equality_mean=report.equality_mean,
                     inequality_mean=report.inequality_mean,
                     overall_mean=report.overall_mean)
 
 
+def run_cell(config: ExperimentConfig, mode: str, n_fake: int, seed: int
+             ) -> SweepRow:
+    """One (mode, n_fake, seed) cell: generate, train, evaluate.
+
+    Prepares the seed's shared inputs for this cell alone; the row is ``==``
+    to the one ``experiment_sweep`` gives for the cell.
+    """
+    shared = _seed_inputs(config, DecisionSpace(config.case), seed)
+    return _train_cell(config, shared, mode, n_fake, seed)
+
+
 def experiment_sweep(config: ExperimentConfig) -> SweepResult:
-    """Full grid over (mode, n_fake, seed); failures recorded, not fatal."""
-    rows: list[SweepRow] = []
-    failures: list[str] = []
-    for mode in config.modes:
-        for n_fake in config.n_fake:
-            for seed in config.seeds:
+    """Full grid over (mode, n_fake, seed); failures recorded, not fatal.
+
+    Seeds run outermost so that only the current seed's shared inputs are
+    alive. They are prepared inside the first cell's ``try``, so a failure
+    there is recorded for each of the seed's cells with the message
+    ``run_cell`` would raise. Rows and failures come out in (mode, n_fake,
+    seed) order.
+    """
+    cells: dict[tuple[str, int, int], SweepRow | str] = {}
+    space = None
+    for seed in config.seeds:
+        shared = None
+        for mode in config.modes:
+            for n_fake in config.n_fake:
                 try:
-                    rows.append(run_cell(config, mode, n_fake, seed))
+                    if space is None:
+                        space = DecisionSpace(config.case)
+                    if shared is None:
+                        shared = _seed_inputs(config, space, seed)
+                    cells[mode, n_fake, seed] = _train_cell(config, shared, mode,
+                                                            n_fake, seed)
                 except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    failures.append(f"{mode}/n_fake={n_fake}/seed={seed}: {exc}")
-    return SweepResult(rows=tuple(rows), failures=tuple(failures))
+                    cells[mode, n_fake, seed] = f"{mode}/n_fake={n_fake}/seed={seed}: {exc}"
+    ordered = [cells[key] for key in itertools.product(config.modes, config.n_fake,
+                                                        config.seeds)]
+    return SweepResult(rows=tuple(c for c in ordered if isinstance(c, SweepRow)),
+                       failures=tuple(c for c in ordered if isinstance(c, str)))

@@ -34,7 +34,7 @@ from .density import (
     parzen_log_density,
     parzen_score,
 )
-from .gesd import gesd_critical_value, gesd_score_stream, gesd_window_score
+from .gesd import gesd_critical_value, gesd_score_stream
 from .iforest import average_path_length, iforest_fit, iforest_score
 from .ocsvm import OcsvmError, OcsvmModel, ocsvm_fit, ocsvm_score, rbf_kernel
 from .topo import graph_distance, sensitivity_weights, topo_aware_score
@@ -118,7 +118,7 @@ __all__ = [
     "FIT_BASED", "GesdConfig", "IforestConfig", "LofConfig", "OcsvmConfig",
     "OcsvmError", "OcsvmModel", "ParzenConfig", "STREAMING", "TopoConfig",
     "VarConfig", "arima_score_stream", "average_path_length", "gesd_critical_value",
-    "gesd_score_stream", "gesd_window_score", "graph_distance", "iforest_fit",
+    "gesd_score_stream", "graph_distance", "iforest_fit",
     "iforest_score", "lof_fit", "lof_score", "lof_train_scores",
     "mahalanobis_threshold", "max_z_threshold", "ocsvm_fit", "ocsvm_score",
     "parzen_fit", "parzen_log_density", "parzen_score", "rbf_kernel",

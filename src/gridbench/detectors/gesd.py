@@ -26,50 +26,14 @@ def gesd_critical_value(n: int, i: int, significance: float) -> float:
     return float((n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1)))
 
 
-def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]:
-    """Score the newest point of a single-sensor window.
-
-    Returns (score, flagged): score is R - lambda at the step where the
-    newest point was removed, or its plain studentized deviate minus
-    lambda_1 when it never was. Zero-variance windows score 0, unflagged.
-    """
-    n = len(window)
-    newest = n - 1
-    active = np.ones(n, dtype=bool)
-    removed_step = 0
-    newest_score = None
-    n_outliers = 0
-    r_stats = []
-    for i in range(1, cfg.max_anoms + 1):
-        vals = window[active]
-        std = vals.std(ddof=1)
-        if std == 0.0:
-            break
-        mean = vals.mean()
-        dev = np.abs(window - mean)
-        dev[~active] = -np.inf
-        worst = int(np.argmax(dev))
-        r_i = dev[worst] / std
-        lam = gesd_critical_value(n, i, cfg.significance)
-        r_stats.append((r_i, lam))
-        if r_i > lam:
-            n_outliers = i
-        if worst == newest:
-            removed_step = i
-            newest_score = float(r_i - lam)
-        active[worst] = False
-    if newest_score is None:
-        full_std = window.std(ddof=1)
-        if full_std == 0.0:
-            return 0.0, False
-        dev = abs(window[newest] - window.mean()) / full_std
-        return float(dev - gesd_critical_value(n, 1, cfg.significance)), False
-    flagged = 0 < removed_step <= n_outliers
-    return newest_score, flagged
-
-
 def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]:
-    """All sensors of one window at once; same math as gesd_window_score."""
+    """Score the newest tick of a window, all sensors at once.
+
+    Returns (max score, any flagged). A sensor's score is R - lambda at the
+    step where its newest point was removed, or its plain studentized
+    deviate minus lambda_1 when it never was; a zero-variance sensor scores
+    0, unflagged.
+    """
     w, m = frame.shape
     newest = w - 1
     active = np.ones((w, m), dtype=bool)

@@ -122,8 +122,3 @@ def ocsvm_score(model: OcsvmModel, queries: np.ndarray) -> np.ndarray:
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     k = rbf_kernel(queries, model.train, model.gamma)
     return model.rho - k @ model.alpha
-
-
-def ocsvm_train_outlier_fraction(model: OcsvmModel) -> float:
-    """Fraction of training points on the outlier side (bounded by ~nu)."""
-    return float(np.mean(ocsvm_score(model, model.train) > 1e-9))

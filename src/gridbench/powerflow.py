@@ -358,8 +358,3 @@ def branch_flows(case: GridCase, sol: PFSolution) -> BranchFlows:
     out[:, br.pos] = (end.s_f.real, end.s_f.imag, end.s_t.real, end.s_t.imag,
                       np.abs(end.i_f), np.abs(end.i_t))
     return BranchFlows(tuple(b.id for b in case.branches), *out)
-
-
-def total_losses(case: GridCase, sol: PFSolution) -> float:
-    """Total active power absorbed by the network (series + shunt), pu."""
-    return float(np.sum(calculated_injections(sol.ybus, sol.vm, sol.va).real))

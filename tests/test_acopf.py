@@ -275,6 +275,34 @@ def test_zero_epochs_leaves_model_unchanged():
         np.testing.assert_array_equal(w0, w1)
 
 
+def test_build_mlp_weights_do_not_depend_on_train_inputs():
+    # a seed's cells share one initial network and set their own
+    # standardization, which is only sound if the inputs touch nothing else
+    case = toy_case()
+    space = DecisionSpace(case)
+    samples = gen_realistic(case, 20, seed=0)
+    inputs = np.concatenate([samples.pd, samples.qd], axis=1)
+    plain = build_mlp(space, 2, 16, seed=3)
+    fitted = build_mlp(space, 2, 16, seed=3, train_inputs=inputs)
+    for a, b in zip(plain.weights + plain.biases, fitted.weights + fitted.biases):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(plain.input_mean, fitted.input_mean)
+    assert not np.array_equal(plain.input_std, fitted.input_std)
+
+
+def test_training_a_copy_leaves_the_original_unchanged():
+    case = toy_case()
+    space = DecisionSpace(case)
+    samples = gen_realistic(case, 20, seed=0)
+    original = build_mlp(space, 1, 16, seed=2)
+    before = [a.copy() for a in original.weights + original.biases]
+    trained, _ = train_penalty(original.copy(), samples.pd, samples.qd,
+                               TrainConfig(epochs=2))
+    assert not np.array_equal(trained.weights[0], before[0])
+    for a, b in zip(original.weights + original.biases, before):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_equality_loss_decreases_on_repeated_sample():
     # w_cost = 0, one sample repeated, decayed plain gradient descent: the
     # equality term decreases monotonically after warm-up (seeded fixture;
@@ -450,6 +478,24 @@ def test_single_cell_sweep_equals_direct_chain():
     assert len(res.rows) == 1 and not res.failures
     direct = run_cell(cfg, "grouped", 40, 10)
     assert res.rows[0] == direct
+
+
+def test_sweep_rows_equal_single_cells():
+    # a seed's cells share its inputs and initial network in the sweep;
+    # run_cell prepares them for one cell, so any state carried from one
+    # cell to the next shows as a difference
+    case = bundled_case("case30")
+    modes, n_fakes, seeds = ("naive", "not_a_mode", "grouped"), (40, 80), (0, 1)
+    cfg = ExperimentConfig(case=case, n_real=60, n_fake=n_fakes, seeds=seeds,
+                           modes=modes, width=24,
+                           train=TrainConfig(epochs=5, lr=0.01))
+    res = experiment_sweep(cfg)
+    good = [(m, n, s) for m in ("naive", "grouped") for n in n_fakes for s in seeds]
+    assert [(r.mode, r.n_fake, r.seed) for r in res.rows] == good
+    for row in res.rows:
+        assert row == run_cell(cfg, row.mode, row.n_fake, row.seed)
+    assert [f.split(":")[0] for f in res.failures] == [
+        f"not_a_mode/n_fake={n}/seed={s}" for n in n_fakes for s in seeds]
 
 
 def test_run_cell_uses_the_whole_train_config():

@@ -21,7 +21,6 @@ from gridbench.detectors import (
     average_path_length,
     gesd_critical_value,
     gesd_score_stream,
-    gesd_window_score,
     graph_distance,
     iforest_fit,
     iforest_score,
@@ -41,6 +40,46 @@ from gridbench.rng import Rng
 
 
 # ------------------------------------------------------------------ GESD
+
+def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]:
+    """Scalar reference: score the newest point of a single-sensor window.
+
+    Returns (score, flagged): score is R - lambda at the step where the
+    newest point was removed, or its plain studentized deviate minus
+    lambda_1 when it never was. Zero-variance windows score 0, unflagged.
+    """
+    n = len(window)
+    newest = n - 1
+    active = np.ones(n, dtype=bool)
+    removed_step = 0
+    newest_score = None
+    n_outliers = 0
+    for i in range(1, cfg.max_anoms + 1):
+        vals = window[active]
+        std = vals.std(ddof=1)
+        if std == 0.0:
+            break
+        mean = vals.mean()
+        dev = np.abs(window - mean)
+        dev[~active] = -np.inf
+        worst = int(np.argmax(dev))
+        r_i = dev[worst] / std
+        lam = gesd_critical_value(n, i, cfg.significance)
+        if r_i > lam:
+            n_outliers = i
+        if worst == newest:
+            removed_step = i
+            newest_score = float(r_i - lam)
+        active[worst] = False
+    if newest_score is None:
+        full_std = window.std(ddof=1)
+        if full_std == 0.0:
+            return 0.0, False
+        dev = abs(window[newest] - window.mean()) / full_std
+        return float(dev - gesd_critical_value(n, 1, cfg.significance)), False
+    flagged = 0 < removed_step <= n_outliers
+    return newest_score, flagged
+
 
 def test_gesd_constant_stream_never_flags():
     series = gesd_score_stream(np.ones((120, 3)), GesdConfig())

@@ -30,7 +30,6 @@ from gridbench.powerflow import (
     mismatch,
     network,
     solve_pf,
-    total_losses,
 )
 from gridbench.rng import Rng
 
@@ -90,6 +89,11 @@ def test_ybus_hermitian_pattern():
 
 
 # ------------------------------------------------------------------ solve
+
+def total_losses(case, sol) -> float:
+    """Total active power absorbed by the network (series + shunt), pu."""
+    return float(np.sum(calculated_injections(sol.ybus, sol.vm, sol.va).real))
+
 
 def test_zero_injection_flat_start_zero_iterations():
     case = GridCase(
