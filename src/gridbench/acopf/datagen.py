@@ -15,7 +15,7 @@ import numpy as np
 
 from .space import DecisionSpace
 from ..grid.model import GridCase
-from ..loadsynth import ScalingMode, StyleParams, scale_loads, style_profile
+from ..loadsynth import TICKS_PER_DAY, ScalingMode, StyleParams, scale_loads, style_profile
 from ..rng import Rng, derive_seed
 
 PROVENANCES = ("realistic", "naive", "grouped", "brute_force")
@@ -73,14 +73,15 @@ def _group_day_params(style: str, day_rng: Rng, horizon: int) -> StyleParams:
 
 
 def gen_realistic(case: GridCase, n_real: int, seed: int,
-                  ticks_per_day: int = 48, noise_sigma: float = 0.0) -> SampleSet:
-    """Group-consistent trajectories sampled at n_real consecutive ticks.
+                  noise_sigma: float = 0.0) -> SampleSet:
+    """Group-consistent trajectories sampled at n_real consecutive half-hour
+    ticks.
 
     By default every load in a group follows the group's multiplier series
     exactly, so a group's ``pd / base_pd`` columns are identical.
     ``noise_sigma > 0`` adds each load its own i.i.d. Gaussian term, the
-    noise component of the trace-synthesis formula; the sweep passes it
-    explicitly.
+    paper's per-load noise term on top of the group pattern; the sweep
+    passes it explicitly.
     """
     if not case.loads:
         raise ValueError("case has no loads")
@@ -94,14 +95,14 @@ def gen_realistic(case: GridCase, n_real: int, seed: int,
             raise ValueError(f"group {g} mixes styles {sorted(styles)}")
         style_of[g] = styles.pop()
 
-    n_days = int(np.ceil(n_real / ticks_per_day))
+    n_days = int(np.ceil(n_real / TICKS_PER_DAY))
     multipliers = {}
     for gi, g in enumerate(groups):
         rng = Rng(derive_seed(seed, 11, gi))
         days = []
         for day in range(n_days):
-            params = _group_day_params(style_of[g], rng.spawn(day), ticks_per_day)
-            days.append(style_profile(params, ticks_per_day,
+            params = _group_day_params(style_of[g], rng.spawn(day), TICKS_PER_DAY)
+            days.append(style_profile(params, TICKS_PER_DAY,
                                       seed=derive_seed(seed, 13, gi, day)))
         multipliers[g] = np.concatenate(days)[:n_real]
 

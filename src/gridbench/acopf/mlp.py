@@ -34,10 +34,6 @@ class MlpModel:
     input_std: np.ndarray
     space: DecisionSpace = field(repr=False)
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
     def copy(self) -> "MlpModel":
         return MlpModel(weights=[w.copy() for w in self.weights],
                         biases=[b.copy() for b in self.biases],

@@ -166,15 +166,6 @@ class DecisionSpace:
                           pg @ self.gen_inc - pd_bus - s_calc.real,
                           qg @ self.gen_inc - qd_bus - s_calc.imag, excess)
 
-    def residuals(self, decision, pd_bus, qd_bus):
-        """Equality residuals r_P, r_Q (B, n_bus) and thermal excesses."""
-        e = self.evaluate(decision, pd_bus, qd_bus)
-        return e.r_p, e.r_q, e.excess["th_f"], e.excess["th_t"]
-
-    def inequality_excesses(self, decision):
-        """All clipped inequality excesses, (B, n_ineq)."""
-        return self.evaluate(decision, 0.0, 0.0).inequality
-
     def violations(self, decision, pd=None, qd=None) -> ViolationReport:
         """Mean violation report for decisions against given (or case) loads."""
         decision = np.atleast_2d(decision)

@@ -60,8 +60,7 @@ def ar_predict(history: np.ndarray, coefs: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("km,mk->m", recent, coefs[:, :p]) + coefs[:, p]
 
 
-def arima_score_stream(values: np.ndarray, cfg: ArimaConfig,
-                       name: str = "arima") -> AnomalyScoreSeries:
+def arima_score_stream(values: np.ndarray, cfg: ArimaConfig) -> AnomalyScoreSeries:
     """Max over channels of the absolute one-step residual z-score."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n_ticks, m = values.shape
@@ -86,7 +85,7 @@ def arima_score_stream(values: np.ndarray, cfg: ArimaConfig,
         z = np.abs(resid) / np.maximum(sigmas, 1e-9)
         scores[t] = float(z.max())
         flags[t] = scores[t] > threshold
-    return AnomalyScoreSeries(detector=name, ticks=np.arange(n_ticks),
+    return AnomalyScoreSeries(detector="arima", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)
 
 
@@ -127,8 +126,7 @@ def var_predict(history: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
     return x @ coef
 
 
-def var_score_stream(values: np.ndarray, cfg: VarConfig,
-                     name: str = "var") -> AnomalyScoreSeries:
+def var_score_stream(values: np.ndarray, cfg: VarConfig) -> AnomalyScoreSeries:
     """Mahalanobis distance of the joint one-step residual.
 
     Scoring starts once the rolling window holds ``min_rows_factor`` rows
@@ -173,5 +171,5 @@ def var_score_stream(values: np.ndarray, cfg: VarConfig,
         resid = diffs[-1] - var_predict(window, coef, p)
         scores[t] = float(np.sqrt(resid @ cov_inv @ resid))
         flags[t] = scores[t] > threshold
-    return AnomalyScoreSeries(detector=name, ticks=np.arange(n_ticks),
+    return AnomalyScoreSeries(detector="var", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)

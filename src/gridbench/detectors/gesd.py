@@ -74,8 +74,7 @@ def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float
     return float(newest_score.max()), bool(flagged.any())
 
 
-def gesd_score_stream(values: np.ndarray, cfg: GesdConfig,
-                      name: str = "gesd") -> AnomalyScoreSeries:
+def gesd_score_stream(values: np.ndarray, cfg: GesdConfig) -> AnomalyScoreSeries:
     """Per-sensor sliding GESD; per tick the max sensor margin is reported.
 
     Ticks before one full window are withheld.
@@ -87,5 +86,5 @@ def gesd_score_stream(values: np.ndarray, cfg: GesdConfig,
     w = cfg.window
     for t in range(w - 1, n_ticks):
         scores[t], flags[t] = _window_scores_vectorized(values[t - w + 1:t + 1], cfg)
-    return AnomalyScoreSeries(detector=name, ticks=np.arange(n_ticks),
+    return AnomalyScoreSeries(detector="gesd", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags)

@@ -85,7 +85,7 @@ def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def topo_aware_score(values: np.ndarray, topology_id_per_tick,
                      registry: dict[int, TopologyKey], case: GridCase,
-                     cfg: TopoConfig, name: str = "topo") -> AnomalyScoreSeries:
+                     cfg: TopoConfig) -> AnomalyScoreSeries:
     """Score every tick online; withheld ticks carry NaN.
 
     ``registry`` maps announced topology ids to closed-branch keys; the
@@ -129,5 +129,5 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
         z = np.abs(values[t] - med) / scale
         scores[t] = float(z.max())
         flags[t] = scores[t] > threshold
-    return AnomalyScoreSeries(detector=name, ticks=np.arange(n_ticks),
+    return AnomalyScoreSeries(detector="topo", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)

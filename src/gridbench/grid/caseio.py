@@ -21,6 +21,7 @@ import os
 from importlib import resources
 
 from .model import (
+    BUS_KINDS,
     Branch,
     Bus,
     Generator,
@@ -31,8 +32,6 @@ from .model import (
 )
 
 BUNDLED_CASES = ("case14", "case30", "case57")
-
-_KIND_ALIASES = {"slack": "slack", "pv": "pv", "pq": "pq"}
 
 
 class CaseParseError(ValueError):
@@ -84,10 +83,10 @@ def load_case(text: str) -> GridCase:
                 ident = int(args[0])
                 f = _parse_fields(args[1:], line_no)
                 kind = _get(f, "kind", line_no, conv=str).lower()
-                if kind not in _KIND_ALIASES:
+                if kind not in BUS_KINDS:
                     raise CaseParseError(f"line {line_no}: unknown bus kind {kind!r}")
                 buses.append(Bus(
-                    id=ident, kind=_KIND_ALIASES[kind],
+                    id=ident, kind=kind,
                     vm=_get(f, "vm", line_no, 1.0), va=_get(f, "va", line_no, 0.0),
                     v_min=_get(f, "vmin", line_no, 0.94), v_max=_get(f, "vmax", line_no, 1.06),
                     gs=_get(f, "gs", line_no, 0.0), bs=_get(f, "bs", line_no, 0.0)))

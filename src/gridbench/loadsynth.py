@@ -1,11 +1,9 @@
-"""Synthetic load/generation profiles and their summary statistics.
+"""Synthetic load profiles and their summary statistics.
 
-Three layers:
+Two layers:
 
-* trace synthesis: decompose a real trace into (base, variation, noise),
-  then re-synthesize at a new length as ``(1 + alpha*c_new(t) + n_s(t)) * mu``
 * style profiles: parametric daily multiplier shapes (constant, smooth,
-  oscillating, abrupt, plus generation variants with unit-commitment gaps)
+  oscillating, abrupt), one per load, over a day of half-hour ticks
 * load scaling: naive / grouped / brute-force factor sampling used by the
   data-augmentation experiments
 
@@ -15,17 +13,18 @@ All randomness flows through :class:`gridbench.rng.Rng`.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .grid.model import LOAD_STYLES
 from .rng import Rng, derive_seed
 
 POSITIVE_FLOOR = 1e-4
 
-STYLES = ("constant", "smooth", "oscillating", "abrupt",
-          "gen_constant", "gen_ramping", "gen_unit_commit")
+# every series is sampled at 30-minute ticks
+TICKS_PER_DAY = 48
+
 SCALING_MODES = ("naive", "grouped", "brute_force")
 
 # Population mix calibrated so that roughly 90% of loads clear the
@@ -39,26 +38,12 @@ class LoadSynthError(ValueError):
 
 
 @dataclass(frozen=True)
-class TraceComponents:
-    """(base, variation, noise std) decomposition of a load trace."""
-
-    mu: float
-    variation: np.ndarray  # zero-mean, dimensionless, length of the source
-    noise_sigma: float
-
-    def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise LoadSynthError("noise_sigma must be nonnegative")
-
-
-@dataclass(frozen=True)
 class StyleParams:
     """Parameters of one daily multiplier profile.
 
     ``amplitude`` is the relative height of the low-frequency hump;
     style-specific knobs: ``ripple``/``osc_freq`` (oscillating),
-    ``step_tick``/``step_height`` (abrupt), ``off_intervals`` (unit
-    commitment, half-open tick ranges).
+    ``step_tick``/``step_height`` (abrupt).
     """
 
     style: str
@@ -68,15 +53,16 @@ class StyleParams:
     osc_freq: float = 8.0
     step_tick: int = 0
     step_height: float = 0.0
-    off_intervals: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.style not in STYLES:
+        if self.style not in LOAD_STYLES:
             raise LoadSynthError(f"unknown style {self.style!r}")
         if self.amplitude < 0:
             raise LoadSynthError("amplitude must be nonnegative")
         if self.peak_tick < 0:
             raise LoadSynthError("peak_tick must be nonnegative")
+        if self.step_tick < 0:
+            raise LoadSynthError("step_tick must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,79 +93,27 @@ class AggregateStats:
     max_frac: float
 
 
-def decompose_trace(trace: np.ndarray, window: int = 5) -> TraceComponents:
-    """Split a positive trace into base level, slow variation, and noise.
-
-    The variation is a centered moving average of the normalized trace
-    (shrinking windows at the edges), re-centered to exact zero mean; the
-    residual's sample standard deviation becomes the noise level.
-    """
-    trace = np.asarray(trace, dtype=float)
-    if window < 3:
-        raise LoadSynthError("window must be at least 3")
-    if len(trace) < window:
-        raise LoadSynthError("trace must be at least one window long")
-    if np.any(trace <= 0):
-        raise LoadSynthError("trace values must be positive")
-    mu = float(trace.mean())
-    ratio = trace / mu - 1.0
-    half = window // 2
-    # odd (anti-symmetric) reflection keeps the smoother exact on linear
-    # trends at the boundaries
-    front = 2.0 * ratio[0] - ratio[half:0:-1]
-    back = 2.0 * ratio[-1] - ratio[-2:-half - 2:-1]
-    padded = np.concatenate([front, ratio, back])
-    kernel = np.full(2 * half + 1, 1.0 / (2 * half + 1))
-    variation = np.convolve(padded, kernel, mode="valid")
-    variation -= variation.mean()
-    residual = ratio - variation
-    residual -= residual.mean()
-    sigma = float(residual.std(ddof=1)) if len(residual) > 1 else 0.0
-    return TraceComponents(mu=mu, variation=variation, noise_sigma=sigma)
-
-
-def synthesize_trace(components: TraceComponents, t_new: int, alpha: float,
-                     seed: int) -> np.ndarray:
-    """Resample the variation to ``t_new`` ticks and re-apply noise.
-
-    Output is ``(1 + alpha*c_new + n_s) * mu`` with ``n_s`` i.i.d. Gaussian
-    of the learned sigma. Non-positive values are clamped to a small floor
-    (with a warning) so downstream power flows stay sane.
-    """
-    if t_new < 2:
-        raise LoadSynthError("t_new must be at least 2")
-    var = components.variation
-    src = np.linspace(0.0, len(var) - 1.0, t_new)
-    c_new = np.interp(src, np.arange(len(var), dtype=float), var)
-    rng = Rng(seed)
-    noise = rng.normals(t_new, 0.0, components.noise_sigma)
-    out = (1.0 + alpha * c_new + noise) * components.mu
-    floor = POSITIVE_FLOOR
-    if np.any(out <= 0):
-        warnings.warn(f"synthesized trace clamped to {floor} at "
-                      f"{int(np.sum(out <= 0))} tick(s)", stacklevel=2)
-        out = np.maximum(out, floor)
-    return out
-
-
 def style_profile(params: StyleParams, horizon: int, seed: int = 0) -> np.ndarray:
-    """Dimensionless positive multiplier series for one load or generator.
+    """Dimensionless multiplier series for one load, floored at
+    ``POSITIVE_FLOOR`` so it is strictly positive everywhere.
 
-    Strictly positive everywhere except unit-commitment off intervals,
-    which are exactly zero.
+    ``seed`` drives the oscillating style's phase and jitter; the other
+    styles are deterministic.
     """
     if horizon < 2:
         raise LoadSynthError("horizon must be at least 2")
     if params.peak_tick >= horizon:
         raise LoadSynthError(f"peak_tick {params.peak_tick} outside horizon {horizon}")
+    if params.step_tick >= horizon:
+        raise LoadSynthError(f"step_tick {params.step_tick} outside horizon {horizon}")
     t = np.arange(horizon, dtype=float)
     hump = 1.0 + params.amplitude * np.cos(
         2.0 * math.pi * (t - params.peak_tick) / horizon)
 
     style = params.style
-    if style in ("constant", "gen_constant"):
+    if style == "constant":
         out = np.ones(horizon)
-    elif style in ("smooth", "gen_ramping"):
+    elif style == "smooth":
         out = hump
     elif style == "oscillating":
         rng = Rng(seed)
@@ -188,22 +122,10 @@ def style_profile(params: StyleParams, horizon: int, seed: int = 0) -> np.ndarra
             2.0 * math.pi * params.osc_freq * t / horizon + phase)
         jitter = rng.normals(horizon, 0.0, params.ripple / 2.0)
         out = hump + wave + jitter
-    elif style == "abrupt":
+    else:  # abrupt; StyleParams admits only LOAD_STYLES
         out = hump.copy()
         out[params.step_tick:] += params.step_height
-    elif style == "gen_unit_commit":
-        out = hump.copy()
-        for lo, hi in params.off_intervals:
-            out[max(0, lo):hi] = 0.0
-    else:  # pragma: no cover - guarded by StyleParams validation
-        raise LoadSynthError(f"unknown style {style!r}")
-
-    if style == "gen_unit_commit":
-        off = out == 0.0
-        out = np.where(off, 0.0, np.maximum(out, POSITIVE_FLOOR))
-    else:
-        out = np.maximum(out, POSITIVE_FLOOR)
-    return out
+    return np.maximum(out, POSITIVE_FLOOR)
 
 
 def scale_loads(base: np.ndarray, mode: ScalingMode, groups: list[str] | None,

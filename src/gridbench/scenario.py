@@ -23,7 +23,7 @@ import numpy as np
 
 from .grid.model import GridCase, TopologyEvent, islands_of
 from .grid.topology import apply_event, connectivity_check
-from .loadsynth import StyleParams, profiles_matrix, sample_population
+from .loadsynth import TICKS_PER_DAY, StyleParams, profiles_matrix, sample_population
 from .powerflow import Network, PFSolution, PowerFlowError, branch_flows, network, solve_pf
 from .rng import Rng, derive_seed
 
@@ -34,6 +34,10 @@ RATE_GEN_SWITCHES_PER_GEN = 300.0 / 2000.0
 
 _LOAD_SEED_KEY = 101
 _NOISE_SEED_KEY = 202
+
+# fixed loss allowance on top of demand keeps the dispatch a pure function
+# of the tick's loads; the slack bus balances the actual losses
+DISPATCH_LOSS_FRAC = 0.02
 
 SENSOR_TYPES = ("vmag", "pinj", "qinj", "pflow", "qflow", "imag")
 
@@ -49,17 +53,11 @@ class ScenarioConfig:
     load_styles: tuple[StyleParams, ...]
     known_events: tuple[TopologyEvent, ...] = ()
     anomaly_events: tuple[TopologyEvent, ...] = ()
-    tick_interval_min: float = 30.0
     topology_count: int | None = None
     noise_sigma_rel: float = 0.01
     noise_floor: float = 0.01
     seed: int = 0
     train_topologies: int = 10
-    dispatch_loss_frac: float = 0.02
-
-    @property
-    def ticks_per_day(self) -> int:
-        return max(2, int(round(24 * 60 / self.tick_interval_min)))
 
 
 @dataclass(frozen=True)
@@ -111,10 +109,9 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                           key=lambda e: (e.tick, e.label, e.kind, e.target)))
 
     # daily multiplier patterns tiled over the horizon
-    day = config.ticks_per_day
-    daily = profiles_matrix(list(config.load_styles), day,
+    daily = profiles_matrix(list(config.load_styles), TICKS_PER_DAY,
                             derive_seed(config.seed, _LOAD_SEED_KEY))
-    reps = int(np.ceil(horizon / day))
+    reps = int(np.ceil(horizon / TICKS_PER_DAY))
     multipliers = np.tile(daily, (reps, 1))[:horizon]
 
     # walk the schedule once to validate and to assign announced topology ids
@@ -226,9 +223,6 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     values = np.empty((cfg.horizon, len(sensor_ids)))
     current = case
     prev: PFSolution | None = None
-    # fixed loss allowance keeps the dispatch a pure function of the tick's
-    # loads; the slack bus balances the actual losses
-    loss_frac = cfg.dispatch_loss_frac
     for t in range(cfg.horizon):
         for ev in by_tick.get(t, ()):
             current = apply_event(current, ev)
@@ -236,7 +230,7 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
             net = network(current)
             online = [g for g in current.generators if g.online]
         mult = scenario.multipliers[t]
-        dispatch = generation_dispatch(current, float(base_pd @ mult) * (1.0 + loss_frac))
+        dispatch = generation_dispatch(current, float(base_pd @ mult) * (1.0 + DISPATCH_LOSS_FRAC))
         tick = net.with_injections(base_pd * mult, base_qd * mult,
                                    [dispatch[g.id] for g in online], [g.qg for g in online])
 
@@ -289,14 +283,14 @@ def expected_event_counts(case: GridCase, hours: float = 24.0) -> dict[str, floa
     }
 
 
-def sample_event_schedule(case: GridCase, horizon: int, tick_interval_min: float,
-                          seed: int) -> list[TopologyEvent]:
-    """Poisson-sampled known-event schedule at the observed rates.
+def sample_event_schedule(case: GridCase, horizon: int, seed: int) -> list[TopologyEvent]:
+    """Poisson-sampled known-event schedule at the observed rates over
+    ``horizon`` half-hour ticks.
 
     Line toggles flip the tracked status; gen switches likewise. Events
     that would leave a load island unservable are skipped.
     """
-    hours = horizon * tick_interval_min / 60.0
+    hours = horizon * 24.0 / TICKS_PER_DAY
     rates = expected_event_counts(case, hours)
     rng = Rng(seed)
     n_line = rng.poisson(rates["line_changes"])
@@ -404,13 +398,12 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     if segment < 5:
         raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
     horizon = segment * n_topologies
-    day = max(2, int(round(24 * 60 / 30.0)))
     n_loads = len(case.loads)
     if variant == "small":
-        shared = StyleParams(style="smooth", peak_tick=day // 3, amplitude=0.05)
+        shared = StyleParams(style="smooth", peak_tick=TICKS_PER_DAY // 3, amplitude=0.05)
         styles = tuple(shared for _ in range(n_loads))
     else:
-        styles = tuple(sample_population(n_loads, day, derive_seed(seed, 7)))
+        styles = tuple(sample_population(n_loads, TICKS_PER_DAY, derive_seed(seed, 7)))
 
     ranked = _branches_by_flow(case)
     plan = _toggle_plan(case, n_topologies, ranked)
@@ -468,40 +461,3 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
         topology_count=n_topologies, noise_sigma_rel=noise_sigma_rel,
         seed=seed, train_topologies=n_topologies - 3)
 
-
-# ------------------------------------------------------------ CSV export
-
-def write_stream_csv(stream: LabeledStream, path: str) -> None:
-    """One row per reading; values are written exactly (shortest repr)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tick,sensor,type,value\n")
-        for t, row in enumerate(stream.values.tolist()):
-            for sensor, kind, value in zip(stream.sensor_ids, stream.sensor_types, row):
-                fh.write(f"{t},{sensor},{kind},{value!r}\n")
-
-
-def write_labels_csv(stream: LabeledStream, path: str) -> None:
-    rows = sorted([(t, "anomaly") for t in stream.anomaly_ticks] +
-                  [(t, "known_change") for t in stream.known_change_ticks])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tick,label\n")
-        for t, label in rows:
-            fh.write(f"{t},{label}\n")
-
-
-def write_topology_csv(stream: LabeledStream, case: GridCase, path: str) -> None:
-    """Announced topology per tick with line-status context.
-
-    Each registry entry is rendered as the set of open branch ids relative
-    to the full branch list.
-    """
-    all_ids = {br.id for br in case.branches}
-    open_of = {}
-    for topo_id, key in stream.topology_registry.items():
-        closed_ids = {b for (b, _, _) in key}
-        open_of[topo_id] = sorted(all_ids - closed_ids)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("tick,topology_id,open_branches\n")
-        for t, topo in enumerate(stream.topology_id_per_tick):
-            branches = "|".join(str(b) for b in open_of[topo])
-            fh.write(f"{t},{topo},{branches}\n")

@@ -13,6 +13,8 @@ from gridbench.acopf import (
     DecisionSpace,
     ExperimentConfig,
     PenaltyWeights,
+    SweepResult,
+    SweepRow,
     TrainConfig,
     TrainingDiverged,
     build_mlp,
@@ -146,9 +148,9 @@ def test_pg_excess_contributes_exactly():
     bumped = dec.copy()
     k = 2 * space.n_bus  # first generator's pg slot
     bumped[k] = space.p_max[0] + 0.1
-    exc = space.inequality_excesses(np.atleast_2d(bumped))[0]
+    exc = space.evaluate(np.atleast_2d(bumped), 0.0, 0.0).inequality[0]
     assert exc[0] == pytest.approx(0.1, abs=1e-12)  # the pg_hi constraint alone
-    base_exc = space.inequality_excesses(np.atleast_2d(dec))[0]
+    base_exc = space.evaluate(np.atleast_2d(dec), 0.0, 0.0).inequality[0]
     np.testing.assert_allclose(exc[1:], base_exc[1:], atol=1e-12)
     raised = space.violations(bumped)
     base = space.violations(dec)
@@ -173,7 +175,7 @@ def test_equality_residuals_match_transliteration_oracle():
         pd = np.array([[l.pd for l in case.loads]])
         qd = np.array([[l.qd for l in case.loads]])
         pd_bus, qd_bus = space.loads_to_buses(pd, qd)
-        r_p, r_q, _, _ = space.residuals(dec, pd_bus, qd_bus)
+        _, _, _, _, r_p, r_q, _ = space.evaluate(dec, pd_bus, qd_bus)
 
         g = space.y.real
         b = space.y.imag
@@ -528,3 +530,30 @@ def test_sweep_records_cell_failures_and_continues():
     assert len(res.rows) == 1
     assert len(res.failures) == 1
     assert "not_a_mode" in res.failures[0]
+
+
+def test_mode_means_and_seed_gap_count():
+    """Claim 3's summaries on hand-built rows: n_fake rows of one (mode,
+    seed) are averaged first, a seed missing a mode is not compared, and a
+    tie is not a win."""
+    def row(mode, n_fake, seed, overall):
+        return SweepRow(mode, n_fake, seed, 0.0, 0.0, overall)
+
+    res = SweepResult(rows=(
+        # seed 0: naive's mean 0.3 beats brute_force's 0.25, although its
+        # n_fake 200 row alone does not
+        row("naive", 200, 0, 0.1), row("naive", 1000, 0, 0.5),
+        row("brute_force", 200, 0, 0.2), row("brute_force", 1000, 0, 0.3),
+        # seed 1: a tie at 0.5
+        row("naive", 200, 1, 0.5), row("brute_force", 200, 1, 0.5),
+        # seed 2: naive only
+        row("naive", 200, 2, 0.9),
+        # seed 3: brute_force worse
+        row("naive", 200, 3, 0.1), row("brute_force", 200, 3, 0.2),
+    ), failures=())
+    means = res.mean_overall_by_mode()
+    assert means == pytest.approx({"naive": (0.1 + 0.5 + 0.5 + 0.9 + 0.1) / 5,
+                                   "brute_force": (0.2 + 0.3 + 0.5 + 0.2) / 4})
+    assert res.gap_positive_count() == (1, 3)
+    assert res.gap_positive_count(worse="brute_force", better="naive") == (1, 3)
+    assert res.gap_positive_count(worse="naive", better="grouped") == (0, 0)

@@ -1,6 +1,7 @@
-"""Trace decomposition/synthesis, style profiles, load scaling, statistics."""
+"""Style profiles, load scaling, statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,104 +12,13 @@ from gridbench.loadsynth import (
     ScalingMode,
     StyleParams,
     aggregate_stats,
-    decompose_trace,
     delta_stats,
     profiles_matrix,
     sample_population,
     scale_loads,
     style_profile,
-    synthesize_trace,
 )
 from gridbench.rng import Rng
-
-
-# ------------------------------------------------------------- decompose
-
-def test_constant_trace_decomposition():
-    comps = decompose_trace(np.array([5.0, 5, 5, 5, 5]), window=3)
-    assert comps.mu == 5.0
-    np.testing.assert_allclose(comps.variation, 0.0, atol=1e-15)
-    assert comps.noise_sigma == 0.0
-
-
-def test_sine_reconstruction_within_one_percent():
-    t = np.arange(96)
-    mu = 3.0
-    trace = mu * (1.0 + 0.2 * np.sin(2 * np.pi * t / 96))
-    comps = decompose_trace(trace, window=5)
-    recon = comps.mu * (1.0 + comps.variation)
-    assert np.max(np.abs(recon - trace)) / trace.max() < 0.01
-
-
-def test_noise_sigma_estimator_spread():
-    # mu + iid N(0, 0.02*mu): estimated sigma lands in [0.015, 0.025]
-    mu = 7.0
-    hits = 0
-    for seed in range(100):
-        rng = Rng(seed)
-        trace = mu * (1.0 + rng.normals(200, 0.0, 0.02))
-        comps = decompose_trace(trace, window=5)
-        if 0.015 <= comps.noise_sigma <= 0.025:
-            hits += 1
-    assert hits >= 95  # moving-average leakage shrinks sigma slightly, stays in band
-
-
-def test_nonpositive_trace_rejected():
-    with pytest.raises(LoadSynthError, match="positive"):
-        decompose_trace(np.array([1.0, -1.0, 1.0, 1.0, 1.0]))
-
-
-def test_variation_zero_mean_invariant():
-    rng = Rng(8)
-    for _ in range(20):
-        trace = 2.0 + rng.uniforms(50, 0.5, 1.5)
-        comps = decompose_trace(trace, window=7)
-        assert abs(comps.variation.mean()) < 1e-12
-
-
-# ------------------------------------------------------------ synthesize
-
-def test_alpha_zero_no_noise_collapses_to_mu():
-    comps = decompose_trace(np.array([4.0, 4, 4, 4, 4]))
-    out = synthesize_trace(comps, t_new=10, alpha=0.0, seed=1)
-    np.testing.assert_allclose(out, 4.0)
-
-
-def test_linear_interpolation_of_variation():
-    from gridbench.loadsynth import TraceComponents
-    comps = TraceComponents(mu=1.0, variation=np.array([0.0, 1.0]), noise_sigma=0.0)
-    out = synthesize_trace(comps, t_new=3, alpha=1.0, seed=0)
-    np.testing.assert_allclose(out, [1.0, 1.5, 2.0])
-
-
-def test_formula_transliteration_oracle():
-    # independent recomputation of (1 + alpha*c_new + n)*mu with the same PRNG
-    trace = 2.0 + np.sin(np.arange(48) / 5.0)
-    comps = decompose_trace(trace, window=5)
-    t_new, alpha, seed = 100, 1.0, 33
-    got = synthesize_trace(comps, t_new, alpha, seed)
-
-    c_new = np.interp(np.linspace(0, len(comps.variation) - 1, t_new),
-                      np.arange(len(comps.variation), dtype=float), comps.variation)
-    noise = Rng(seed).normals(t_new, 0.0, comps.noise_sigma)
-    expect = (1.0 + alpha * c_new + noise) * comps.mu
-    np.testing.assert_allclose(got, expect, rtol=0, atol=0)
-
-
-def test_seeded_synthesis_bit_identical():
-    trace = 1.0 + 0.3 * np.cos(np.arange(48) / 3.0)
-    comps = decompose_trace(trace)
-    a = synthesize_trace(comps, 200, 1.0, seed=5)
-    b = synthesize_trace(comps, 200, 1.0, seed=5)
-    assert a.tobytes() == b.tobytes()
-
-
-def test_negative_output_clamped_with_warning():
-    from gridbench.loadsynth import TraceComponents
-    comps = TraceComponents(mu=1.0, variation=np.array([-2.0, 2.0]), noise_sigma=0.0)
-    with pytest.warns(UserWarning, match="clamped"):
-        out = synthesize_trace(comps, t_new=4, alpha=1.0, seed=0)
-    assert np.all(out > 0)
 
 
 # --------------------------------------------------------------- styles
@@ -139,15 +49,15 @@ def test_abrupt_step_height():
     assert prof[10] == pytest.approx(1.4)
 
 
-def test_unit_commit_exact_zeros():
-    p = StyleParams(style="gen_unit_commit", amplitude=0.1, peak_tick=5,
-                    off_intervals=((0, 4), (20, 30)))
-    prof = style_profile(p, horizon=48)
-    assert np.all(prof[0:4] == 0.0)
-    assert np.all(prof[20:30] == 0.0)
-    on = np.ones(48, dtype=bool)
-    on[0:4] = on[20:30] = False
-    assert np.all(prof[on] > 0.0)
+def test_step_tick_outside_horizon_rejected():
+    # a negative step tick would put the step on the last ticks through a
+    # negative slice; one at or past the horizon would silently drop it
+    with pytest.raises(LoadSynthError, match="step_tick must be nonnegative"):
+        StyleParams(style="abrupt", step_tick=-3, step_height=0.3)
+    p = StyleParams(style="abrupt", step_tick=8, step_height=0.3)
+    with pytest.raises(LoadSynthError, match="step_tick 8 outside horizon 8"):
+        style_profile(p, horizon=8)
+    assert style_profile(replace(p, step_tick=7), horizon=8)[7] == pytest.approx(1.3)
 
 
 def test_styles_strictly_positive():

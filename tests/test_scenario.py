@@ -1,4 +1,4 @@
-"""Scenario construction, tick loop, dispatch, and exports."""
+"""Scenario construction, tick loop, dispatch, and event rates."""
 
 from dataclasses import replace
 
@@ -19,9 +19,6 @@ from gridbench.scenario import (
     generation_dispatch,
     run_scenario,
     sample_event_schedule,
-    write_labels_csv,
-    write_stream_csv,
-    write_topology_csv,
 )
 
 from test_grid import MINIMAL_2BUS
@@ -84,7 +81,7 @@ def test_sampled_schedule_monte_carlo_rate():
     case = bundled_case("case57")
     horizon, interval = 480, 30.0  # ten days
     expect = expected_event_counts(case, horizon * interval / 60.0)
-    counts = [len(sample_event_schedule(case, horizon, interval, seed=s))
+    counts = [len(sample_event_schedule(case, horizon, seed=s))
               for s in range(30)]
     target = expect["line_changes"] + expect["gen_switches"]
     assert abs(np.mean(counts) - target) < 0.35 * target
@@ -314,42 +311,3 @@ def test_outage_screen_lets_programming_faults_through(monkeypatch):
     with pytest.raises(TypeError, match="programming fault"):
         benchmark_config(bundled_case("case14"), variant="small", seed=0)
 
-
-# -------------------------------------------------------------- exports
-
-def test_csv_exports_deterministic(tmp_path):
-    case = bundled_case("case14")
-    ev = TopologyEvent(tick=2, kind="line_open", target=3, label="known")
-    an = TopologyEvent(tick=5, kind="line_open", target=7, label="anomaly")
-    an2 = TopologyEvent(tick=7, kind="line_close", target=7, label="anomaly")
-    cfg = small_config(case, horizon=10, known=[ev], anomalies=[an, an2], noise=0.01)
-    stream = run_scenario(build_scenario(cfg))
-    paths = {}
-    for name, writer in (("stream", write_stream_csv), ("labels", write_labels_csv)):
-        p1 = tmp_path / f"{name}_1.csv"
-        p2 = tmp_path / f"{name}_2.csv"
-        writer(stream, str(p1))
-        writer(run_scenario(build_scenario(cfg)), str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
-        paths[name] = p1
-    topo = tmp_path / "topology.csv"
-    write_topology_csv(stream, case, str(topo))
-    lines = topo.read_text().splitlines()
-    assert lines[0] == "tick,topology_id,open_branches"
-    assert lines[1] == "0,1,"
-    assert lines[3] == "2,2,3"
-    labels = paths["labels"].read_text().splitlines()
-    assert labels[1:] == ["2,known_change", "5,anomaly", "7,anomaly"]
-
-
-def test_stream_csv_parses_back_to_values(tmp_path):
-    case = bundled_case("case14")
-    stream = run_scenario(build_scenario(small_config(case, horizon=3, noise=0.01)))
-    path = tmp_path / "stream.csv"
-    write_stream_csv(stream, str(path))
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
-    assert [(int(t), s, k) for t, s, k, _ in rows] == [
-        (t, s, k) for t in range(3)
-        for s, k in zip(stream.sensor_ids, stream.sensor_types)]
-    parsed = np.array([float(v) for *_, v in rows]).reshape(stream.values.shape)
-    assert parsed.tobytes() == stream.values.tobytes()
