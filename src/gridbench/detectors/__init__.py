@@ -89,8 +89,16 @@ def score_stream(stream, names=DETECTOR_NAMES, cfg: DetectorConfig | None = None
     """Run the selected detectors over a labeled stream.
 
     ``case`` is required for the topology-aware detector (distance weights).
-    Unknown names raise with the valid list.
+    Unknown names raise with the valid list. Both are checked before any
+    detector runs.
     """
+    names = tuple(names)
+    for name in names:
+        if name not in DETECTOR_NAMES:
+            raise ValueError(
+                f"unknown detector {name!r}; valid names: {', '.join(DETECTOR_NAMES)}")
+    if "topo" in names and case is None:
+        raise ValueError("the topology-aware detector needs the grid case")
     cfg = cfg or DetectorConfig()
     out: dict[str, AnomalyScoreSeries] = {}
     for name in names:
@@ -101,15 +109,10 @@ def score_stream(stream, names=DETECTOR_NAMES, cfg: DetectorConfig | None = None
         elif name == "var":
             out[name] = var_score_stream(stream.values, cfg.var)
         elif name == "topo":
-            if case is None:
-                raise ValueError("the topology-aware detector needs the grid case")
             out[name] = topo_aware_score(stream.values, stream.topology_id_per_tick,
                                          stream.topology_registry, case, cfg.topo)
-        elif name in FIT_BASED:
-            out[name] = _fit_based_series(name, stream, cfg)
         else:
-            raise ValueError(
-                f"unknown detector {name!r}; valid names: {', '.join(DETECTOR_NAMES)}")
+            out[name] = _fit_based_series(name, stream, cfg)
     return out
 
 

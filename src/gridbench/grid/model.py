@@ -8,6 +8,7 @@ immutable after construction: every mutation helper returns a new
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 BUS_KINDS = ("slack", "pv", "pq")
 BRANCH_STATUS = ("closed", "open")
@@ -143,10 +144,36 @@ class GridCase:
     # -- lookup helpers ---------------------------------------------------
 
     def bus(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise GridModelError(f"unknown bus {bus_id}")
+        try:
+            return self._bus_by_id[bus_id]
+        except KeyError:
+            raise GridModelError(f"unknown bus {bus_id}") from None
+
+    # once per (immutable) case; cached_property writes the instance dict, not a field
+    @cached_property
+    def _bus_by_id(self) -> dict[int, Bus]:
+        return {b.id: b for b in self.buses}
+
+    @cached_property
+    def _islands(self) -> tuple[tuple[int, ...], ...]:
+        """Islands over closed branches by union-find (see ``islands_of``)."""
+        parent = {b.id: b.id for b in self.buses}
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for br in self.branches:
+            if br.closed:
+                ra, rb = find(br.from_bus), find(br.to_bus)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+        groups: dict[int, list[int]] = {}
+        for bus_id in parent:
+            groups.setdefault(find(bus_id), []).append(bus_id)
+        return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
 
     def branch(self, branch_id: int) -> Branch:
         for br in self.branches:
@@ -231,26 +258,4 @@ def require_slack_per_active_island(case: GridCase) -> None:
 
 def islands_of(case: GridCase) -> list[list[int]]:
     """Bus ids grouped into islands, each sorted, ordered by smallest member."""
-    comp = island_membership(case)
-    groups: dict[int, list[int]] = {}
-    for bus_id, root in comp.items():
-        groups.setdefault(root, []).append(bus_id)
-    return [sorted(v) for _, v in sorted(groups.items())]
-
-
-def island_membership(case: GridCase) -> dict[int, int]:
-    """Map bus id -> smallest bus id of its island over closed branches."""
-    parent = {b.id: b.id for b in case.buses}
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for br in case.branches:
-        if br.closed:
-            ra, rb = find(br.from_bus), find(br.to_bus)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {i: find(i) for i in parent}
+    return [list(members) for members in case._islands]

@@ -11,16 +11,19 @@ arrays and each Newton step is one dense solve.
 
 ``network`` compiles one topology of a case for the solver into a
 ``Network`` record: the admittance matrix, the slack/PV/PQ bus index
-vectors (after the island check), the voltage setpoints, the slack angles
-and the bus of each load and online generator. A scenario tick supplies
-only the per-bus demand and scheduled injections
+vectors (after the island check), the voltage setpoints, the slack angles,
+the bus of each load and online generator, and the Newton structure of the
+topology: the index vectors of the regulated buses and of the unknowns, and
+the admittance blocks that the reduced Jacobian is built from. A scenario
+tick supplies only the per-bus demand and scheduled injections
 (``Network.with_injections``); ``solve_pf`` also takes a case and compiles it.
 
 Conventions:
     - complex voltage V = vm * exp(j*va), arrays ordered like case.buses
     - mismatch = specified injection minus calculated injection (pu)
-    - the Jacobian here is d(mismatch)/d(va, vm), i.e. the negative of the
+    - the Jacobian here is d(mismatch)/d(unknowns), i.e. the negative of the
       calculated-injection derivatives (MATPOWER's ``dSbus_dV`` formulas)
+      restricted to the unknowns: va at PV/PQ buses, then vm at PQ buses
 
 PV buses hold their generator voltage setpoint; reactive limits are not
 enforced during the solve (limit violations are scored downstream). A PV
@@ -104,14 +107,21 @@ class Network:
 
     Index vectors hold bus positions. A PV bus without an online generator
     is PQ; buses of inert slackless islands are in none of slack/pv/pq.
-    Only the per-bus demand and scheduled net injection (online generation
-    minus demand, pu) change with loads and dispatch.
+    ``unknowns`` indexes the stacked (va, vm) of all buses, and also the
+    stacked (P, Q) mismatches, which it picks in the same order. Only the
+    per-bus demand and scheduled net injection (online generation minus
+    demand, pu) change with loads and dispatch.
     """
 
     ybus: AdmittanceMatrix
     slack: np.ndarray
     pv: np.ndarray
     pq: np.ndarray
+    regulated: np.ndarray  # slack then PV buses: they hold their vm setpoint
+    pvpq: np.ndarray  # PV then PQ buses: their va is unknown
+    unknowns: np.ndarray  # va at pvpq, then vm at pq (offset by n)
+    y_pvpq: np.ndarray  # ybus rows and columns at pvpq
+    y_pvpq_pq: np.ndarray  # ybus rows at pvpq, columns at pq
     vm_set: np.ndarray  # vm setpoint at slack/PV buses (the bus vm elsewhere)
     va_slack: np.ndarray  # angle of each slack bus
     load_bus: np.ndarray  # bus of each load, in case order
@@ -208,25 +218,20 @@ def mismatch(net: Network | GridCase, vm: np.ndarray,
     return net.p_spec - s.real, net.q_spec - s.imag
 
 
-def _dSbus_dV(y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of calculated complex injections wrt angle and magnitude."""
-    ibus = y @ v
-    vnorm = v / np.abs(v)
-    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - y * v)
-    ds_dvm = v[:, None] * np.conj(y * vnorm) + np.diag(np.conj(ibus) * vnorm)
-    return ds_dva, ds_dvm
-
-
-def jacobian(net: Network | GridCase, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """Full 2n x 2n real Jacobian of the mismatch wrt (va, vm).
-
-    Row order: P mismatch of every bus, then Q mismatch of every bus.
-    Column order: va of every bus, then vm of every bus.
-    """
-    ybus = net.ybus if isinstance(net, Network) else build_ybus(net)
-    ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
-    ds = np.concatenate([ds_dva, ds_dvm], axis=1)
-    return -np.concatenate([ds.real, ds.imag])
+def _reduced_jacobian(net: Network, v: np.ndarray, ibus: np.ndarray) -> np.ndarray:
+    """d(mismatch)/d(unknowns) at voltages ``v`` with ``ibus = Y v``: MATPOWER's
+    ``dSbus_dV`` on the unknowns' blocks (rows P at pvpq, Q at pq; columns va
+    at pvpq, vm at pq), negated. Off the diagonal the negation folds exactly
+    into a factor, as -conj(0 - x) = conj(x) and -(a b) = (-a) b."""
+    npv, npq, vr = len(net.pv), len(net.pq), v[net.pvpq]
+    jv, yv = 1j * vr, net.y_pvpq * vr
+    d_va = jv[:, None] * np.conj(yv)
+    d_va.flat[::len(vr) + 1] = -(jv * np.conj(ibus[net.pvpq] - yv.diagonal()))
+    vnorm = v[net.pq] / np.abs(v[net.pq])
+    d_vm = -vr[:, None] * np.conj(net.y_pvpq_pq * vnorm)
+    d_vm.flat[npv * npq::npq + 1] -= np.conj(ibus[net.pq]) * vnorm  # pq rows' diagonal
+    d = np.concatenate([d_va, d_vm], axis=1)
+    return np.concatenate([d.real, d[npv:].imag])
 
 
 def _check_islands_solvable(case: GridCase, idx: dict[int, int]) -> list[int]:
@@ -270,8 +275,12 @@ def network(case: GridCase) -> Network:
     vm_set = np.array([b.vm for b in case.buses])
     for g in sorted(online, key=lambda g: g.id, reverse=True):
         vm_set[idx[g.bus]] = g.v_set  # the lowest-id online generator wins
+    pv, pq = np.flatnonzero(kinds == "pv"), np.flatnonzero(kinds == "pq")
+    pvpq = np.concatenate([pv, pq])
+    y_pvpq = ybus.matrix[pvpq]
     empty = np.zeros(n)
-    net = Network(ybus, slack, np.flatnonzero(kinds == "pv"), np.flatnonzero(kinds == "pq"),
+    net = Network(ybus, slack, pv, pq, np.concatenate([slack, pv]), pvpq,
+                  np.concatenate([pvpq, n + pq]), y_pvpq[:, pvpq], y_pvpq[:, pq],
                   vm_set, np.array([case.buses[i].va for i in slack]),
                   np.array([idx[l.bus] for l in case.loads], dtype=int), gen_bus,
                   empty, empty, empty, empty)
@@ -291,12 +300,7 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
     net = network(net) if isinstance(net, GridCase) else net
     ybus = net.ybus
     n = ybus.dimension
-    slack, pv, pq = net.slack, net.pv, net.pq
-    regulated = np.concatenate([slack, pv])  # buses that hold their vm setpoint
-    pvpq = np.concatenate([pv, pq])
-    # unknowns (va at PV/PQ buses, vm at PQ buses); the same index vector
-    # picks the matching mismatch rows (P, then Q) of the full Jacobian
-    unknowns = np.concatenate([pvpq, n + pq])
+    slack, pq, pvpq, regulated = net.slack, net.pq, net.pvpq, net.regulated
 
     if start == "flat":
         vm = np.ones(n)
@@ -310,31 +314,33 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
     vm[regulated] = net.vm_set[regulated]
     va[slack] = net.va_slack
 
-    def current_mismatch():
-        s = calculated_injections(ybus, vm, va)
-        return np.concatenate([net.p_spec - s.real, net.q_spec - s.imag])[unknowns]
+    def evaluate():
+        """Voltages, bus currents, calculated injections and the mismatch
+        at the unknowns, at the current (vm, va)."""
+        v = vm * np.exp(1j * va)
+        ibus = ybus.matrix @ v
+        s = v * np.conj(ibus)
+        f = np.concatenate([net.p_spec - s.real, net.q_spec - s.imag])[net.unknowns]
+        return v, ibus, s, f, float(np.abs(f).max(initial=0.0))
 
     iterations = 0
-    f = current_mismatch()
-    max_mis = float(np.max(np.abs(f))) if len(f) else 0.0
+    v, ibus, s, f, max_mis = evaluate()
     while max_mis > tol and iterations < max_iter:
-        jac = jacobian(net, vm, va)[np.ix_(unknowns, unknowns)]
+        jac = _reduced_jacobian(net, v, ibus)
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError as exc:
             raise PowerFlowError(f"singular Jacobian at iteration {iterations}: {exc}") from exc
-        if not np.all(np.isfinite(dx)):
+        if not np.isfinite(dx).all():
             raise PowerFlowError(f"singular Jacobian at iteration {iterations}")
         # f(x + dx) = 0 to first order with J = df/dx: dx = -J^{-1} f,
         # and J here already carries the minus sign of the mismatch.
         va[pvpq] -= dx[:len(pvpq)]
         vm[pq] -= dx[len(pvpq):]
         iterations += 1
-        f = current_mismatch()
-        max_mis = float(np.max(np.abs(f))) if len(f) else 0.0
+        v, ibus, s, f, max_mis = evaluate()
 
     converged = max_mis <= tol
-    s = calculated_injections(ybus, vm, va)
     # Recovered net generation: scheduled at PV/PQ buses, balanced at the
     # slack; PV-bus reactive output comes from the solution.
     pg = net.p_spec + net.pd

@@ -2,13 +2,13 @@
 
 A scenario couples a grid case with per-load style profiles and a schedule
 of topology/generator events, some announced ("known") and some not
-("anomaly"). Running it walks the tick loop: apply due events (and only
-then recompile the true topology's ``powerflow.Network``), set loads,
-dispatch generation to follow demand, solve the power flow warm-started
-from the previous tick (from a flat start when the warm start diverges),
-and emit noisy sensor readings. The stream is two ticks x sensors arrays,
-``values`` (noisy readings) and ``sigmas`` (their noise levels), under one
-fixed sensor roster.
+("anomaly"). Running it walks topology segments (the ticks from one event
+to the next): compile the segment's true topology once, then per tick set
+loads, dispatch generation to follow demand and solve the power flow
+warm-started from the previous tick (from a flat start when the warm start
+diverges); read the segment's sensors in one batch. The stream is two
+ticks x sensors arrays, ``values`` (noisy readings) and ``sigmas`` (their
+noise levels), under one fixed sensor roster, plus per-tick solver stats.
 
 Announced topology ids track *known* events only; anomalies change the
 physics but not the announced id, which is exactly the blind spot the
@@ -69,6 +69,11 @@ class LabeledStream:
     sensor_types: tuple[str, ...]
     values: np.ndarray  # ticks x sensors, noisy
     sigmas: np.ndarray  # ticks x sensors, noise standard deviation of each reading
+    # per tick, of the kept solve: Newton iterations, final max mismatch (pu),
+    # and whether a diverged warm start (max_iter iterations) was retried flat
+    iterations: np.ndarray
+    max_mismatch: np.ndarray
+    retried: np.ndarray
     topology_registry: dict[int, frozenset] = field(default_factory=dict)
     train_ticks: tuple[int, ...] = ()
     test_ticks: tuple[int, ...] = ()
@@ -190,25 +195,31 @@ def _sensor_roster(case: GridCase) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return tuple(ids), tuple(types)
 
 
-def _truth_vector(case: GridCase, net: Network, sol: PFSolution) -> np.ndarray:
-    """Noise-free readings in roster order (see ``_sensor_roster``)."""
-    flows = branch_flows(case, sol)
-    return np.concatenate([
-        np.column_stack([sol.vm, sol.pg - net.pd, sol.qg - net.qd]).ravel(),
-        np.column_stack([flows.p_from, flows.q_from, flows.i_from_mag]).ravel()])
+def _readings(case: GridCase, net: Network, vm: np.ndarray, va: np.ndarray,
+              p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Noise-free readings (ticks x roster, see ``_sensor_roster``) from
+    ticks x buses voltages and net injections; open branches read zero."""
+    br = net.ybus.branches
+    end = br.terminals(vm * np.exp(1j * va))
+    flows = np.zeros((len(vm), len(case.branches), 3))
+    flows[:, br.pos] = np.stack([end.s_f.real, end.s_f.imag, np.abs(end.i_f)], axis=2)
+    return np.concatenate([np.stack([vm, p, q], axis=2).reshape(len(vm), -1),
+                           flows.reshape(len(vm), -1)], axis=1)
 
 
 def run_scenario(scenario: Scenario) -> LabeledStream:
     """Execute the tick loop and emit the noisy labeled stream.
 
-    A tick whose warm-started power flow diverges is solved again from a
-    flat start. Aborts with the tick index if that fails too; ticks are
-    never silently skipped.
+    Each event tick starts a topology segment, whose network is compiled
+    once and whose noise-free readings are computed in one batch. A tick
+    whose warm-started power flow diverges is solved again from a flat
+    start. Aborts with the tick index if that fails too, or if the tick's
+    demand exceeds the online capacity; ticks are never silently skipped.
 
-    The loop fills the noise-free readings. The measurement noise is drawn
-    after it, in one call for the whole horizon and in reading order (tick
-    by tick, each tick in roster order), so reading ``(t, j)`` gets the
-    same draw as a per-reading loop would give it.
+    The measurement noise is drawn after the loop, in one call for the whole
+    horizon and in reading order (tick by tick, each tick in roster order),
+    so reading ``(t, j)`` gets the same draw as a per-reading loop would
+    give it.
     """
     cfg = scenario.config
     case = cfg.case
@@ -219,33 +230,44 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     by_tick: dict[int, list[TopologyEvent]] = {}
     for ev in scenario.events:
         by_tick.setdefault(ev.tick, []).append(ev)
+    starts = sorted({0, *by_tick})
 
     values = np.empty((cfg.horizon, len(sensor_ids)))
+    iterations = np.zeros(cfg.horizon, dtype=int)
+    max_mismatch = np.zeros(cfg.horizon)
+    retried = np.zeros(cfg.horizon, dtype=bool)
     current = case
     prev: PFSolution | None = None
-    for t in range(cfg.horizon):
-        for ev in by_tick.get(t, ()):
+    for first, stop in zip(starts, starts[1:] + [cfg.horizon]):
+        for ev in by_tick.get(first, ()):
             current = apply_event(current, ev)
-        if t == 0 or t in by_tick:
-            net = network(current)
-            online = [g for g in current.generators if g.online]
-        mult = scenario.multipliers[t]
-        dispatch = generation_dispatch(current, float(base_pd @ mult) * (1.0 + DISPATCH_LOSS_FRAC))
-        tick = net.with_injections(base_pd * mult, base_qd * mult,
-                                   [dispatch[g.id] for g in online], [g.qg for g in online])
-
-        start = "flat" if prev is None else (prev.vm, prev.va)
-        sol = solve_pf(tick, start=start)
-        if not sol.converged and start != "flat":
-            # a warm start carried from a disturbed state can diverge where
-            # a flat start converges (e.g. when a tripped line recloses)
-            sol = solve_pf(tick)
-        if not sol.converged:
-            raise ScenarioError(
-                f"power flow diverged at tick {t} (max mismatch {sol.max_mismatch:.2e})")
-        prev = sol
-
-        values[t] = _truth_vector(case, tick, sol)
+        net = network(current)
+        online = [g for g in current.generators if g.online]
+        # per tick of the segment: vm, va, and net active/reactive injection
+        state = np.empty((4, stop - first, len(case.buses)))
+        for t in range(first, stop):
+            mult = scenario.multipliers[t]
+            try:
+                dispatch = generation_dispatch(
+                    current, float(base_pd @ mult) * (1.0 + DISPATCH_LOSS_FRAC))
+            except ScenarioError as exc:
+                raise ScenarioError(f"{exc} at tick {t}") from exc
+            tick = net.with_injections(base_pd * mult, base_qd * mult,
+                                       [dispatch[g.id] for g in online], [g.qg for g in online])
+            start = "flat" if prev is None else (prev.vm, prev.va)
+            sol = solve_pf(tick, start=start)
+            if not sol.converged and start != "flat":
+                # a warm start carried from a disturbed state can diverge where
+                # a flat start converges (e.g. when a tripped line recloses)
+                retried[t] = True
+                sol = solve_pf(tick)
+            if not sol.converged:
+                raise ScenarioError(
+                    f"power flow diverged at tick {t} (max mismatch {sol.max_mismatch:.2e})")
+            prev = sol
+            iterations[t], max_mismatch[t] = sol.iterations, sol.max_mismatch
+            state[:, t - first] = sol.vm, sol.va, sol.pg - tick.pd, sol.qg - tick.qd
+        values[first:stop] = _readings(case, net, *state)
 
     sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
     if cfg.noise_sigma_rel > 0:
@@ -260,6 +282,9 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
         sensor_types=sensor_types,
         values=values,
         sigmas=sigmas,
+        iterations=iterations,
+        max_mismatch=max_mismatch,
+        retried=retried,
         topology_registry=scenario.topology_registry,
         train_ticks=scenario.train_ticks,
         test_ticks=scenario.test_ticks,

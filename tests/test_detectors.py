@@ -1,5 +1,7 @@
 """Detector oracle tests: GESD, AR/VAR, LOF, Parzen, isolation forest, topo."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -610,3 +612,19 @@ def test_detector_determinism():
     a = arima_score_stream(values, ArimaConfig())
     b = arima_score_stream(values, ArimaConfig())
     np.testing.assert_array_equal(a.scores, b.scores)
+
+
+@pytest.mark.parametrize("names,with_case,match", [
+    (("gesd", "bogus"), True, "unknown detector 'bogus'"),
+    (("gesd", "topo"), False, "needs the grid case"),
+])
+def test_score_stream_checks_arguments_before_any_detector_runs(monkeypatch, names,
+                                                                with_case, match):
+    import gridbench.detectors as detectors
+
+    calls = []
+    monkeypatch.setattr(detectors, "gesd_score_stream", lambda *args: calls.append(args))
+    stream = SimpleNamespace(values=np.zeros((60, 2)))
+    with pytest.raises(ValueError, match=match):
+        detectors.score_stream(stream, names, case=object() if with_case else None)
+    assert calls == []

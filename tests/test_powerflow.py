@@ -20,13 +20,14 @@ from gridbench.grid import (
     load_case,
 )
 from gridbench.powerflow import (
+    Network,
     PFSolution,
     PowerFlowError,
+    _reduced_jacobian,
     branch_admittances,
     branch_flows,
     build_ybus,
     calculated_injections,
-    jacobian,
     mismatch,
     network,
     solve_pf,
@@ -231,6 +232,29 @@ def test_per_bus_power_balance_invariant():
 
 # -------------------------------------------------------------- jacobian
 
+def _dSbus_dV(y, v):
+    """Derivatives of calculated complex injections wrt angle and magnitude
+    (MATPOWER's ``dSbus_dV``, dense)."""
+    ibus = y @ v
+    vnorm = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(ibus) - y * v)
+    ds_dvm = v[:, None] * np.conj(y * vnorm) + np.diag(np.conj(ibus) * vnorm)
+    return ds_dva, ds_dvm
+
+
+def jacobian(net, vm, va):
+    """Full 2n x 2n real Jacobian of the mismatch wrt (va, vm), the
+    reference for the solver's reduced one.
+
+    Row order: P mismatch of every bus, then Q mismatch of every bus.
+    Column order: va of every bus, then vm of every bus.
+    """
+    ybus = net.ybus if isinstance(net, Network) else build_ybus(net)
+    ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
+    ds = np.concatenate([ds_dva, ds_dvm], axis=1)
+    return -np.concatenate([ds.real, ds.imag])
+
+
 def finite_difference_jacobian(case, vm, va, eps=1e-7):
     net = network(case)
     n = len(vm)
@@ -263,6 +287,28 @@ def test_jacobian_matches_finite_differences_random_states():
         fd = finite_difference_jacobian(case, vm, va)
         scale = np.maximum(np.abs(fd), 1.0)
         assert np.max(np.abs(j - fd) / scale) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["case14", "case30", "case57", "case14-pv-gen-off"])
+def test_reduced_jacobian_is_the_full_jacobians_unknowns_block(name):
+    """The solver's Jacobian, built from the compiled blocks, equals the
+    full Jacobian's rows and columns at the unknowns exactly; a PV bus whose
+    generator is off is solved as PQ."""
+    case = bundled_case(name.split("-")[0])
+    if name.endswith("gen-off"):
+        gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
+        case = apply_event(case, TopologyEvent(0, "gen_off", gen.id))
+        assert [b.id for b in case.buses].index(gen.bus) in network(case).pq
+    net = network(case)
+    n = len(case.buses)
+    rng = Rng(17)
+    for _ in range(20):
+        vm = 1.0 + 0.05 * rng.normals(n)
+        va = 0.1 * rng.normals(n)
+        v = vm * np.exp(1j * va)
+        got = _reduced_jacobian(net, v, net.ybus.matrix @ v)
+        want = jacobian(net, vm, va)[np.ix_(net.unknowns, net.unknowns)]
+        assert np.array_equal(got, want)
 
 
 def test_jacobian_lossless_two_bus_analytic():

@@ -7,10 +7,11 @@ import pytest
 
 from gridbench.grid import TopologyEvent, apply_event, bundled_case, load_case
 from gridbench.loadsynth import StyleParams
-from gridbench.powerflow import branch_flows, solve_pf
+from gridbench.powerflow import branch_flows, network, solve_pf
 from gridbench.rng import Rng
 from gridbench.scenario import (
     _NOISE_SEED_KEY,
+    DISPATCH_LOSS_FRAC,
     ScenarioConfig,
     ScenarioError,
     benchmark_config,
@@ -142,9 +143,9 @@ def test_dispatch_over_capacity_errors():
 # ------------------------------------------------------------ execution
 
 def test_zero_noise_frames_equal_pf_truth():
-    """Every tick's vm and flow readings equal a fresh power flow of that
-    tick's case, across a generator switched off and on at a PV bus and an
-    unannounced line trip and reclose."""
+    """Every tick's readings equal, exactly, those of a fresh power flow of
+    that tick's case, across a generator switched off and on at a PV bus
+    and an unannounced line trip and reclose."""
     case = bundled_case("case14")
     gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
     known = [TopologyEvent(2, "gen_off", gen.id), TopologyEvent(8, "gen_on", gen.id)]
@@ -155,8 +156,12 @@ def test_zero_noise_frames_equal_pf_truth():
     scen = build_scenario(small_config(case, horizon=10, known=known,
                                        anomalies=anomalies, styles=styles))
     stream = run_scenario(scen)
-    vm_cols = [stream.sensor_ids.index(f"vm:{b.id}") for b in case.buses]
-    pf_cols = [stream.sensor_ids.index(f"pf:{br.id}") for br in case.branches]
+    cols = {kind: [stream.sensor_ids.index(f"{kind}:{x.id}") for x in items]
+            for kind, items in (("vm", case.buses), ("pinj", case.buses),
+                                ("qinj", case.buses), ("pf", case.branches),
+                                ("qf", case.branches), ("if", case.branches))}
+    assert sorted(sum(cols.values(), [])) == list(range(len(stream.sensor_ids)))
+    base_pd = np.array([l.pd for l in case.loads])
     current, prev = case, None
     for t in range(scen.config.horizon):
         for ev in scen.events:
@@ -165,15 +170,73 @@ def test_zero_noise_frames_equal_pf_truth():
         mult = scen.multipliers[t]
         loads = tuple(replace(l, pd=l.pd * m, qd=l.qd * m)
                       for l, m in zip(case.loads, mult))
-        disp = generation_dispatch(current, sum(l.pd for l in loads) * 1.02)
+        disp = generation_dispatch(current, float(base_pd @ mult) * (1.0 + DISPATCH_LOSS_FRAC))
         tick_case = replace(current, loads=loads, generators=tuple(
             replace(g, pg=disp[g.id]) if g.online else g for g in current.generators))
-        sol = solve_pf(tick_case, start="flat" if prev is None else (prev.vm, prev.va))
+        net = network(tick_case)
+        sol = solve_pf(net, start="flat" if prev is None else (prev.vm, prev.va))
         assert sol.converged
-        np.testing.assert_allclose(stream.values[t, vm_cols], sol.vm, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(stream.values[t, pf_cols],
-                                   branch_flows(tick_case, sol).p_from, rtol=0, atol=1e-12)
+        flows = branch_flows(tick_case, sol)
+        truth = {"vm": sol.vm, "pinj": sol.pg - net.pd, "qinj": sol.qg - net.qd,
+                 "pf": flows.p_from, "qf": flows.q_from, "if": flows.i_from_mag}
+        for kind, want in truth.items():
+            assert np.array_equal(stream.values[t, cols[kind]], want), (t, kind)
         prev = sol
+
+
+def per_tick_stream(scenario):
+    """Reference tick loop: one warm-started solve and one ``branch_flows``
+    call per tick, noise drawn as ``run_scenario`` draws it. Returns
+    (values, sigmas, ticks that took the flat-start retry)."""
+    cfg = scenario.config
+    case = cfg.case
+    base_pd = np.array([l.pd for l in case.loads])
+    base_qd = np.array([l.qd for l in case.loads])
+    by_tick = {}
+    for ev in scenario.events:
+        by_tick.setdefault(ev.tick, []).append(ev)
+    values = np.empty((cfg.horizon, 3 * len(case.buses) + 3 * len(case.branches)))
+    retried = []
+    current, prev = case, None
+    for t in range(cfg.horizon):
+        for ev in by_tick.get(t, ()):
+            current = apply_event(current, ev)
+        if t == 0 or t in by_tick:
+            net = network(current)
+            online = [g for g in current.generators if g.online]
+        mult = scenario.multipliers[t]
+        dispatch = generation_dispatch(current, float(base_pd @ mult) * (1.0 + DISPATCH_LOSS_FRAC))
+        tick = net.with_injections(base_pd * mult, base_qd * mult,
+                                   [dispatch[g.id] for g in online], [g.qg for g in online])
+        start = "flat" if prev is None else (prev.vm, prev.va)
+        sol = solve_pf(tick, start=start)
+        if not sol.converged and start != "flat":
+            retried.append(t)
+            sol = solve_pf(tick)
+        assert sol.converged
+        prev = sol
+        flows = branch_flows(case, sol)
+        values[t] = np.concatenate([
+            np.column_stack([sol.vm, sol.pg - tick.pd, sol.qg - tick.qd]).ravel(),
+            np.column_stack([flows.p_from, flows.q_from, flows.i_from_mag]).ravel()])
+    sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
+    noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
+    values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
+    return values, sigmas, retried
+
+
+@pytest.mark.parametrize("name,variant,seed,segment", [
+    ("case30", "realistic", 1, 50),
+    ("case57", "small", 0, 20),  # takes the flat-start retry
+])
+def test_segment_walk_equals_per_tick_loop(name, variant, seed, segment):
+    cfg = benchmark_config(bundled_case(name), variant=variant, seed=seed, segment=segment)
+    scen = build_scenario(cfg)
+    stream = run_scenario(scen)
+    values, sigmas, retried = per_tick_stream(scen)
+    assert np.array_equal(stream.values, values)
+    assert np.array_equal(stream.sigmas, sigmas)
+    assert list(np.flatnonzero(stream.retried)) == retried
 
 
 def test_line_open_zeroes_flow_sensors():
@@ -230,6 +293,12 @@ def test_case57_benchmark_scenario_retries_diverged_warm_start(variant):
     stream = run_scenario(build_scenario(cfg))
     assert stream.values.shape == (cfg.horizon, len(stream.sensor_ids))
     assert np.all(np.isfinite(stream.values))
+    # the per-tick solver record marks the retried tick; every kept solve
+    # converged to the solver's tolerance
+    assert stream.retried.shape == stream.iterations.shape == (cfg.horizon,)
+    assert stream.retried.any()
+    assert np.all(stream.max_mismatch <= 1e-8)
+    assert np.all(stream.iterations[stream.retried] > 0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -266,6 +335,16 @@ def test_pf_divergence_aborts_with_tick():
     case = load_case(doc)
     with pytest.raises(ScenarioError, match="tick 0"):
         run_scenario(build_scenario(small_config(case, horizon=2)))
+
+
+def test_over_capacity_tick_aborts_with_tick():
+    """Switching off the larger of two generators at tick 3 leaves less
+    capacity than demand; the error names that tick."""
+    doc = MINIMAL_2BUS.replace("pmax=10", "pmax=0.3") + "gen 2 bus=1 pmax=10\n"
+    case = load_case(doc)
+    known = [TopologyEvent(3, "gen_off", 2)]
+    with pytest.raises(ScenarioError, match="exceeds online capacity .* at tick 3$"):
+        run_scenario(build_scenario(small_config(case, horizon=6, known=known)))
 
 
 def test_measurement_sigma_positive_and_roster_constant():
