@@ -103,7 +103,6 @@ class OcsvmConfig:
 @dataclass(frozen=True)
 class IforestConfig:
     trees: int = 100
-    features_per_tree: int = 1
     subsample: int = 256
 
     def __post_init__(self):

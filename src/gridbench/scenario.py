@@ -2,13 +2,14 @@
 
 A scenario couples a grid case with per-load style profiles and a schedule
 of topology/generator events, some announced ("known") and some not
-("anomaly"). Running it walks topology segments (the ticks from one event
-to the next): compile the segment's true topology once, then per tick set
-loads, dispatch generation to follow demand and solve the power flow
-warm-started from the previous tick (from a flat start when the warm start
-diverges); read the segment's sensors in one batch. The stream is two
-ticks x sensors arrays, ``values`` (noisy readings) and ``sigmas`` (their
-noise levels), under one fixed sensor roster, plus per-tick solver stats.
+("anomaly"). Building it walks the schedule once into topology segments
+(the ticks from one event to the next) and their true cases. Running it
+compiles each segment's case once, then per tick sets loads, dispatches
+generation to follow demand and solves the power flow warm-started from
+the previous tick (from a flat start when the warm start diverges); it
+reads the segment's sensors in one batch. The stream is two ticks x
+sensors arrays, ``values`` (noisy readings) and ``sigmas`` (their noise
+levels), under one fixed sensor roster, plus per-tick solver stats.
 
 Announced topology ids track *known* events only; anomalies change the
 physics but not the announced id, which is exactly the blind spot the
@@ -18,6 +19,7 @@ detector benchmark probes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -81,9 +83,12 @@ class LabeledStream:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Load multipliers and the walked schedule; ``segments`` holds each
+    topology segment's first tick and true case (its events applied)."""
     config: ScenarioConfig
     multipliers: np.ndarray  # horizon x n_loads
     events: tuple[TopologyEvent, ...]  # merged, sorted by tick
+    segments: tuple[tuple[int, GridCase], ...]
     topology_id_per_tick: tuple[int, ...]
     topology_registry: dict[int, frozenset]
     train_ticks: tuple[int, ...]
@@ -91,7 +96,7 @@ class Scenario:
 
 
 def build_scenario(config: ScenarioConfig) -> Scenario:
-    """Materialize profiles, order events, and derive the topology sequence.
+    """Materialize profiles and walk the event schedule into topology segments.
 
     Fails fast if any event leaves a load island without an online
     generator, naming the offending event.
@@ -119,18 +124,16 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     reps = int(np.ceil(horizon / TICKS_PER_DAY))
     multipliers = np.tile(daily, (reps, 1))[:horizon]
 
-    # walk the schedule once to validate and to assign announced topology ids
-    true_case = case
-    announced_case = case
-    topo_id = 1
-    registry = {1: announced_case.closed_branch_key()}
-    topo_per_tick = []
-    by_tick: dict[int, list[TopologyEvent]] = {}
-    for ev in events:
-        by_tick.setdefault(ev.tick, []).append(ev)
-    for t in range(horizon):
+    # walk the schedule once, event tick to event tick: validate each tick's
+    # events, assign announced topology ids and record each segment's true case
+    true_case = announced_case = case
+    registry = {1: case.closed_branch_key()}
+    segments = {0: case}  # first tick -> true case
+    topo_per_tick: list[int] = []
+    for t, tick_events in groupby(events, key=lambda e: e.tick):
+        topo_per_tick += [len(registry)] * (t - len(topo_per_tick))
         announced_graph_change = False
-        for ev in by_tick.get(t, ()):
+        for ev in tick_events:
             true_case = apply_event(true_case, ev)
             for rep in connectivity_check(true_case):
                 if rep.unservable:
@@ -139,15 +142,13 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                         f"leaves island {rep.buses} unservable")
             if ev.label == "known":
                 announced_case = apply_event(announced_case, ev)
-                if ev.changes_graph:
-                    announced_graph_change = True
+                announced_graph_change |= ev.changes_graph
         if announced_graph_change:
-            topo_id += 1
-            registry[topo_id] = announced_case.closed_branch_key()
-        topo_per_tick.append(topo_id)
+            registry[len(registry) + 1] = announced_case.closed_branch_key()
+        segments[t] = true_case
+    topo_per_tick += [len(registry)] * (horizon - len(topo_per_tick))
 
-    distinct = len(set(registry.values()))
-    if distinct != len(registry):
+    if len(set(registry.values())) != len(registry):
         raise ScenarioError("announced topology sequence revisits an earlier topology")
     if config.topology_count is not None and len(registry) != config.topology_count:
         raise ScenarioError(
@@ -158,6 +159,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     test_ticks = tuple(t for t in range(horizon)
                        if topo_per_tick[t] > config.train_topologies)
     return Scenario(config=config, multipliers=multipliers, events=events,
+                    segments=tuple(segments.items()),
                     topology_id_per_tick=tuple(topo_per_tick),
                     topology_registry=registry,
                     train_ticks=train_ticks, test_ticks=test_ticks)
@@ -210,8 +212,8 @@ def _readings(case: GridCase, net: Network, vm: np.ndarray, va: np.ndarray,
 def run_scenario(scenario: Scenario) -> LabeledStream:
     """Execute the tick loop and emit the noisy labeled stream.
 
-    Each event tick starts a topology segment, whose network is compiled
-    once and whose noise-free readings are computed in one batch. A tick
+    Applies no event: each of ``scenario.segments`` has its network compiled
+    once and its noise-free readings computed in one batch. A tick
     whose warm-started power flow diverges is solved again from a flat
     start. Aborts with the tick index if that fails too, or if the tick's
     demand exceeds the online capacity; ticks are never silently skipped.
@@ -227,20 +229,13 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     base_qd = np.array([l.qd for l in case.loads])
     sensor_ids, sensor_types = _sensor_roster(case)
 
-    by_tick: dict[int, list[TopologyEvent]] = {}
-    for ev in scenario.events:
-        by_tick.setdefault(ev.tick, []).append(ev)
-    starts = sorted({0, *by_tick})
-
+    starts = [first for first, _ in scenario.segments]
     values = np.empty((cfg.horizon, len(sensor_ids)))
     iterations = np.zeros(cfg.horizon, dtype=int)
     max_mismatch = np.zeros(cfg.horizon)
     retried = np.zeros(cfg.horizon, dtype=bool)
-    current = case
     prev: PFSolution | None = None
-    for first, stop in zip(starts, starts[1:] + [cfg.horizon]):
-        for ev in by_tick.get(first, ()):
-            current = apply_event(current, ev)
+    for (first, current), stop in zip(scenario.segments, starts[1:] + [cfg.horizon]):
         net = network(current)
         online = [g for g in current.generators if g.online]
         # per tick of the segment: vm, va, and net active/reactive injection
@@ -313,7 +308,8 @@ def sample_event_schedule(case: GridCase, horizon: int, seed: int) -> list[Topol
     ``horizon`` half-hour ticks.
 
     Line toggles flip the tracked status; gen switches likewise. Events
-    that would leave a load island unservable are skipped.
+    that would leave a load island unservable are skipped. Each tick holds
+    at most one event; once all ticks do, the rest of the draw is dropped.
     """
     hours = horizon * 24.0 / TICKS_PER_DAY
     rates = expected_event_counts(case, hours)
@@ -323,27 +319,28 @@ def sample_event_schedule(case: GridCase, horizon: int, seed: int) -> list[Topol
     events: list[TopologyEvent] = []
     sim = case
     used_ticks: set[int] = set()
-    for kind_count, pool in (("line", n_line), ("gen", n_gen)):
-        for _ in range(pool):
+    for component in ["line"] * n_line + ["gen"] * n_gen:
+        if len(used_ticks) == horizon:
+            break  # every tick holds an event
+        tick = rng.randrange(horizon)
+        while tick in used_ticks:
             tick = rng.randrange(horizon)
-            while tick in used_ticks:
-                tick = rng.randrange(horizon)
-            if kind_count == "line":
-                br = rng.choice(sim.branches)
-                kind = "line_open" if br.closed else "line_close"
-                ev = TopologyEvent(tick=tick, kind=kind, target=br.id, label="known")
-            else:
-                g = rng.choice(sim.generators)
-                kind = "gen_off" if g.online else "gen_on"
-                ev = TopologyEvent(tick=tick, kind=kind, target=g.id, label="known")
-            candidate = apply_event(sim, ev)
-            if any(rep.unservable for rep in connectivity_check(candidate)):
-                continue
-            if len(islands_of(candidate)) > len(islands_of(sim)):
-                continue  # keep the benchmark single-island
-            sim = candidate
-            used_ticks.add(tick)
-            events.append(ev)
+        if component == "line":
+            br = rng.choice(sim.branches)
+            kind = "line_open" if br.closed else "line_close"
+            ev = TopologyEvent(tick=tick, kind=kind, target=br.id, label="known")
+        else:
+            g = rng.choice(sim.generators)
+            kind = "gen_off" if g.online else "gen_on"
+            ev = TopologyEvent(tick=tick, kind=kind, target=g.id, label="known")
+        candidate = apply_event(sim, ev)
+        if any(rep.unservable for rep in connectivity_check(candidate)):
+            continue
+        if len(islands_of(candidate)) > len(islands_of(sim)):
+            continue  # keep the benchmark single-island
+        sim = candidate
+        used_ticks.add(tick)
+        events.append(ev)
     return sorted(events, key=lambda e: e.tick)
 
 
@@ -422,6 +419,8 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
         raise ScenarioError(f"unknown variant {variant!r}")
     if segment < 5:
         raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
+    if n_topologies < 5:
+        raise ScenarioError(f"{n_topologies} topologies leave no fifth segment for a trip")
     horizon = segment * n_topologies
     n_loads = len(case.loads)
     if variant == "small":
@@ -433,9 +432,11 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     ranked = _branches_by_flow(case)
     plan = _toggle_plan(case, n_topologies, ranked)
     known = []
+    announced = [case]  # the announced case of each segment
     for i, (kind, target) in enumerate(plan):
         known.append(TopologyEvent(tick=segment * (i + 1), kind=kind,
                                    target=target, label="known"))
+        announced.append(apply_event(announced[-1], known[-1]))
 
     # each anomaly trips a line inside one segment and recloses it three
     # ticks later, before the segment's next announced toggle
@@ -448,25 +449,15 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
                           (test_seg + 1, segment // 2 + 5),
                           (test_seg + 2, segment // 2)))
 
-    def announced_outages(tick: int) -> tuple[int, ...]:
-        out: set[int] = set()
-        for i, (kind, target) in enumerate(plan):
-            if segment * (i + 1) > tick:
-                break
-            if kind == "line_open":
-                out.add(target)
-            else:
-                out.discard(target)
-        return tuple(sorted(out))
-
     toggled = {t for _, t in plan}
     spare = [k for k in ranked if case.branches[k].id not in toggled]
     anomaly_lines = []
     for k in spare:
         cand = case.branches[k].id
-        # the trip must stay solvable inside every topology it lands in
-        if all(_outage_ok(case, announced_outages(t) + (cand,))
-               for t in anomaly_base_ticks):
+        # the trip must stay solvable inside every topology it lands in;
+        # _toggle_plan screened each announced outage set against the base
+        # case's island count, so each announced case has that count too
+        if all(_outage_ok(announced[t // segment], (cand,)) for t in anomaly_base_ticks):
             anomaly_lines.append(cand)
         if len(anomaly_lines) >= 2:
             break

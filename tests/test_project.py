@@ -73,6 +73,22 @@ def test_public_names_are_reached():
     assert defined - loaded == KEPT_UNREACHED
 
 
+def test_config_fields_are_read():
+    # every field of a *Config dataclass and of PenaltyWeights is read as an
+    # attribute somewhere in src/, so no setting is silently ignored
+    fields, loaded = set(), set()
+    for tree in _parsed(ROOT / "src" / "gridbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and (node.name.endswith("Config")
+                                                   or node.name == "PenaltyWeights"):
+                fields.update((node.name, n.target.id) for n in node.body
+                              if isinstance(n, ast.AnnAssign))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert len(fields) > 40
+    assert {f for f in fields if f[1] not in loaded} == set()
+
+
 def _bench_layers(monkeypatch):
     bench = ROOT / "bench"
     monkeypatch.syspath_prepend(str(bench))  # layers imports its sibling tracing

@@ -1,5 +1,6 @@
 """Scenario construction, tick loop, dispatch, and event rates."""
 
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -86,6 +87,22 @@ def test_sampled_schedule_monte_carlo_rate():
               for s in range(30)]
     target = expect["line_changes"] + expect["gen_switches"]
     assert abs(np.mean(counts) - target) < 0.35 * target
+
+
+def test_sampled_schedule_stops_once_every_tick_holds_an_event():
+    """Seed 583 draws two events for a one-tick horizon; the second finds
+    no free tick and is dropped instead of redrawn forever."""
+    def timeout(signum, frame):
+        raise TimeoutError("sample_event_schedule did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(10)
+    try:
+        events = sample_event_schedule(bundled_case("case57"), 1, 583)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert events == [TopologyEvent(0, "line_open", 7, "known")]
 
 
 def test_unservable_island_error_names_event():
@@ -239,6 +256,21 @@ def test_segment_walk_equals_per_tick_loop(name, variant, seed, segment):
     assert list(np.flatnonzero(stream.retried)) == retried
 
 
+def test_run_scenario_applies_no_event(monkeypatch):
+    """The tick loop reads the segments that ``build_scenario`` walked."""
+    import gridbench.scenario as scenario
+
+    scen = build_scenario(benchmark_config(bundled_case("case14"), segment=5))
+
+    def no_event(case, ev):
+        raise AssertionError(f"run_scenario applied {ev}")
+
+    monkeypatch.setattr(scenario, "apply_event", no_event)
+    stream = run_scenario(scen)
+    assert [t for t, _ in scen.segments] == [0] + [ev.tick for ev in scen.events]
+    assert np.all(stream.max_mismatch <= 1e-8)
+
+
 def test_line_open_zeroes_flow_sensors():
     case = bundled_case("case30")
     ev = TopologyEvent(tick=4, kind="line_open", target=10, label="known")
@@ -328,6 +360,33 @@ def test_benchmark_config_valid_for_short_segments(variant):
 def test_benchmark_config_rejects_segment_without_room_for_reclose():
     with pytest.raises(ScenarioError, match="too short"):
         benchmark_config(bundled_case("case14"), segment=4)
+
+
+@pytest.mark.parametrize("n_topologies", range(5))
+def test_benchmark_config_rejects_fewer_than_five_topologies(n_topologies):
+    # the first anomaly trip lands in the fifth segment
+    with pytest.raises(ScenarioError, match="fifth segment"):
+        benchmark_config(bundled_case("case14"), n_topologies=n_topologies)
+
+
+@pytest.mark.parametrize("name", ["case14", "case30", "case57"])
+def test_benchmark_trips_solve_in_their_announced_topology(name):
+    """The schedule depends on the case alone, not on the variant or seed,
+    and each anomaly trip converges from a flat start in the announced
+    topology of its tick."""
+    case = bundled_case(name)
+    configs = [benchmark_config(case, variant=v, seed=s)
+               for v in ("small", "realistic") for s in (0, 1)]
+    assert len({(c.known_events, c.anomaly_events) for c in configs}) == 1
+    cfg = configs[0]
+    trips = [ev for ev in cfg.anomaly_events if ev.kind == "line_open"]
+    assert len(trips) == 4
+    for trip in trips:
+        announced = case
+        for ev in cfg.known_events:
+            if ev.tick <= trip.tick:
+                announced = apply_event(announced, ev)
+        assert solve_pf(apply_event(announced, trip)).converged, trip
 
 
 def test_pf_divergence_aborts_with_tick():
