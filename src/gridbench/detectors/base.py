@@ -12,6 +12,11 @@ many channels feed a max (Bonferroni) or combined via the chi-square
 quantile (Mahalanobis); fit-based detectors flag scores more than 3 robust
 standard deviations above their training-score median. GESD flags by its
 own hypothesis-test decision.
+
+The quantiles come from ``scipy.special``, which gives the same values as
+``scipy.stats`` without its import cost: ``ndtr`` and ``ndtri`` for the
+normal tail and quantile, ``chdtri`` for the chi-square upper quantile and
+``fdtri`` for the F quantile (``gesd.py`` uses ``stdtrit`` for Student's t).
 """
 
 from __future__ import annotations
@@ -19,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm
+from scipy.special import chdtri, fdtri, ndtr, ndtri
 
 # two-sided tail mass of |z| > 3: the "3 robust z equivalents" reference
-P_THREE_SIGMA = 2.0 * (1.0 - norm.cdf(3.0))
+P_THREE_SIGMA = 2.0 * (1.0 - ndtr(3.0))
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,10 @@ class GesdConfig:
     significance: float = 0.05
 
     def __post_init__(self):
-        if self.window <= self.max_anoms:
-            raise ValueError("window must exceed max_anoms")
+        if self.window < self.max_anoms + 2:
+            raise ValueError("window must be at least max_anoms + 2")
+        if not (0.0 < self.significance < 1.0):
+            raise ValueError("significance must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,8 @@ class OcsvmConfig:
     def __post_init__(self):
         if not (0.0 < self.nu <= 1.0):
             raise ValueError("nu must lie in (0, 1]")
+        if self.gamma is not None and not self.gamma > 0.0:
+            raise ValueError("gamma must be None or positive")
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,8 @@ class IforestConfig:
     def __post_init__(self):
         if self.trees < 1:
             raise ValueError("need at least one tree")
+        if self.subsample < 2:
+            raise ValueError("subsample must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -119,6 +130,10 @@ class TopoConfig:
     scale_slack: float = 2.0  # distance-proportional tolerance added to the scale
     value_floor: float = 0.05
     finite_sample: float = 3.0  # scale inflation 1 + c/sqrt(ess) for short histories
+
+    def __post_init__(self):
+        if not self.tau >= 0.0:
+            raise ValueError("tau must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -137,7 +152,7 @@ class DetectorConfig:
 def max_z_threshold(n_channels: int) -> float:
     """z threshold matching the 3-sigma tail after a max over channels."""
     p = P_THREE_SIGMA / max(1, n_channels)
-    return float(norm.ppf(1.0 - p / 2.0))
+    return float(ndtri(1.0 - p / 2.0))
 
 
 def mahalanobis_threshold(n_channels: int, dof: int | None = None,
@@ -149,13 +164,11 @@ def mahalanobis_threshold(n_channels: int, dof: int | None = None,
     prediction bound; ``inflation`` scales for additional prediction
     variance (e.g. regression leverage).
     """
-    from scipy.stats import f as f_dist
-
     k = max(1, n_channels)
     if dof is None or dof <= k + 1:
-        base = float(np.sqrt(chi2.ppf(1.0 - P_THREE_SIGMA, df=k)))
+        base = float(np.sqrt(chdtri(k, P_THREE_SIGMA)))
     else:
-        fq = f_dist.ppf(1.0 - P_THREE_SIGMA, k, dof - k)
+        fq = fdtri(k, dof - k, 1.0 - P_THREE_SIGMA)
         base = float(np.sqrt(k * (dof - 1) / (dof - k) * fq))
     return base * inflation
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .base import AnomalyScoreSeries, GesdConfig
 
@@ -22,7 +22,7 @@ def gesd_critical_value(n: int, i: int, significance: float) -> float:
     """Critical value lambda_i for the i-th removal from an n-point window."""
     df = n - i - 1
     p = 1.0 - significance / (2.0 * (n - i + 1))
-    tq = student_t.ppf(p, df)
+    tq = stdtrit(df, p)
     return float((n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1)))
 
 

@@ -1,5 +1,8 @@
 """Detector oracle tests: GESD, AR/VAR, LOF, Parzen, isolation forest, topo."""
 
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import logsumexp
+from scipy.stats import chi2, f, norm
 from scipy.stats import t as student_t
 
 from gridbench.detectors import (
@@ -16,6 +20,7 @@ from gridbench.detectors import (
     GesdConfig,
     IforestConfig,
     LofConfig,
+    OcsvmConfig,
     ParzenConfig,
     TopoConfig,
     VarConfig,
@@ -28,6 +33,8 @@ from gridbench.detectors import (
     iforest_score,
     lof_fit,
     lof_score,
+    mahalanobis_threshold,
+    max_z_threshold,
     parzen_fit,
     parzen_log_density,
     parzen_score,
@@ -35,7 +42,8 @@ from gridbench.detectors import (
     topo_aware_score,
     var_score_stream,
 )
-from gridbench.detectors.ar import ar_fit_batch
+from gridbench.detectors.ar import ar_fit_batch, var_channel_subset
+from gridbench.detectors.base import P_THREE_SIGMA
 from gridbench.detectors.topo import _weighted_median_rows
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load
 from gridbench.rng import Rng
@@ -106,7 +114,7 @@ def test_gesd_spike_flagged_and_matches_direct_formulas():
     tq = student_t.ppf(p, n - 1 - 1)
     lam1 = (n - 1) * tq / np.sqrt((n - 1 - 1 + tq**2) * (n - 1 + 1))
     assert score == pytest.approx(r1 - lam1, rel=1e-12)
-    assert gesd_critical_value(50, 1, 0.05) == pytest.approx(lam1, rel=1e-12)
+    assert gesd_critical_value(50, 1, 0.05) == lam1
 
 
 def test_gesd_max_two_anomalies_per_window():
@@ -628,3 +636,81 @@ def test_score_stream_checks_arguments_before_any_detector_runs(monkeypatch, nam
     with pytest.raises(ValueError, match=match):
         detectors.score_stream(stream, names, case=object() if with_case else None)
     assert calls == []
+
+
+# ------------------------------------------------- thresholds and settings
+
+def test_max_z_threshold_equals_scipy_stats_at_every_channel_count():
+    assert P_THREE_SIGMA == 2.0 * (1.0 - norm.cdf(3.0))
+    n = np.arange(1, 2001)
+    expect = norm.ppf(1.0 - P_THREE_SIGMA / n / 2.0)
+    got = np.array([max_z_threshold(int(k)) for k in n])
+    assert np.array_equal(got, expect)
+
+
+def test_mahalanobis_threshold_equals_scipy_stats_for_every_var_subset():
+    cfg = VarConfig()
+    # var_channel_subset keeps every channel up to fit_window // 4, fewer above
+    k_max = cfg.fit_window // 4
+    for m in (k_max, k_max + 1, 400):
+        ramp = np.arange(10.0)[:, None] * np.arange(1.0, m + 1.0)
+        assert len(var_channel_subset(ramp, cfg)) <= k_max
+    for k in range(1, k_max + 1):
+        chi = np.sqrt(chi2.ppf(1.0 - P_THREE_SIGMA, df=k))
+        assert mahalanobis_threshold(k) == chi
+        assert mahalanobis_threshold(k, dof=k + 1) == chi
+        # the VAR's dof runs from len(subset) + 2 up to its fit window
+        dofs = np.arange(k + 2, cfg.fit_window + 1)
+        fq = f.ppf(1.0 - P_THREE_SIGMA, k, dofs - k)
+        expect = np.sqrt(k * (dofs - 1) / (dofs - k) * fq)
+        got = np.array([mahalanobis_threshold(k, dof=int(d)) for d in dofs])
+        assert np.array_equal(got, expect), k
+
+
+@pytest.mark.parametrize("significance", [0.01, 0.05, 0.1])
+def test_gesd_critical_value_equals_scipy_stats_for_every_window(significance):
+    critical_value = gesd_critical_value.__wrapped__  # keep the cache small
+    for n in range(3, 301):
+        # GesdConfig allows removal steps i = 1 .. n - 2
+        i = np.arange(1, n - 1)
+        df = n - i - 1
+        tq = student_t.ppf(1.0 - significance / (2.0 * (n - i + 1)), df)
+        expect = (n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1))
+        got = np.array([critical_value(n, int(j), significance) for j in i])
+        assert np.all(np.isfinite(got)), n
+        assert np.array_equal(got, expect), n
+
+
+def test_detector_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter that finds gridbench where this one does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    code = ("import sys; "
+            "import gridbench.scenario, gridbench.detectors, gridbench.acopf; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("make,match", [
+    (lambda: GesdConfig(significance=0.0), "significance"),
+    (lambda: GesdConfig(significance=2.0), "significance"),
+    (lambda: GesdConfig(window=3, max_anoms=2), "max_anoms"),
+    (lambda: IforestConfig(subsample=1), "subsample"),
+    (lambda: IforestConfig(subsample=0), "subsample"),
+    (lambda: OcsvmConfig(gamma=-1.0), "gamma"),
+    (lambda: OcsvmConfig(gamma=0.0), "gamma"),
+    (lambda: TopoConfig(tau=-1.0), "tau"),
+], ids=["gesd-significance-0", "gesd-significance-2", "gesd-window-3",
+        "iforest-subsample-1", "iforest-subsample-0", "ocsvm-gamma-negative",
+        "ocsvm-gamma-0", "topo-tau-negative"])
+def test_invalid_detector_setting_is_rejected_when_built(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
+def test_detector_settings_at_their_limits_are_accepted():
+    GesdConfig(window=4, max_anoms=2)
+    IforestConfig(subsample=2)
+    OcsvmConfig(gamma=None)
+    TopoConfig(tau=0.0)
