@@ -12,15 +12,10 @@ import numpy as np
 
 from .base import (
     AnomalyScoreSeries,
-    ArimaConfig,
     DetectorConfig,
-    GesdConfig,
     IforestConfig,
-    LofConfig,
     OcsvmConfig,
-    ParzenConfig,
     TopoConfig,
-    VarConfig,
     max_z_threshold,
     mahalanobis_threshold,
     robust_train_threshold,
@@ -60,11 +55,11 @@ def _fit_based_series(name: str, stream, cfg: DetectorConfig) -> AnomalyScoreSer
     train, test = _standardize(train_raw, test_raw)
 
     if name == "lof":
-        model = lof_fit(train, cfg.lof)
+        model = lof_fit(train)
         train_scores = lof_train_scores(model)
         scores = lof_score(model, test) if len(test) else np.empty(0)
     elif name == "parzen":
-        model = parzen_fit(train, cfg.parzen)
+        model = parzen_fit(train)
         train_scores = parzen_score(model, train)
         scores = parzen_score(model, test) if len(test) else np.empty(0)
     elif name == "ocsvm":
@@ -103,11 +98,11 @@ def score_stream(stream, names=DETECTOR_NAMES, cfg: DetectorConfig | None = None
     out: dict[str, AnomalyScoreSeries] = {}
     for name in names:
         if name == "gesd":
-            out[name] = gesd_score_stream(stream.values, cfg.gesd)
+            out[name] = gesd_score_stream(stream.values)
         elif name == "arima":
-            out[name] = arima_score_stream(stream.values, cfg.arima)
+            out[name] = arima_score_stream(stream.values)
         elif name == "var":
-            out[name] = var_score_stream(stream.values, cfg.var)
+            out[name] = var_score_stream(stream.values)
         elif name == "topo":
             out[name] = topo_aware_score(stream.values, stream.topology_id_per_tick,
                                          stream.topology_registry, case, cfg.topo)
@@ -117,10 +112,9 @@ def score_stream(stream, names=DETECTOR_NAMES, cfg: DetectorConfig | None = None
 
 
 __all__ = [
-    "AnomalyScoreSeries", "ArimaConfig", "DETECTOR_NAMES", "DetectorConfig",
-    "FIT_BASED", "GesdConfig", "IforestConfig", "LofConfig", "OcsvmConfig",
-    "OcsvmError", "OcsvmModel", "ParzenConfig", "STREAMING", "TopoConfig",
-    "VarConfig", "arima_score_stream", "average_path_length", "gesd_critical_value",
+    "AnomalyScoreSeries", "DETECTOR_NAMES", "DetectorConfig", "FIT_BASED",
+    "IforestConfig", "OcsvmConfig", "OcsvmError", "OcsvmModel", "STREAMING",
+    "TopoConfig", "arima_score_stream", "average_path_length", "gesd_critical_value",
     "gesd_score_stream", "graph_distance", "iforest_fit",
     "iforest_score", "lof_fit", "lof_score", "lof_train_scores",
     "mahalanobis_threshold", "max_z_threshold", "ocsvm_fit", "ocsvm_score",

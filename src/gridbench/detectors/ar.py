@@ -4,7 +4,7 @@ Both first-difference the stream, fit AR coefficients by ordinary least
 squares on a rolling history, and score the one-step-ahead residual of the
 newest tick: absolute z per channel (max reported) for the univariate
 model, Mahalanobis distance under the residual covariance for the VAR.
-Coefficients are refit every ``refit_every`` ticks to keep the stream pass
+Coefficients are refit every ``REFIT_EVERY`` ticks to keep the stream pass
 cheap; between refits the stored coefficients keep predicting.
 """
 
@@ -14,13 +14,15 @@ import warnings
 
 import numpy as np
 
-from .base import (
-    AnomalyScoreSeries,
-    ArimaConfig,
-    VarConfig,
-    mahalanobis_threshold,
-    max_z_threshold,
-)
+from .base import AnomalyScoreSeries, mahalanobis_threshold, max_z_threshold
+
+LAGS = 5           # AR order of both models (per channel for the VAR)
+FIT_WINDOW = 200   # diffs behind each fit
+REFIT_EVERY = 5    # ticks between coefficient refits
+ARIMA_RIDGE = 1e-8  # fallback for singular per-channel normal equations
+ARIMA_MIN_HISTORY = 40  # diffs required before scoring starts
+VAR_RIDGE = 1e-6   # added to the residual covariance
+VAR_MIN_ROWS_FACTOR = 2.0  # rows per regressor before scoring starts
 
 
 def ar_fit_batch(diffs: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
@@ -60,27 +62,25 @@ def ar_predict(history: np.ndarray, coefs: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("km,mk->m", recent, coefs[:, :p]) + coefs[:, p]
 
 
-def arima_score_stream(values: np.ndarray, cfg: ArimaConfig) -> AnomalyScoreSeries:
+def arima_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     """Max over channels of the absolute one-step residual z-score."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n_ticks, m = values.shape
-    d = cfg.d
-    diffs = np.diff(values, n=d, axis=0) if d else values.copy()
+    diffs = np.diff(values, axis=0)
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
     threshold = max_z_threshold(m)
-    min_hist = max(cfg.min_history, cfg.p + 2 * (cfg.p + 1))
     coefs = sigmas = None
     fitted_at = -1
     for t in range(n_ticks):
-        i = t - d  # index of the diff that first involves tick t
-        if i < min_hist:
+        i = t - 1  # index of the diff that first involves tick t
+        if i < ARIMA_MIN_HISTORY:
             continue
-        window = diffs[max(0, i - cfg.fit_window):i]
-        if coefs is None or t - fitted_at >= cfg.refit_every:
-            coefs, sigmas = ar_fit_batch(window, cfg.p, cfg.ridge)
+        window = diffs[max(0, i - FIT_WINDOW):i]
+        if coefs is None or t - fitted_at >= REFIT_EVERY:
+            coefs, sigmas = ar_fit_batch(window, LAGS, ARIMA_RIDGE)
             fitted_at = t
-        pred = ar_predict(window, coefs, cfg.p)
+        pred = ar_predict(window, coefs, LAGS)
         resid = diffs[i] - pred
         z = np.abs(resid) / np.maximum(sigmas, 1e-9)
         scores[t] = float(z.max())
@@ -89,17 +89,17 @@ def arima_score_stream(values: np.ndarray, cfg: ArimaConfig) -> AnomalyScoreSeri
                               scores=scores, flags=flags, threshold=threshold)
 
 
-def var_channel_subset(values: np.ndarray, cfg: VarConfig) -> np.ndarray:
+def var_channel_subset(values: np.ndarray) -> np.ndarray:
     """Channel indices used by the VAR.
 
     With many sensors the regression would be underdetermined, so when
-    channels exceed fit_window/4 the highest-variance subset is kept, sized
+    channels exceed FIT_WINDOW/4 the highest-variance subset is kept, sized
     to leave the least squares problem comfortably overdetermined.
     """
     m = values.shape[1]
-    if m <= cfg.fit_window // 4:
+    if m <= FIT_WINDOW // 4:
         return np.arange(m)
-    cap = max(1, (cfg.fit_window - cfg.max_lags - 1) // (2 * cfg.max_lags))
+    cap = max(1, (FIT_WINDOW - LAGS - 1) // (2 * LAGS))
     variances = values.var(axis=0)
     return np.sort(np.argsort(-variances)[:min(m, cap)])
 
@@ -126,18 +126,17 @@ def var_predict(history: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
     return x @ coef
 
 
-def var_score_stream(values: np.ndarray, cfg: VarConfig) -> AnomalyScoreSeries:
+def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     """Mahalanobis distance of the joint one-step residual.
 
-    Scoring starts once the rolling window holds ``min_rows_factor`` rows
-    per regressor; the flag threshold is the Hotelling prediction bound at
-    the current effective degrees of freedom, so early fits get a wider
+    Scoring starts once the rolling window holds ``VAR_MIN_ROWS_FACTOR``
+    rows per regressor; the flag threshold is the Hotelling prediction bound
+    at the current effective degrees of freedom, so early fits get a wider
     berth than asymptotic chi-square would grant.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n_ticks, _ = values.shape
-    d = cfg.differencing
-    p = cfg.max_lags
+    p = LAGS
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
     warm = 8 * p  # enough raw ticks to rank channel variances
@@ -147,20 +146,19 @@ def var_score_stream(values: np.ndarray, cfg: VarConfig) -> AnomalyScoreSeries:
     threshold = None
     n_regressors = None
     for t in range(n_ticks):
-        i = t - d
+        i = t - 1
         if i < warm:
             continue
         if subset is None:
-            subset = var_channel_subset(values[:t], cfg)
+            subset = var_channel_subset(values[:t])
             n_regressors = len(subset) * p + 1
         rows_avail = i - p
-        if rows_avail < cfg.min_rows_factor * n_regressors:
+        if rows_avail < VAR_MIN_ROWS_FACTOR * n_regressors:
             continue
-        sub = values[:t + 1, subset]
-        diffs = np.diff(sub, n=d, axis=0) if d else sub
-        window = diffs[max(0, len(diffs) - 1 - cfg.fit_window):-1]
-        if coef is None or t - fitted_at >= cfg.refit_every:
-            coef, cov = var_fit(window, p, cfg.ridge)
+        diffs = np.diff(values[:t + 1, subset], axis=0)
+        window = diffs[max(0, len(diffs) - 1 - FIT_WINDOW):-1]
+        if coef is None or t - fitted_at >= REFIT_EVERY:
+            coef, cov = var_fit(window, p, VAR_RIDGE)
             cov_inv = np.linalg.inv(cov)
             fitted_at = t
             rows = len(window) - p

@@ -49,53 +49,6 @@ class AnomalyScoreSeries:
 
 
 @dataclass(frozen=True)
-class GesdConfig:
-    window: int = 50
-    max_anoms: int = 2
-    significance: float = 0.05
-
-    def __post_init__(self):
-        if self.window < self.max_anoms + 2:
-            raise ValueError("window must be at least max_anoms + 2")
-        if not (0.0 < self.significance < 1.0):
-            raise ValueError("significance must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class ArimaConfig:
-    p: int = 5
-    d: int = 1
-    fit_window: int = 200
-    refit_every: int = 5
-    ridge: float = 1e-8
-    min_history: int = 40  # diffs required before scoring starts
-
-
-@dataclass(frozen=True)
-class VarConfig:
-    max_lags: int = 5
-    differencing: int = 1
-    fit_window: int = 200
-    refit_every: int = 5
-    ridge: float = 1e-6
-    min_rows_factor: float = 2.0  # rows per regressor before scoring starts
-
-
-@dataclass(frozen=True)
-class LofConfig:
-    k: int = 3
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-
-
-@dataclass(frozen=True)
-class ParzenConfig:
-    bandwidth_floor: float = 1e-6
-
-
-@dataclass(frozen=True)
 class OcsvmConfig:
     nu: float = 0.5
     gamma: float | None = None  # None = 1/(n_features * mean feature variance)
@@ -124,12 +77,7 @@ class IforestConfig:
 @dataclass(frozen=True)
 class TopoConfig:
     tau: float = 0.005      # graph-distance decay of history weights
-    history: int = 150      # trailing ticks kept per sensor
-    min_ess: float = 10.0   # withhold when effective history drops below
     min_history: int = 20   # absolute warm-up
-    scale_slack: float = 2.0  # distance-proportional tolerance added to the scale
-    value_floor: float = 0.05
-    finite_sample: float = 3.0  # scale inflation 1 + c/sqrt(ess) for short histories
 
     def __post_init__(self):
         if not self.tau >= 0.0:
@@ -138,11 +86,6 @@ class TopoConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    gesd: GesdConfig = field(default_factory=GesdConfig)
-    arima: ArimaConfig = field(default_factory=ArimaConfig)
-    var: VarConfig = field(default_factory=VarConfig)
-    lof: LofConfig = field(default_factory=LofConfig)
-    parzen: ParzenConfig = field(default_factory=ParzenConfig)
     ocsvm: OcsvmConfig = field(default_factory=OcsvmConfig)
     iforest: IforestConfig = field(default_factory=IforestConfig)
     topo: TopoConfig = field(default_factory=TopoConfig)

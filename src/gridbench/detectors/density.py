@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .base import LofConfig, ParzenConfig
-
+LOF_K = 3  # neighbours per point
+BANDWIDTH_FLOOR = 1e-6  # Parzen bandwidth of a constant feature
 _DIST_EPS = 1e-12  # duplicate points would otherwise zero the densities
 
 
@@ -18,22 +18,21 @@ def _k_neighborhood(dists: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndar
     return kth, neighborhoods
 
 
-def lof_fit(train: np.ndarray, cfg: LofConfig) -> dict:
+def lof_fit(train: np.ndarray) -> dict:
     """Precompute k-distances and local reachability densities of the
     training set."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n = len(train)
-    if n <= cfg.k:
-        raise ValueError(f"need more than k={cfg.k} training points, got {n}")
+    if n <= LOF_K:
+        raise ValueError(f"need more than k={LOF_K} training points, got {n}")
     d = np.maximum(cdist(train, train), _DIST_EPS)
     np.fill_diagonal(d, np.inf)
-    kdist, neigh = _k_neighborhood(d, cfg.k)
+    kdist, neigh = _k_neighborhood(d, LOF_K)
     lrd = np.empty(n)
     for i in range(n):
         reach = np.maximum(kdist[neigh[i]], d[i, neigh[i]])
         lrd[i] = 1.0 / reach.mean()
-    return {"train": train, "kdist": kdist, "lrd": lrd, "k": cfg.k,
-            "neighborhoods": neigh}
+    return {"train": train, "kdist": kdist, "lrd": lrd, "neighborhoods": neigh}
 
 
 def lof_train_scores(model: dict) -> np.ndarray:
@@ -47,7 +46,7 @@ def lof_score(model: dict, queries: np.ndarray) -> np.ndarray:
     """LOF of each query against the fitted training set (higher = sparser)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d = np.maximum(cdist(queries, model["train"]), _DIST_EPS)
-    kdist_q, neigh_q = _k_neighborhood(d, model["k"])
+    kdist_q, neigh_q = _k_neighborhood(d, LOF_K)
     out = np.empty(len(queries))
     for i in range(len(queries)):
         nb = neigh_q[i]
@@ -57,22 +56,22 @@ def lof_score(model: dict, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def silverman_bandwidths(train: np.ndarray, floor: float) -> np.ndarray:
-    """Per-dimension Silverman rule bandwidths."""
+def silverman_bandwidths(train: np.ndarray) -> np.ndarray:
+    """Per-dimension Silverman rule bandwidths, at least ``BANDWIDTH_FLOOR``."""
     n, d = train.shape
     sigma = train.std(axis=0, ddof=1) if n > 1 else np.zeros(d)
     h = sigma * (4.0 / ((d + 2.0) * n)) ** (1.0 / (d + 4.0))
-    return np.maximum(h, floor)
+    return np.maximum(h, BANDWIDTH_FLOOR)
 
 
-def parzen_fit(train: np.ndarray, cfg: ParzenConfig) -> dict:
+def parzen_fit(train: np.ndarray) -> dict:
     """Bandwidths, the training mean, and the training points centred on
     it and scaled by the bandwidths with their squared norms, which every
     query's distances reuse."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     if len(train) < 2:
         raise ValueError("need at least 2 training points")
-    h = silverman_bandwidths(train, cfg.bandwidth_floor)
+    h = silverman_bandwidths(train)
     center = train.mean(axis=0)
     scaled = (train - center) / h
     return {"h": h, "center": center, "scaled": scaled,

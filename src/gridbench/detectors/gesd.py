@@ -14,7 +14,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import stdtrit
 
-from .base import AnomalyScoreSeries, GesdConfig
+from .base import AnomalyScoreSeries
+
+WINDOW = 50        # trailing ticks per test, the newest included
+MAX_ANOMS = 2      # removal steps per window
+SIGNIFICANCE = 0.05  # test level of each window
 
 
 @lru_cache(maxsize=None)
@@ -26,7 +30,7 @@ def gesd_critical_value(n: int, i: int, significance: float) -> float:
     return float((n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1)))
 
 
-def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]:
+def _window_scores_vectorized(frame: np.ndarray) -> tuple[float, bool]:
     """Score the newest tick of a window, all sensors at once.
 
     Returns (max score, any flagged). A sensor's score is R - lambda at the
@@ -41,7 +45,7 @@ def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float
     removed_step = np.zeros(m, dtype=int)
     n_outliers = np.zeros(m, dtype=int)
     alive = np.ones(m, dtype=bool)  # sensors still being processed
-    for i in range(1, cfg.max_anoms + 1):
+    for i in range(1, MAX_ANOMS + 1):
         counts = active.sum(axis=0)
         sums = np.where(active, frame, 0.0).sum(axis=0)
         means = sums / counts
@@ -54,7 +58,7 @@ def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float
         dev = np.where(active, np.abs(frame - means), -np.inf)
         worst = np.argmax(dev, axis=0)
         r_i = dev[worst, np.arange(m)] / np.where(std > 0, std, 1.0)
-        lam = gesd_critical_value(w, i, cfg.significance)
+        lam = gesd_critical_value(w, i, SIGNIFICANCE)
         exceeds = alive & (r_i > lam)
         n_outliers[exceeds] = i
         hit_newest = alive & (worst == newest) & (removed_step == 0)
@@ -66,7 +70,7 @@ def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float
     if pending.any():
         std_full = frame.std(axis=0, ddof=1)
         ok = pending & (std_full > 0)
-        lam1 = gesd_critical_value(w, 1, cfg.significance)
+        lam1 = gesd_critical_value(w, 1, SIGNIFICANCE)
         dev = np.abs(frame[newest] - frame.mean(axis=0))
         newest_score[ok] = dev[ok] / std_full[ok] - lam1
         newest_score[pending & ~ok] = 0.0
@@ -74,7 +78,7 @@ def _window_scores_vectorized(frame: np.ndarray, cfg: GesdConfig) -> tuple[float
     return float(newest_score.max()), bool(flagged.any())
 
 
-def gesd_score_stream(values: np.ndarray, cfg: GesdConfig) -> AnomalyScoreSeries:
+def gesd_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     """Per-sensor sliding GESD; per tick the max sensor margin is reported.
 
     Ticks before one full window are withheld.
@@ -83,8 +87,7 @@ def gesd_score_stream(values: np.ndarray, cfg: GesdConfig) -> AnomalyScoreSeries
     n_ticks, _ = values.shape
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
-    w = cfg.window
-    for t in range(w - 1, n_ticks):
-        scores[t], flags[t] = _window_scores_vectorized(values[t - w + 1:t + 1], cfg)
+    for t in range(WINDOW - 1, n_ticks):
+        scores[t], flags[t] = _window_scores_vectorized(values[t - WINDOW + 1:t + 1])
     return AnomalyScoreSeries(detector="gesd", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags)

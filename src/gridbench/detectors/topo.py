@@ -27,6 +27,12 @@ from ..powerflow import branch_flows, solve_pf
 
 TopologyKey = frozenset
 
+HISTORY = 150      # trailing ticks kept per sensor
+MIN_ESS = 10.0     # withhold when the effective history drops below
+SCALE_SLACK = 2.0  # distance-proportional tolerance added to the scale
+VALUE_FLOOR = 0.05  # magnitude the slack is proportional to, at least
+FINITE_SAMPLE = 3.0  # scale inflation 1 + c/sqrt(ess) for short histories
+
 
 def sensitivity_weights(case: GridCase) -> dict[int, float]:
     """Per-branch weight: base-case flow magnitude share from a one-time PF.
@@ -90,6 +96,8 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
 
     ``registry`` maps announced topology ids to closed-branch keys; the
     distance weights come from one power flow on the given reference case.
+    ``cfg.tau = 0`` is the ``tau -> 0+`` limit: history at graph distance 0
+    weighs 1 and any other 0.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n_ticks, m = values.shape
@@ -113,18 +121,18 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
     for t in range(cfg.min_history, n_ticks):
-        lo = max(0, t - cfg.history)
+        lo = max(0, t - HISTORY)
         hist = vt[:, lo:t]
         dists = dist_matrix[pos[t], pos[lo:t]]
-        w = np.exp(-dists / cfg.tau)
+        w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
         ess = float(w.sum())
-        if ess < cfg.min_ess:
+        if ess < MIN_ESS:
             continue  # announced change: not enough comparable history yet
         med = _weighted_median_rows(hist, w)
         mad = _weighted_median_rows(np.abs(hist - med[:, None]), w)
         dbar = float((w * dists).sum() / ess)
-        slack = cfg.scale_slack * dbar * np.maximum(np.abs(med), cfg.value_floor)
-        inflation = 1.0 + cfg.finite_sample / np.sqrt(ess)
+        slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
+        inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
         scale = (1.4826 * mad + slack) * inflation + 1e-12
         z = np.abs(values[t] - med) / scale
         scores[t] = float(z.max())

@@ -61,6 +61,12 @@ class ScenarioConfig:
     seed: int = 0
     train_topologies: int = 10
 
+    def __post_init__(self):
+        if not self.noise_sigma_rel >= 0.0:
+            raise ValueError("noise_sigma_rel must be non-negative")
+        if not self.noise_floor >= 0.0:
+            raise ValueError("noise_floor must be non-negative")
+
 
 @dataclass(frozen=True)
 class LabeledStream:

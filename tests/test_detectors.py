@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,15 +16,10 @@ from scipy.stats import chi2, f, norm
 from scipy.stats import t as student_t
 
 from gridbench.detectors import (
-    ArimaConfig,
     DetectorConfig,
-    GesdConfig,
     IforestConfig,
-    LofConfig,
     OcsvmConfig,
-    ParzenConfig,
     TopoConfig,
-    VarConfig,
     arima_score_stream,
     average_path_length,
     gesd_critical_value,
@@ -42,8 +38,10 @@ from gridbench.detectors import (
     topo_aware_score,
     var_score_stream,
 )
-from gridbench.detectors.ar import ar_fit_batch, var_channel_subset
+from gridbench.detectors.ar import FIT_WINDOW, LAGS, ar_fit_batch, var_channel_subset
 from gridbench.detectors.base import P_THREE_SIGMA
+from gridbench.detectors.density import BANDWIDTH_FLOOR
+from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE
 from gridbench.detectors.topo import _weighted_median_rows
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load
 from gridbench.rng import Rng
@@ -51,7 +49,7 @@ from gridbench.rng import Rng
 
 # ------------------------------------------------------------------ GESD
 
-def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]:
+def gesd_window_score(window: np.ndarray) -> tuple[float, bool]:
     """Scalar reference: score the newest point of a single-sensor window.
 
     Returns (score, flagged): score is R - lambda at the step where the
@@ -64,7 +62,7 @@ def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]
     removed_step = 0
     newest_score = None
     n_outliers = 0
-    for i in range(1, cfg.max_anoms + 1):
+    for i in range(1, MAX_ANOMS + 1):
         vals = window[active]
         std = vals.std(ddof=1)
         if std == 0.0:
@@ -74,7 +72,7 @@ def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]
         dev[~active] = -np.inf
         worst = int(np.argmax(dev))
         r_i = dev[worst] / std
-        lam = gesd_critical_value(n, i, cfg.significance)
+        lam = gesd_critical_value(n, i, SIGNIFICANCE)
         if r_i > lam:
             n_outliers = i
         if worst == newest:
@@ -86,13 +84,13 @@ def gesd_window_score(window: np.ndarray, cfg: GesdConfig) -> tuple[float, bool]
         if full_std == 0.0:
             return 0.0, False
         dev = abs(window[newest] - window.mean()) / full_std
-        return float(dev - gesd_critical_value(n, 1, cfg.significance)), False
+        return float(dev - gesd_critical_value(n, 1, SIGNIFICANCE)), False
     flagged = 0 < removed_step <= n_outliers
     return newest_score, flagged
 
 
 def test_gesd_constant_stream_never_flags():
-    series = gesd_score_stream(np.ones((120, 3)), GesdConfig())
+    series = gesd_score_stream(np.ones((120, 3)))
     assert not series.flags.any()
     assert np.all(series.scores[49:] == 0.0)
     assert np.all(np.isnan(series.scores[:49]))
@@ -102,8 +100,7 @@ def test_gesd_spike_flagged_and_matches_direct_formulas():
     rng = Rng(11)
     window = rng.normals(50)
     window[-1] = 10.0  # +10 sigma spike at the newest tick
-    cfg = GesdConfig(window=50, max_anoms=2, significance=0.05)
-    score, flagged = gesd_window_score(window, cfg)
+    score, flagged = gesd_window_score(window)
     assert flagged
 
     # direct transliteration of the R statistic and critical value
@@ -122,8 +119,7 @@ def test_gesd_max_two_anomalies_per_window():
     rng = Rng(5)
     base = rng.normals(50)
     base[10] = base[20] = base[-1] = 25.0
-    cfg = GesdConfig()
-    _, flagged = gesd_window_score(base, cfg)
+    _, flagged = gesd_window_score(base)
     # with three identical extremes the masking effect kicks in: after
     # removing two, the third still inflates the variance; the newest tick
     # can only be flagged if removed within the first max_anoms steps
@@ -144,10 +140,9 @@ def test_gesd_vectorized_matches_scalar():
     rng = Rng(17)
     values = rng.normals(80 * 5).reshape(80, 5)
     values[60, 2] += 9.0
-    cfg = GesdConfig()
-    series = gesd_score_stream(values, cfg)
+    series = gesd_score_stream(values)
     for t in (49, 55, 60, 70):
-        per_sensor = [gesd_window_score(values[t - 49:t + 1, j], cfg)
+        per_sensor = [gesd_window_score(values[t - 49:t + 1, j])
                       for j in range(5)]
         assert series.scores[t] == pytest.approx(max(s for s, _ in per_sensor))
         assert series.flags[t] == any(f for _, f in per_sensor)
@@ -157,7 +152,7 @@ def test_gesd_flags_on_step_change():
     rng = Rng(2)
     vals = rng.normals(200, 0.0, 0.01).reshape(-1, 1)
     vals[150:] += 1.0
-    series = gesd_score_stream(vals, GesdConfig())
+    series = gesd_score_stream(vals)
     assert bool(series.flags[150])
 
 
@@ -169,7 +164,7 @@ def test_ar_exact_process_near_zero_scores():
     n = 160
     diffs = 0.5 * 0.97 ** np.arange(n)
     levels = np.cumsum(diffs) + 10.0
-    series = arima_score_stream(levels.reshape(-1, 1), ArimaConfig())
+    series = arima_score_stream(levels.reshape(-1, 1))
     scored = series.scores[~np.isnan(series.scores)]
     assert len(scored) > 100
     assert scored.max() < 0.05
@@ -196,7 +191,7 @@ def test_ar_step_spike_at_change_tick():
     rng = Rng(21)
     vals = (10.0 + rng.normals(300, 0.0, 0.02)).reshape(-1, 1)
     vals[200:] += 5.0
-    series = arima_score_stream(vals, ArimaConfig())
+    series = arima_score_stream(vals)
     assert series.flags[200]
     assert series.scores[200] > 10 * np.nanmedian(series.scores)
 
@@ -208,7 +203,7 @@ def test_var_scores_step_and_stays_calm_otherwise():
     n, m = 300, 6
     vals = rng.normals(n * m, 0.0, 0.05).reshape(n, m).cumsum(axis=0) + np.arange(m)
     vals[220:, 3] += 3.0
-    series = var_score_stream(vals, VarConfig())
+    series = var_score_stream(vals)
     assert series.flags[220]
     assert series.scores[220] > 3 * np.nanmedian(series.scores)
     calm = series.flags[100:200]
@@ -216,12 +211,10 @@ def test_var_scores_step_and_stays_calm_otherwise():
 
 
 def test_var_channel_guard_keeps_regression_overdetermined():
-    from gridbench.detectors.ar import var_channel_subset
-    cfg = VarConfig(fit_window=200, max_lags=5)
     wide = Rng(1).normals(300 * 120).reshape(300, 120)
-    subset = var_channel_subset(wide, cfg)
-    assert len(subset) * cfg.max_lags + 1 <= cfg.fit_window - cfg.max_lags
-    narrow = var_channel_subset(wide[:, :10], cfg)
+    subset = var_channel_subset(wide)
+    assert len(subset) * LAGS + 1 <= FIT_WINDOW - LAGS
+    narrow = var_channel_subset(wide[:, :10])
     assert len(narrow) == 10
 
 
@@ -257,7 +250,7 @@ def brute_force_lof(train, queries, k):
 def test_lof_uniform_grid_interior_near_one():
     xs, ys = np.meshgrid(np.arange(7.0), np.arange(7.0))
     train = np.column_stack([xs.ravel(), ys.ravel()])
-    model = lof_fit(train, LofConfig(k=3))
+    model = lof_fit(train)
     score = lof_score(model, np.array([[3.0, 3.0]]))
     assert abs(score[0] - 1.0) < 0.1
 
@@ -266,7 +259,7 @@ def test_lof_far_point_matches_brute_force():
     rng = Rng(12)
     train = rng.normals(40).reshape(20, 2)
     queries = np.array([[8.0, 8.0], [0.1, -0.2], [3.0, 1.0]])
-    model = lof_fit(train, LofConfig(k=3))
+    model = lof_fit(train)
     got = lof_score(model, queries)
     want = brute_force_lof(train, queries, 3)
     np.testing.assert_allclose(got, want, rtol=1e-10)
@@ -276,7 +269,7 @@ def test_lof_far_point_matches_brute_force():
 def test_lof_duplicate_points_degenerate_distances():
     train = np.zeros((6, 2))
     train[5] = [1.0, 1.0]
-    model = lof_fit(train, LofConfig(k=3))
+    model = lof_fit(train)
     scores = lof_score(model, np.array([[0.0, 0.0], [5.0, 5.0]]))
     assert np.all(np.isfinite(scores))
     assert scores[1] > scores[0]
@@ -287,7 +280,7 @@ def test_lof_duplicate_points_degenerate_distances():
 def test_parzen_density_integrates_to_one():
     rng = Rng(44)
     train = rng.normals(30).reshape(-1, 1)
-    model = parzen_fit(train, ParzenConfig())
+    model = parzen_fit(train)
     total, _ = quad(lambda v: np.exp(parzen_log_density(model, [[v]])[0]),
                     -12, 12, limit=200)
     assert total == pytest.approx(1.0, abs=1e-3)
@@ -295,17 +288,16 @@ def test_parzen_density_integrates_to_one():
 
 def test_parzen_identical_points_peak_value():
     train = np.full((8, 2), 3.0)
-    cfg = ParzenConfig(bandwidth_floor=1e-6)
-    model = parzen_fit(train, cfg)
+    model = parzen_fit(train)
     dens = np.exp(parzen_log_density(model, [[3.0, 3.0]])[0])
-    peak = (1.0 / (np.sqrt(2 * np.pi) * 1e-6)) ** 2
+    peak = (1.0 / (np.sqrt(2 * np.pi) * BANDWIDTH_FLOOR)) ** 2
     assert dens == pytest.approx(peak, rel=1e-9)
 
 
 def test_parzen_mirror_symmetry():
     train = np.array([[1.0], [2.0], [5.0]])
-    model = parzen_fit(train, ParzenConfig())
-    model_m = parzen_fit(-train, ParzenConfig())
+    model = parzen_fit(train)
+    model_m = parzen_fit(-train)
     a = parzen_score(model, [[3.3]])
     b = parzen_score(model_m, [[-3.3]])
     assert a[0] == pytest.approx(b[0], rel=1e-12)
@@ -327,7 +319,7 @@ def test_parzen_score_matches_direct_formula(dim, offset):
     train = offset + rng.normals(40 * dim).reshape(40, dim)
     queries = np.vstack([train, np.full((1, dim), offset + 25.0),
                          offset + rng.normals(5 * dim).reshape(5, dim)])
-    model = parzen_fit(train, ParzenConfig())
+    model = parzen_fit(train)
     got = parzen_score(model, queries)
     want = np.array([direct_parzen_score(train, model["h"], q) for q in queries])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -548,7 +540,8 @@ def test_topo_static_topology_bounded_scores():
     assert series.flags.mean() <= 0.01
 
 
-def test_topo_withholds_after_announced_change_then_resumes():
+def two_topology_stream():
+    """120 ticks of 4 sensors; an announced change at tick 60 shifts one."""
     rng = Rng(66)
     n, m = 120, 4
     values = rng.normals(n * m, 0.0, 0.01).reshape(n, m) + 1.0
@@ -556,6 +549,11 @@ def test_topo_withholds_after_announced_change_then_resumes():
     case = five_branch_case()
     registry = {1: topo_key(case, ()), 2: topo_key(case, (1,))}
     ids = [1] * 60 + [2] * 60
+    return values, ids, registry, case
+
+
+def test_topo_withholds_after_announced_change_then_resumes():
+    values, ids, registry, case = two_topology_stream()
     cfg = TopoConfig(min_history=10, tau=0.001)
     series = topo_aware_score(values, ids, registry, case, cfg)
     # at the change tick the history is incomparable: withheld, not flagged
@@ -566,6 +564,20 @@ def test_topo_withholds_after_announced_change_then_resumes():
     # resumes scoring once same-topology history accumulates
     assert np.isfinite(series.scores[70])
     assert not series.flags[70:80].any()
+
+
+def test_topo_tau_zero_is_the_small_tau_limit():
+    # only same-topology history counts, without dividing 0 by 0
+    values, ids, registry, case = two_topology_stream()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero = topo_aware_score(values, ids, registry, case,
+                                TopoConfig(min_history=10, tau=0.0))
+    small = topo_aware_score(values, ids, registry, case,
+                             TopoConfig(min_history=10, tau=1e-9))
+    assert np.isfinite(zero.scores).sum() == 100
+    assert np.array_equal(zero.scores, small.scores, equal_nan=True)
+    assert np.array_equal(zero.flags, small.flags)
 
 
 def test_topo_unannounced_shift_flags_immediately():
@@ -593,17 +605,17 @@ def test_streaming_detectors_are_online_replay():
         pass
 
     full = {
-        "gesd": gesd_score_stream(values, GesdConfig()),
-        "arima": arima_score_stream(values, ArimaConfig()),
-        "var": var_score_stream(values, VarConfig()),
+        "gesd": gesd_score_stream(values),
+        "arima": arima_score_stream(values),
+        "var": var_score_stream(values),
         "topo": topo_aware_score(values, [1] * n, registry, case,
                                  TopoConfig(min_history=10)),
     }
     cut = 100
     truncated = {
-        "gesd": gesd_score_stream(values[:cut], GesdConfig()),
-        "arima": arima_score_stream(values[:cut], ArimaConfig()),
-        "var": var_score_stream(values[:cut], VarConfig()),
+        "gesd": gesd_score_stream(values[:cut]),
+        "arima": arima_score_stream(values[:cut]),
+        "var": var_score_stream(values[:cut]),
         "topo": topo_aware_score(values[:cut], [1] * cut, registry, case,
                                  TopoConfig(min_history=10)),
     }
@@ -617,8 +629,8 @@ def test_streaming_detectors_are_online_replay():
 def test_detector_determinism():
     rng = Rng(99)
     values = rng.normals(90 * 4).reshape(90, 4)
-    a = arima_score_stream(values, ArimaConfig())
-    b = arima_score_stream(values, ArimaConfig())
+    a = arima_score_stream(values)
+    b = arima_score_stream(values)
     np.testing.assert_array_equal(a.scores, b.scores)
 
 
@@ -649,18 +661,17 @@ def test_max_z_threshold_equals_scipy_stats_at_every_channel_count():
 
 
 def test_mahalanobis_threshold_equals_scipy_stats_for_every_var_subset():
-    cfg = VarConfig()
-    # var_channel_subset keeps every channel up to fit_window // 4, fewer above
-    k_max = cfg.fit_window // 4
+    # var_channel_subset keeps every channel up to FIT_WINDOW // 4, fewer above
+    k_max = FIT_WINDOW // 4
     for m in (k_max, k_max + 1, 400):
         ramp = np.arange(10.0)[:, None] * np.arange(1.0, m + 1.0)
-        assert len(var_channel_subset(ramp, cfg)) <= k_max
+        assert len(var_channel_subset(ramp)) <= k_max
     for k in range(1, k_max + 1):
         chi = np.sqrt(chi2.ppf(1.0 - P_THREE_SIGMA, df=k))
         assert mahalanobis_threshold(k) == chi
         assert mahalanobis_threshold(k, dof=k + 1) == chi
         # the VAR's dof runs from len(subset) + 2 up to its fit window
-        dofs = np.arange(k + 2, cfg.fit_window + 1)
+        dofs = np.arange(k + 2, FIT_WINDOW + 1)
         fq = f.ppf(1.0 - P_THREE_SIGMA, k, dofs - k)
         expect = np.sqrt(k * (dofs - 1) / (dofs - k) * fq)
         got = np.array([mahalanobis_threshold(k, dof=int(d)) for d in dofs])
@@ -671,7 +682,7 @@ def test_mahalanobis_threshold_equals_scipy_stats_for_every_var_subset():
 def test_gesd_critical_value_equals_scipy_stats_for_every_window(significance):
     critical_value = gesd_critical_value.__wrapped__  # keep the cache small
     for n in range(3, 301):
-        # GesdConfig allows removal steps i = 1 .. n - 2
+        # an n-point window allows removal steps i = 1 .. n - 2
         i = np.arange(1, n - 1)
         df = n - i - 1
         tq = student_t.ppf(1.0 - significance / (2.0 * (n - i + 1)), df)
@@ -693,24 +704,23 @@ def test_detector_import_leaves_scipy_stats_unloaded():
 
 
 @pytest.mark.parametrize("make,match", [
-    (lambda: GesdConfig(significance=0.0), "significance"),
-    (lambda: GesdConfig(significance=2.0), "significance"),
-    (lambda: GesdConfig(window=3, max_anoms=2), "max_anoms"),
+    (lambda: IforestConfig(trees=0), "tree"),
     (lambda: IforestConfig(subsample=1), "subsample"),
     (lambda: IforestConfig(subsample=0), "subsample"),
+    (lambda: OcsvmConfig(nu=0.0), "nu"),
+    (lambda: OcsvmConfig(nu=1.5), "nu"),
     (lambda: OcsvmConfig(gamma=-1.0), "gamma"),
     (lambda: OcsvmConfig(gamma=0.0), "gamma"),
     (lambda: TopoConfig(tau=-1.0), "tau"),
-], ids=["gesd-significance-0", "gesd-significance-2", "gesd-window-3",
-        "iforest-subsample-1", "iforest-subsample-0", "ocsvm-gamma-negative",
-        "ocsvm-gamma-0", "topo-tau-negative"])
+], ids=["iforest-trees-0", "iforest-subsample-1", "iforest-subsample-0", "ocsvm-nu-0",
+        "ocsvm-nu-1.5", "ocsvm-gamma-negative", "ocsvm-gamma-0", "topo-tau-negative"])
 def test_invalid_detector_setting_is_rejected_when_built(make, match):
     with pytest.raises(ValueError, match=match):
         make()
 
 
 def test_detector_settings_at_their_limits_are_accepted():
-    GesdConfig(window=4, max_anoms=2)
     IforestConfig(subsample=2)
+    OcsvmConfig(nu=1.0)
     OcsvmConfig(gamma=None)
     TopoConfig(tau=0.0)

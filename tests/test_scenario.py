@@ -126,6 +126,16 @@ def test_style_count_mismatch_rejected():
         build_scenario(small_config(case, styles=(StyleParams(style="constant"),)))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("noise_sigma_rel", -0.01), ("noise_sigma_rel", float("nan")),
+    ("noise_floor", -1.0), ("noise_floor", float("nan")),
+])
+def test_invalid_noise_setting_rejected(name, value):
+    cfg = small_config(load_case(MINIMAL_2BUS))
+    with pytest.raises(ValueError, match=name):
+        replace(cfg, **{name: value})
+
+
 # ------------------------------------------------------------- dispatch
 
 def test_single_generator_carries_demand():
