@@ -20,14 +20,13 @@ from .model import (
 )
 from .topology import (
     IslandReport,
-    TopologyError,
     apply_event,
     connectivity_check,
 )
 
 __all__ = [
     "BUNDLED_CASES", "Branch", "Bus", "CaseParseError", "Generator", "GridCase",
-    "GridModelError", "IslandReport", "Load", "TopologyError", "TopologyEvent",
+    "GridModelError", "IslandReport", "Load", "TopologyEvent",
     "apply_event", "bundled_case", "connectivity_check", "islands_of", "load_case",
     "require_slack_per_active_island", "serialize_case",
 ]

@@ -1,13 +1,13 @@
 """Electrical network data model.
 
 All quantities are stored in per-unit on the case's MVA base. Values are
-immutable after construction: every mutation helper returns a new
-:class:`GridCase`, so cases can be shared freely across concurrent runs.
+immutable after construction: a topology event (``apply_event``) returns a
+new :class:`GridCase`, so cases can be shared freely across concurrent runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 BUS_KINDS = ("slack", "pv", "pq")
@@ -195,14 +195,6 @@ class GridCase:
         keep their format.
         """
         return frozenset((br.id, br.from_bus, br.to_bus) for br in self.branches if br.closed)
-
-    # -- functional updates -----------------------------------------------
-
-    def with_branch(self, branch: Branch) -> "GridCase":
-        return replace(self, branches=tuple(branch if br.id == branch.id else br for br in self.branches))
-
-    def with_generator(self, gen: Generator) -> "GridCase":
-        return replace(self, generators=tuple(gen if g.id == gen.id else g for g in self.generators))
 
 
 def validate_case(case: GridCase) -> None:

@@ -9,11 +9,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 
-from .model import GridCase, GridModelError, TopologyEvent, islands_of
-
-
-class TopologyError(GridModelError):
-    """Invalid topology operation."""
+from .model import GridCase, TopologyEvent, islands_of
 
 
 @dataclass(frozen=True)
@@ -29,29 +25,30 @@ class IslandReport:
         return self.has_load and not self.has_online_gen
 
 
+# event kind -> (GridCase field holding the target, its lookup by id, status set)
+_EVENT_UPDATES = {
+    "line_open": ("branches", GridCase.branch, "open"),
+    "line_close": ("branches", GridCase.branch, "closed"),
+    "gen_on": ("generators", GridCase.generator, "on"),
+    "gen_off": ("generators", GridCase.generator, "off"),
+}
+
+
 def apply_event(case: GridCase, event: TopologyEvent) -> GridCase:
     """Apply one topology event, returning the updated case.
 
     No-op toggles (opening an open line, switching off an off generator)
     warn and return the case unchanged.
     """
-    if event.kind in ("line_open", "line_close"):
-        br = case.branch(event.target)
-        want = "open" if event.kind == "line_open" else "closed"
-        if br.status == want:
-            warnings.warn(f"tick {event.tick}: branch {br.id} already {want}", stacklevel=2)
-            return case
-        return case.with_branch(replace(br, status=want))
-
-    if event.kind in ("gen_on", "gen_off"):
-        g = case.generator(event.target)
-        want = "on" if event.kind == "gen_on" else "off"
-        if g.status == want:
-            warnings.warn(f"tick {event.tick}: generator {g.id} already {want}", stacklevel=2)
-            return case
-        return case.with_generator(replace(g, status=want))
-
-    raise TopologyError(f"unhandled event kind {event.kind!r}")
+    attr, lookup, want = _EVENT_UPDATES[event.kind]
+    item = lookup(case, event.target)
+    if item.status == want:
+        noun = type(item).__name__.lower()
+        warnings.warn(f"tick {event.tick}: {noun} {item.id} already {want}", stacklevel=2)
+        return case
+    updated = replace(item, status=want)
+    items = tuple(updated if x.id == item.id else x for x in getattr(case, attr))
+    return replace(case, **{attr: items})
 
 
 def connectivity_check(case: GridCase) -> list[IslandReport]:

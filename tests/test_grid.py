@@ -1,6 +1,11 @@
 """Grid model, case documents, and topology operations."""
 
+import string
+from dataclasses import MISSING, fields, replace
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridbench.grid import (
     Branch,
@@ -14,8 +19,11 @@ from gridbench.grid import (
     bundled_case,
     connectivity_check,
     load_case,
+    require_slack_per_active_island,
     serialize_case,
 )
+from gridbench.grid.caseio import RECORDS
+from gridbench.grid.model import BRANCH_STATUS, GEN_STATUS, LOAD_STYLES
 from gridbench.rng import Rng
 
 MINIMAL_2BUS = """
@@ -77,6 +85,113 @@ def test_switch_record_is_unknown():
 def test_serialize_round_trip(name):
     case = bundled_case(name)
     assert load_case(serialize_case(case)) == case
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(0, 1e6, exclude_min=True)
+LABEL = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=8)
+
+
+@st.composite
+def redrawn_case(draw):
+    """case14 with up to three records of each type redrawn: every field but
+    the id, bus references and bus kind, so branches open, generators switch
+    off and loads take any style."""
+    case = bundled_case("case14")
+
+    def redraw(records, new):
+        picked = draw(st.sets(st.sampled_from(range(len(records))), min_size=1, max_size=3))
+        return tuple(new(x) if k in picked else x for k, x in enumerate(records))
+
+    def ordered(unique):
+        return sorted(draw(st.lists(FINITE, min_size=2, max_size=2, unique=unique)))
+
+    def bus(b):
+        v_min, v_max = ordered(unique=True)
+        return replace(b, vm=draw(POSITIVE), va=draw(FINITE), v_min=v_min, v_max=v_max,
+                       gs=draw(FINITE), bs=draw(FINITE))
+
+    def branch(br):
+        return replace(br, r=draw(FINITE), x=draw(FINITE.filter(bool)), b=draw(FINITE),
+                       tap=draw(POSITIVE), shift=draw(FINITE), rate_a=draw(FINITE),
+                       status=draw(st.sampled_from(BRANCH_STATUS)))
+
+    def gen(g):
+        (p_min, p_max), (q_min, q_max) = ordered(unique=False), ordered(unique=False)
+        return replace(g, pg=draw(FINITE), qg=draw(FINITE), p_min=p_min, p_max=p_max,
+                       q_min=q_min, q_max=q_max, v_set=draw(FINITE),
+                       status=draw(st.sampled_from(GEN_STATUS)), cost_c2=draw(FINITE),
+                       cost_c1=draw(FINITE), cost_c0=draw(FINITE))
+
+    def load(l):
+        return replace(l, pd=draw(FINITE), qd=draw(FINITE), group=draw(LABEL),
+                       style=draw(st.sampled_from(LOAD_STYLES)))
+
+    out = GridCase(name=draw(LABEL), base_mva=draw(POSITIVE), buses=redraw(case.buses, bus),
+                   branches=redraw(case.branches, branch),
+                   generators=redraw(case.generators, gen), loads=redraw(case.loads, load))
+    try:
+        require_slack_per_active_island(out)  # load_case's check, which open lines can fail
+    except GridModelError:
+        assume(False)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=redrawn_case())
+def test_round_trip_with_fields_off_default(case):
+    assert load_case(serialize_case(case)) == case
+
+
+def test_key_table_is_the_whole_format():
+    # every record field but the positional id has exactly one document key;
+    # dropping a key from a record line is an error exactly when its field
+    # has no default, and otherwise gives the field's default
+    lines = MINIMAL_2BUS.splitlines()
+    for rec, (cls, attr, keys) in RECORDS.items():
+        by_name = {f.name: f for f in fields(cls)}
+        assert sorted(keys.values()) == sorted(set(by_name) - {"id"}), rec
+        line = next(l for l in lines if l.startswith(rec + " "))
+        for key, name in keys.items():
+            kept = " ".join(t for t in line.split() if not t.startswith(key + "="))
+            doc = MINIMAL_2BUS.replace(line, kept)
+            if by_name[name].default is MISSING:
+                with pytest.raises(CaseParseError, match=f"missing required field '{key}'"):
+                    load_case(doc)
+            else:
+                assert getattr(getattr(load_case(doc), attr)[0], name) == by_name[name].default
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("x=0.1", "x=nan", "line 6: bad value for 'x'"),
+    ("x=0.1", "x=inf", "line 6: bad value for 'x'"),
+    ("pd=0.5", "pd=nan", "line 8: bad value for 'pd'"),
+    ("qd=0.0", "qd=-inf", "line 8: bad value for 'qd'"),
+    ("base_mva 100", "base_mva nan", "line 3: bad value for 'base_mva'"),
+])
+def test_non_finite_number_rejected(old, new, match):
+    with pytest.raises(CaseParseError, match=match):
+        load_case(MINIMAL_2BUS.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("case two", "case my grid", "line 2: 'case' takes one value"),
+    ("base_mva 100", "base_mva 100 7", "line 3: 'base_mva' takes one value"),
+])
+def test_header_record_takes_one_value(old, new, match):
+    with pytest.raises(CaseParseError, match=match):
+        load_case(MINIMAL_2BUS.replace(old, new))
+
+
+def test_bundled_case_lookup_order(tmp_path, monkeypatch):
+    (tmp_path / "case14.grid").write_text(MINIMAL_2BUS, encoding="utf-8")
+    assert bundled_case(str(tmp_path / "case14.grid")) == two_bus()  # explicit path
+    assert len(bundled_case("case14").buses) == 14  # packaged fixture
+    monkeypatch.setenv("GRIDBENCH_CASE_DIR", str(tmp_path))
+    assert bundled_case("case14") == two_bus()  # the directory overrides a bundled name
+    assert len(bundled_case("case30").buses) == 30  # names it lacks fall through
+    with pytest.raises(FileNotFoundError, match="no bundled case named 'case99'"):
+        bundled_case("case99")
 
 
 def test_invariant_validation():
