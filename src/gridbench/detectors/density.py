@@ -1,13 +1,52 @@
-"""Neighborhood density scoring: local outlier factor and Parzen windows."""
+"""Neighborhood density scoring: local outlier factor and Parzen windows.
+
+Both, and the one-class SVM's RBF kernel, read pairwise distances from one
+kernel, :func:`squared_distances`. Each fit centres its training points on
+their mean, and queries are centred the same way, so that the kernel's
+cancellation error stays relative to the data's spread rather than to its
+distance from the origin.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 LOF_K = 3  # neighbours per point
 BANDWIDTH_FLOOR = 1e-6  # Parzen bandwidth of a constant feature
 _DIST_EPS = 1e-12  # duplicate points would otherwise zero the densities
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and ``b``.
+
+    The expanded quadratic |a|^2 - 2 a.b + |b|^2 takes one matrix product,
+    and the (rows of a x rows of b) result is updated in place, so it is the
+    only float matrix of that size the call holds. Its rounding error is at
+    most 2 (d + 2) eps (|a|^2 + |b|^2) for d features: relative to the
+    rows' norms, not to their distance, which is why callers centre their
+    points. Every entry within that bound of 0, taken at the largest norms
+    and a negative entry included, is recomputed from its row difference,
+    so identical rows give exactly 0 and no entry is negative.
+    """
+    a_sq = (a * a).sum(axis=1)
+    b_sq = (b * b).sum(axis=1)
+    sq = a @ b.T
+    sq *= -2.0
+    sq += a_sq[:, None]
+    sq += b_sq
+    bound = (2.0 * (a.shape[1] + 2) * np.finfo(float).eps
+             * (a_sq.max(initial=0.0) + b_sq.max(initial=0.0)))
+    i, j = np.nonzero(sq <= bound)
+    diff = a[i] - b[j]
+    sq[i, j] = (diff * diff).sum(axis=1)
+    return sq
+
+
+def _floored_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between rows, at least ``_DIST_EPS``."""
+    d = squared_distances(a, b)
+    np.sqrt(d, out=d)
+    return np.maximum(d, _DIST_EPS, out=d)
 
 
 def _k_neighborhood(dists: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -20,19 +59,22 @@ def _k_neighborhood(dists: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndar
 
 def lof_fit(train: np.ndarray) -> dict:
     """Precompute k-distances and local reachability densities of the
-    training set."""
+    training set, which is kept centred on its mean."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n = len(train)
     if n <= LOF_K:
         raise ValueError(f"need more than k={LOF_K} training points, got {n}")
-    d = np.maximum(cdist(train, train), _DIST_EPS)
+    center = train.mean(axis=0)
+    centred = train - center
+    d = _floored_distances(centred, centred)
     np.fill_diagonal(d, np.inf)
     kdist, neigh = _k_neighborhood(d, LOF_K)
     lrd = np.empty(n)
     for i in range(n):
         reach = np.maximum(kdist[neigh[i]], d[i, neigh[i]])
         lrd[i] = 1.0 / reach.mean()
-    return {"train": train, "kdist": kdist, "lrd": lrd, "neighborhoods": neigh}
+    return {"center": center, "centred": centred, "kdist": kdist, "lrd": lrd,
+            "neighborhoods": neigh}
 
 
 def lof_train_scores(model: dict) -> np.ndarray:
@@ -45,7 +87,7 @@ def lof_train_scores(model: dict) -> np.ndarray:
 def lof_score(model: dict, queries: np.ndarray) -> np.ndarray:
     """LOF of each query against the fitted training set (higher = sparser)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    d = np.maximum(cdist(queries, model["train"]), _DIST_EPS)
+    d = _floored_distances(queries - model["center"], model["centred"])
     kdist_q, neigh_q = _k_neighborhood(d, LOF_K)
     out = np.empty(len(queries))
     for i in range(len(queries)):
@@ -66,41 +108,29 @@ def silverman_bandwidths(train: np.ndarray) -> np.ndarray:
 
 def parzen_fit(train: np.ndarray) -> dict:
     """Bandwidths, the training mean, and the training points centred on
-    it and scaled by the bandwidths with their squared norms, which every
-    query's distances reuse."""
+    it and scaled by the bandwidths."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     if len(train) < 2:
         raise ValueError("need at least 2 training points")
     h = silverman_bandwidths(train)
     center = train.mean(axis=0)
-    scaled = (train - center) / h
-    return {"h": h, "center": center, "scaled": scaled,
-            "sq_norms": (scaled * scaled).sum(axis=1)}
+    return {"h": h, "center": center, "scaled": (train - center) / h}
 
 
 def parzen_log_density(model: dict, queries: np.ndarray) -> np.ndarray:
     """Log Gaussian-kernel density estimate at each query point.
 
-    The squared scaled distances come from the expanded quadratic
-    |b|^2 - 2 b.a + |a|^2, one matrix product for all queries, where
-    a = (train - mean) / h and b = (query - mean) / h. Centring on the
-    training mean keeps the cancellation relative to the data's spread
-    rather than its distance from the origin. The cancellation can still
-    leave a tiny negative value where a query sits on a training point, so
-    the result is clamped at 0. The (queries x train) matrix is updated in
-    place, and the log-sum-exp over it is shifted by each query's nearest
-    point, so that no more than one such matrix is live.
+    The squared scaled distances are :func:`squared_distances` between
+    b = (query - mean) / h and a = (train - mean) / h, both centred on the
+    training mean. The log-sum-exp over that (queries x train) matrix runs
+    in place and is shifted by each query's nearest point, so that no more
+    than one such matrix is live.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     a, h = model["scaled"], model["h"]
     n, d = a.shape
     log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(h).sum()
-    b = (queries - model["center"]) / h
-    sq_dist = b @ a.T
-    sq_dist *= -2.0
-    sq_dist += (b * b).sum(axis=1)[:, None]
-    sq_dist += model["sq_norms"]
-    np.maximum(sq_dist, 0.0, out=sq_dist)
+    sq_dist = squared_distances((queries - model["center"]) / h, a)
     nearest = sq_dist.min(axis=1)
     sq_dist -= nearest[:, None]
     sq_dist *= -0.5

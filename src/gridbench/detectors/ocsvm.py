@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .base import OcsvmConfig
+from .density import squared_distances
 
 
 class OcsvmError(RuntimeError):
@@ -31,6 +31,7 @@ class OcsvmError(RuntimeError):
 @dataclass
 class OcsvmModel:
     train: np.ndarray
+    center: np.ndarray  # training mean; kernels are taken between centred points
     alpha: np.ndarray
     rho: float
     gamma: float
@@ -40,7 +41,10 @@ class OcsvmModel:
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * cdist(a, b, "sqeuclidean"))
+    """exp(-gamma |a_i - b_j|^2) for every pair of rows."""
+    k = squared_distances(a, b)
+    k *= -gamma
+    return np.exp(k, out=k)
 
 
 def _resolve_gamma(x: np.ndarray, cfg: OcsvmConfig) -> float:
@@ -71,7 +75,9 @@ def ocsvm_fit(train: np.ndarray, cfg: OcsvmConfig) -> OcsvmModel:
     if n < 2:
         raise ValueError("need at least 2 training points")
     gamma = _resolve_gamma(x, cfg)
-    k = rbf_kernel(x, x, gamma)
+    center = x.mean(axis=0)
+    centred = x - center
+    k = rbf_kernel(centred, centred, gamma)
     upper = 1.0 / (cfg.nu * n)
 
     # standard feasible start: fill the first floor(nu*n) coordinates
@@ -113,12 +119,12 @@ def ocsvm_fit(train: np.ndarray, cfg: OcsvmConfig) -> OcsvmModel:
         raise OcsvmError(
             f"SMO did not reach tol {cfg.tol} within {cfg.max_iter} iterations",
             duality_gap(k, alpha, rho, upper))
-    return OcsvmModel(train=x, alpha=alpha, rho=rho, gamma=gamma, upper=upper,
-                      iterations=it, kkt_violation=float(violation))
+    return OcsvmModel(train=x, center=center, alpha=alpha, rho=rho, gamma=gamma,
+                      upper=upper, iterations=it, kkt_violation=float(violation))
 
 
 def ocsvm_score(model: OcsvmModel, queries: np.ndarray) -> np.ndarray:
     """rho minus the kernel expansion: positive on the outlier side."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    k = rbf_kernel(queries, model.train, model.gamma)
+    k = rbf_kernel(queries - model.center, model.train - model.center, model.gamma)
     return model.rho - k @ model.alpha

@@ -10,10 +10,12 @@ A case document is UTF-8 line-oriented text, one record per line::
 ``gen``, ``load``) it names the record class and maps each document key to
 that class's field, in the order ``serialize_case`` writes them. A key is
 required exactly when its field has no default; an omitted key takes the
-field's default. Numbers must be finite. Blank lines and ``#`` comments are
-ignored. Fields mirror the standard bus/branch/generator tables, so published
-test cases convert mechanically. Floats are written in their shortest
-round-tripping form, so load(serialize(case)) == case.
+field's default; a key appears at most once per record. Numbers must be
+finite, and text values (the case name, load groups) are single tokens
+without ``#``. Blank lines and ``#`` comments are ignored. Fields mirror
+the standard bus/branch/generator tables, so published test cases convert
+mechanically. Floats are written in their shortest round-tripping form, so
+load(serialize(case)) == case.
 """
 
 from __future__ import annotations
@@ -90,6 +92,8 @@ def _parse_record(rec: str, args: list[str], line_no: int):
         if key not in keys:
             raise CaseParseError(f"line {line_no}: unknown field {key!r}")
         name, conv, _ = keys[key]
+        if name in values:
+            raise CaseParseError(f"line {line_no}: repeated field {key!r}")
         values[name] = _convert(conv, key, text, line_no)
     for key, (name, _, required) in keys.items():
         if required and name not in values:
@@ -133,13 +137,31 @@ def load_case(text: str) -> GridCase:
     return case
 
 
+def _check_label(text: str, what: str) -> None:
+    """A text value is written as one token that must not start a comment."""
+    if not text or "#" in text or any(c.isspace() for c in text):
+        raise ValueError(f"{what} {text!r} cannot be written to a case document: "
+                         "it must be non-empty, with no whitespace or '#'")
+
+
 def serialize_case(case: GridCase) -> str:
-    """Canonical text form; floats use their shortest round-tripping form."""
+    """Canonical text form; floats use their shortest round-tripping form.
+
+    Raises ValueError, naming the record, if the case name or a text field
+    such as a load group is empty or holds whitespace or ``#``: the document
+    would read it back as something else or not at all.
+    """
+    _check_label(case.name, "case name")
     out = [f"case {case.name}", f"base_mva {case.base_mva}", ""]
     for rec, (_, attr, keys) in RECORDS.items():
         for item in sorted(getattr(case, attr), key=lambda item: item.id):
-            out.append(" ".join([rec, str(item.id)] + [
-                f"{key}={getattr(item, name)}" for key, name in keys.items()]))
+            tokens = [rec, str(item.id)]
+            for key, name in keys.items():
+                value = getattr(item, name)
+                if isinstance(value, str):
+                    _check_label(value, f"{rec} {item.id} {key}")
+                tokens.append(f"{key}={value}")
+            out.append(" ".join(tokens))
         out.append("")
     return "\n".join(out)
 

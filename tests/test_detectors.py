@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
 from scipy.stats import chi2, f, norm
 from scipy.stats import t as student_t
@@ -40,8 +41,9 @@ from gridbench.detectors import (
 )
 from gridbench.detectors.ar import FIT_WINDOW, LAGS, ar_fit_batch, var_channel_subset
 from gridbench.detectors.base import P_THREE_SIGMA
-from gridbench.detectors.density import BANDWIDTH_FLOOR
+from gridbench.detectors.density import BANDWIDTH_FLOOR, squared_distances
 from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE
+from gridbench.detectors.ocsvm import rbf_kernel
 from gridbench.detectors.topo import _weighted_median_rows
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load
 from gridbench.rng import Rng
@@ -247,6 +249,22 @@ def brute_force_lof(train, queries, k):
     return np.array(out)
 
 
+def test_lof_offset_duplicates_match_brute_force():
+    # k + 1 identical rows far from the origin, so that their k-distances
+    # are the floor: it holds only if their distances are exactly 0, as the
+    # brute force's differences give them. On row 6's copies the expanded
+    # quadratic alone leaves a residue of ~1e-13, 3e-7 after the square root.
+    rng = Rng(13)
+    train = 7.0 + rng.normals(20 * 213).reshape(20, 213)
+    train[[3, 8, 12]] = train[6]
+    near = train[6] + 0.1 * rng.normals(213)  # its neighbours' k-distances count
+    queries = np.vstack([train[6], near, train[0] + 8.0, 7.0 + rng.normals(213)])
+    got = lof_score(lof_fit(train), queries)
+    want = brute_force_lof(train, queries, 3)
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+    assert got[2] > 2.0
+
+
 def test_lof_uniform_grid_interior_near_one():
     xs, ys = np.meshgrid(np.arange(7.0), np.arange(7.0))
     train = np.column_stack([xs.ravel(), ys.ravel()])
@@ -273,6 +291,44 @@ def test_lof_duplicate_points_degenerate_distances():
     scores = lof_score(model, np.array([[0.0, 0.0], [5.0, 5.0]]))
     assert np.all(np.isfinite(scores))
     assert scores[1] > scores[0]
+
+
+# ----------------------------------------------------- pairwise distances
+
+def standardized_pair(n=500, d=213):
+    """Training and query rows standardized with the training statistics,
+    as the fit-based detectors see them."""
+    raw = 3.0 + 2.0 * Rng(50).normals(2 * n * d).reshape(2 * n, d)
+    train, queries = raw[:n], raw[n:]
+    mean, std = train.mean(axis=0), train.std(axis=0)
+    return (queries - mean) / std, (train - mean) / std
+
+
+def test_squared_distances_match_cdist():
+    # the expanded quadratic differs from cdist's per-feature sums only by
+    # rounding: measured within 4e-15 relative here, checked at 1e-13
+    queries, train = standardized_pair()
+    sq = squared_distances(queries, train)
+    np.testing.assert_allclose(sq, cdist(queries, train, "sqeuclidean"), rtol=1e-13)
+    np.testing.assert_allclose(np.sqrt(sq), cdist(queries, train), rtol=1e-13)
+    gamma = 1.0 / (train.shape[1] * train.var())
+    np.testing.assert_allclose(rbf_kernel(queries, train, gamma),
+                               np.exp(-gamma * cdist(queries, train, "sqeuclidean")),
+                               rtol=1e-13)
+
+
+def test_squared_distances_of_identical_rows_are_exactly_zero():
+    # uncentred, far from the origin, where the expanded quadratic alone
+    # leaves rounding residue on identical rows
+    x = 7.0 + Rng(51).normals(30 * 213).reshape(30, 213)
+    x[17] = x[4]
+    sq = squared_distances(x, x)
+    assert np.all(np.diag(sq) == 0.0)
+    assert sq[4, 17] == 0.0 and sq[17, 4] == 0.0
+    off = ~np.eye(30, dtype=bool)
+    off[4, 17] = off[17, 4] = False
+    assert np.all(sq[off] > 0.0)
+    np.testing.assert_allclose(sq, cdist(x, x, "sqeuclidean"), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- Parzen
@@ -692,12 +748,13 @@ def test_gesd_critical_value_equals_scipy_stats_for_every_window(significance):
         assert np.array_equal(got, expect), n
 
 
-def test_detector_import_leaves_scipy_stats_unloaded():
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial"])
+def test_detector_import_leaves_scipy_stats_unloaded(module):
     # a fresh interpreter that finds gridbench where this one does
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
     code = ("import sys; "
             "import gridbench.scenario, gridbench.detectors, gridbench.acopf; "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False"]

@@ -1,5 +1,6 @@
 """Grid model, case documents, and topology operations."""
 
+import re
 import string
 from dataclasses import MISSING, fields, replace
 
@@ -181,6 +182,31 @@ def test_non_finite_number_rejected(old, new, match):
 def test_header_record_takes_one_value(old, new, match):
     with pytest.raises(CaseParseError, match=match):
         load_case(MINIMAL_2BUS.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("x=0.1", "x=0.1 x=0.2", "line 6: repeated field 'x'"),
+    ("pd=0.5", "pd=0.5 pd=0.5", "line 8: repeated field 'pd'"),
+])
+def test_repeated_field_rejected(old, new, match):
+    with pytest.raises(CaseParseError, match=match):
+        load_case(MINIMAL_2BUS.replace(old, new))
+
+
+@pytest.mark.parametrize("name, group, match", [
+    ("my grid", "g1", "case name 'my grid'"),
+    ("", "g1", "case name ''"),
+    ("a#b", "g1", "case name 'a#b'"),
+    ("two", "a#b", "load 1 group 'a#b'"),
+    ("two", "a b", "load 1 group 'a b'"),
+    ("two", "a\tb", "load 1 group 'a\\tb'"),
+    ("two", "", "load 1 group ''"),
+])
+def test_serialize_rejects_labels_the_document_cannot_carry(name, group, match):
+    case = two_bus()
+    case = replace(case, name=name, loads=(replace(case.loads[0], group=group),))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        serialize_case(case)
 
 
 def test_bundled_case_lookup_order(tmp_path, monkeypatch):
