@@ -5,7 +5,6 @@ from .loss import PenaltyWeights, penalty_loss_and_grad
 from .mlp import MlpModel, build_mlp, mlp_backward, mlp_forward
 from .space import DecisionSpace, ViolationReport
 from .sweep import (
-    DEFAULT_MODES,
     DEFAULT_SEEDS,
     ExperimentConfig,
     SweepResult,
@@ -17,7 +16,7 @@ from .sweep import (
 from .train import TrainConfig, TrainingDiverged, evaluate_decisions, train_penalty
 
 __all__ = [
-    "DEFAULT_MODES", "DEFAULT_SEEDS", "DecisionSpace", "ExperimentConfig",
+    "DEFAULT_SEEDS", "DecisionSpace", "ExperimentConfig",
     "MlpModel", "PenaltyWeights", "SampleSet", "SweepResult", "SweepRow",
     "TrainConfig", "TrainingDiverged", "ViolationReport", "build_mlp",
     "evaluate_decisions", "experiment_sweep", "gen_augmented", "gen_realistic",

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import DecisionSpace
 from ..grid.model import GridCase
-from ..loadsynth import TICKS_PER_DAY, ScalingMode, StyleParams, scale_loads, style_profile
+from ..loadsynth import TICKS_PER_DAY, StyleParams, scale_loads, style_profile
 from ..rng import Rng, derive_seed
-
-PROVENANCES = ("realistic", "naive", "grouped", "brute_force")
 
 
 @dataclass(frozen=True)
@@ -27,11 +24,8 @@ class SampleSet:
 
     pd: np.ndarray
     qd: np.ndarray
-    provenance: str
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.pd.shape != self.qd.shape:
             raise ValueError("pd/qd shapes differ")
         # negative qd marks a capacitive load and is legal; demand is not
@@ -42,7 +36,7 @@ class SampleSet:
         return len(self.pd)
 
     def subset(self, rows) -> "SampleSet":
-        return SampleSet(self.pd[rows], self.qd[rows], self.provenance)
+        return SampleSet(self.pd[rows], self.qd[rows])
 
 
 # Group-trajectory parameter ranges. Real individual loads swing far more
@@ -117,7 +111,7 @@ def gen_realistic(case: GridCase, n_real: int, seed: int,
             m = np.maximum(m + noise_rng.normals(n_real, 0.0, noise_sigma), 1e-4)
         pd[:, j] = base_pd[j] * m
         qd[:, j] = base_qd[j] * m
-    return SampleSet(pd=pd, qd=qd, provenance="realistic")
+    return SampleSet(pd=pd, qd=qd)
 
 
 def gen_augmented(case: GridCase, base_pd: np.ndarray, base_qd: np.ndarray,
@@ -128,6 +122,6 @@ def gen_augmented(case: GridCase, base_pd: np.ndarray, base_qd: np.ndarray,
     The same factor multiplies a load's active and reactive components.
     """
     groups = [l.group for l in case.loads]
-    factors = scale_loads(np.ones(len(case.loads)), ScalingMode(mode, factor_range),
-                          groups, n_fake, seed)
-    return SampleSet(pd=factors * base_pd, qd=factors * base_qd, provenance=mode)
+    factors = scale_loads(np.ones(len(case.loads)), mode, groups, n_fake, seed,
+                          factor_range)
+    return SampleSet(pd=factors * base_pd, qd=factors * base_qd)

@@ -48,12 +48,12 @@ def input_standardization(train_inputs: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def build_mlp(space: DecisionSpace, hidden_layers: int = 2, width: int = 200,
-              seed: int = 0, train_inputs: np.ndarray | None = None) -> MlpModel:
+              seed: int = 0) -> MlpModel:
     """Seeded He-style initialization; output layer starts near zero so the
     squashed decision begins mid-band.
 
-    The weights depend on the seed and the layer sizes only: ``train_inputs``
-    sets the input standardization and nothing else."""
+    The input standardization starts as the identity; set it from the
+    training inputs with :func:`input_standardization`."""
     n_in = 2 * space.n_load
     n_out = space.dim
     sizes = [n_in] + [width] * hidden_layers + [n_out]
@@ -64,13 +64,8 @@ def build_mlp(space: DecisionSpace, hidden_layers: int = 2, width: int = 200,
         weights.append(rng.normals(a * bdim, 0.0, scale).reshape(a, bdim))
         biases.append(np.zeros(bdim))
     weights[-1] *= 0.1
-    if train_inputs is not None:
-        mean, std = input_standardization(train_inputs)
-    else:
-        mean = np.zeros(n_in)
-        std = np.ones(n_in)
-    return MlpModel(weights=weights, biases=biases, input_mean=mean,
-                    input_std=std, space=space)
+    return MlpModel(weights=weights, biases=biases, input_mean=np.zeros(n_in),
+                    input_std=np.ones(n_in), space=space)
 
 
 def mlp_forward(model: MlpModel, inputs: np.ndarray):

@@ -106,12 +106,8 @@ class DecisionSpace:
         self.yt = br.ytf[:, None] * self.cf + br.ytt[:, None] * self.ct
         self.gen_inc = eye[self.gen_bus]
 
-        # loads aggregated onto buses for the bundled case demand
         self.n_load = len(case.loads)
         self.load_inc = eye[[self.bus_index[l.bus] for l in case.loads]]
-        self.base_pd_bus, self.base_qd_bus = self.loads_to_buses(
-            np.array([[l.pd for l in case.loads]]),
-            np.array([[l.qd for l in case.loads]]))
 
         self.dim = 2 * self.n_bus + 2 * self.n_gen
         self.n_ineq = (4 * self.n_gen + 2 * self.n_bus + 2 * self.n_rated)
@@ -166,14 +162,9 @@ class DecisionSpace:
                           pg @ self.gen_inc - pd_bus - s_calc.real,
                           qg @ self.gen_inc - qd_bus - s_calc.imag, excess)
 
-    def violations(self, decision, pd=None, qd=None) -> ViolationReport:
-        """Mean violation report for decisions against given (or case) loads."""
-        decision = np.atleast_2d(decision)
-        if pd is None:
-            pd_bus = np.repeat(self.base_pd_bus, decision.shape[0], axis=0)
-            qd_bus = np.repeat(self.base_qd_bus, decision.shape[0], axis=0)
-        else:
-            pd_bus, qd_bus = self.loads_to_buses(pd, qd)
+    def violations(self, decision, pd, qd) -> ViolationReport:
+        """Mean violation report for decisions against per-load demand."""
+        pd_bus, qd_bus = self.loads_to_buses(pd, qd)
         e = self.evaluate(decision, pd_bus, qd_bus)
         eq = float(np.mean(np.concatenate([np.abs(e.r_p), np.abs(e.r_q)], axis=1)))
         return ViolationReport.combine(eq, float(np.mean(e.inequality)))

@@ -25,10 +25,12 @@ from .mlp import MlpModel, build_mlp, input_standardization
 from .space import DecisionSpace
 from .train import TrainConfig, evaluate_decisions, train_penalty
 from ..grid.model import GridCase
+from ..loadsynth import SCALING_MODES
 from ..rng import derive_seed
 
 DEFAULT_SEEDS = tuple(range(0, 100, 10))
-DEFAULT_MODES = ("naive", "grouped", "brute_force")
+TEST_FRACTION = 0.25  # trailing share of the realistic draw held out for testing
+HIDDEN_LAYERS = 2
 # The sweep's realistic loads carry per-load i.i.d. noise on top of each
 # group's shared series, so test loads are not exactly rank-consistent.
 _REALISTIC_NOISE_SIGMA = 0.02
@@ -39,19 +41,15 @@ class ExperimentConfig:
     case: GridCase
     n_real: int = 200
     n_fake: tuple[int, ...] = (200, 1000)
-    modes: tuple[str, ...] = DEFAULT_MODES
+    modes: tuple[str, ...] = SCALING_MODES
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    test_fraction: float = 0.25
-    hidden_layers: int = 2
     width: int = 200
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if not (0 < self.test_fraction < 1):
-            raise ValueError("test_fraction must be in (0, 1)")
-        if self.n_real * self.test_fraction < 1:
+        if self.n_real * TEST_FRACTION < 1:
             raise ValueError("n_real too small for the test split")
 
 
@@ -92,11 +90,10 @@ class SweepResult:
         return wins, total
 
 
-def split_realistic(samples: SampleSet, test_fraction: float
-                    ) -> tuple[SampleSet, SampleSet]:
-    """Deterministic split: the trailing slice becomes the test set."""
+def split_realistic(samples: SampleSet) -> tuple[SampleSet, SampleSet]:
+    """Deterministic split: the trailing ``TEST_FRACTION`` becomes the test set."""
     n = len(samples)
-    n_test = max(1, int(round(n * test_fraction)))
+    n_test = max(1, int(round(n * TEST_FRACTION)))
     train = samples.subset(slice(0, n - n_test))
     test = samples.subset(slice(n - n_test, n))
     return train, test
@@ -115,8 +112,8 @@ def _seed_inputs(config: ExperimentConfig, space: DecisionSpace, seed: int
                  ) -> _SeedInputs:
     realistic = gen_realistic(config.case, config.n_real, seed,
                               noise_sigma=_REALISTIC_NOISE_SIGMA)
-    train_pool, test_set = split_realistic(realistic, config.test_fraction)
-    init = build_mlp(space, hidden_layers=config.hidden_layers,
+    train_pool, test_set = split_realistic(realistic)
+    init = build_mlp(space, hidden_layers=HIDDEN_LAYERS,
                      width=config.width, seed=derive_seed(seed, 23))
     return _SeedInputs(base_pd=train_pool.pd.mean(axis=0),
                        base_qd=train_pool.qd.mean(axis=0), test=test_set, init=init)

@@ -8,8 +8,9 @@ import numpy as np
 
 from .loss import PenaltyWeights, penalty_loss_and_grad
 from .mlp import MlpModel, mlp_backward, mlp_forward
-from .space import DecisionSpace
 from ..rng import Rng
+
+BATCH_SIZE = 64
 
 
 class TrainingDiverged(RuntimeError):
@@ -21,7 +22,6 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 120
-    batch_size: int = 64
     lr: float = 0.01
     lr_decay: float = 0.0  # effective lr = lr / (1 + lr_decay * epoch)
     momentum: float = 0.9
@@ -70,8 +70,8 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
         epoch_loss = 0.0
         epoch_parts = {"cost": 0.0, "eq": 0.0, "ineq": 0.0}
         batches = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
             loss, grads_w, grads_b, parts = decision_loss_and_input_grad(
                 model, inputs[idx], pd_bus[idx], qd_bus[idx], cfg.weights)
             if not np.isfinite(loss):

@@ -45,31 +45,29 @@ def _standardize(train: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.n
     return (train - mean) / std, (other - mean) / std
 
 
-def _fit_based_series(name: str, stream, cfg: DetectorConfig) -> AnomalyScoreSeries:
+def _fit_based_series(name: str, stream, seed: int) -> AnomalyScoreSeries:
     train_ticks = np.array(stream.train_ticks, dtype=int)
     test_ticks = np.array(stream.test_ticks, dtype=int)
     if len(train_ticks) == 0:
         raise ValueError(f"{name} needs a training region")
-    train_raw = stream.values[train_ticks]
-    test_raw = stream.values[test_ticks] if len(test_ticks) else np.empty((0, stream.values.shape[1]))
-    train, test = _standardize(train_raw, test_raw)
+    train, test = _standardize(stream.values[train_ticks], stream.values[test_ticks])
 
     if name == "lof":
         model = lof_fit(train)
         train_scores = lof_train_scores(model)
-        scores = lof_score(model, test) if len(test) else np.empty(0)
+        scores = lof_score(model, test)
     elif name == "parzen":
         model = parzen_fit(train)
         train_scores = parzen_score(model, train)
-        scores = parzen_score(model, test) if len(test) else np.empty(0)
+        scores = parzen_score(model, test)
     elif name == "ocsvm":
-        model = ocsvm_fit(train, cfg.ocsvm)
+        model = ocsvm_fit(train, OcsvmConfig())
         train_scores = ocsvm_score(model, train)
-        scores = ocsvm_score(model, test) if len(test) else np.empty(0)
+        scores = ocsvm_score(model, test)
     elif name == "iforest":
-        model = iforest_fit(train, cfg.iforest, seed=cfg.seed)
+        model = iforest_fit(train, IforestConfig(), seed=seed)
         train_scores = iforest_score(model, train)
-        scores = iforest_score(model, test) if len(test) else np.empty(0)
+        scores = iforest_score(model, test)
     else:  # pragma: no cover
         raise ValueError(name)
     threshold = robust_train_threshold(train_scores)
@@ -105,9 +103,9 @@ def score_stream(stream, names=DETECTOR_NAMES, cfg: DetectorConfig | None = None
             out[name] = var_score_stream(stream.values)
         elif name == "topo":
             out[name] = topo_aware_score(stream.values, stream.topology_id_per_tick,
-                                         stream.topology_registry, case, cfg.topo)
+                                         stream.topology_registry, case, TopoConfig())
         else:
-            out[name] = _fit_based_series(name, stream, cfg)
+            out[name] = _fit_based_series(name, stream, cfg.seed)
     return out
 
 

@@ -146,17 +146,17 @@ def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     threshold = None
     n_regressors = None
     for t in range(n_ticks):
-        i = t - 1
+        i = t - 1  # index of the diff that first involves tick t
         if i < warm:
             continue
         if subset is None:
             subset = var_channel_subset(values[:t])
             n_regressors = len(subset) * p + 1
+            diffs = np.diff(values[:, subset], axis=0)
         rows_avail = i - p
         if rows_avail < VAR_MIN_ROWS_FACTOR * n_regressors:
             continue
-        diffs = np.diff(values[:t + 1, subset], axis=0)
-        window = diffs[max(0, len(diffs) - 1 - FIT_WINDOW):-1]
+        window = diffs[max(0, i - FIT_WINDOW):i]
         if coef is None or t - fitted_at >= REFIT_EVERY:
             coef, cov = var_fit(window, p, VAR_RIDGE)
             cov_inv = np.linalg.inv(cov)
@@ -166,7 +166,7 @@ def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
             leverage = np.sqrt(1.0 + n_regressors / max(1, rows))
             threshold = mahalanobis_threshold(len(subset), dof=dof,
                                               inflation=leverage)
-        resid = diffs[-1] - var_predict(window, coef, p)
+        resid = diffs[i] - var_predict(window, coef, p)
         scores[t] = float(np.sqrt(resid @ cov_inv @ resid))
         flags[t] = scores[t] > threshold
     return AnomalyScoreSeries(detector="var", ticks=np.arange(n_ticks),

@@ -21,13 +21,14 @@ normal tail and quantile, ``chdtri`` for the chi-square upper quantile and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtri, fdtri, ndtr, ndtri
 
 # two-sided tail mass of |z| > 3: the "3 robust z equivalents" reference
 P_THREE_SIGMA = 2.0 * (1.0 - ndtr(3.0))
+ROBUST_Z = 3.0  # robust standard deviations above the training-score median
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,7 @@ class TopoConfig:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    ocsvm: OcsvmConfig = field(default_factory=OcsvmConfig)
-    iforest: IforestConfig = field(default_factory=IforestConfig)
-    topo: TopoConfig = field(default_factory=TopoConfig)
-    seed: int = 0
+    seed: int = 0  # isolation forest draws
 
 
 def max_z_threshold(n_channels: int) -> float:
@@ -116,12 +114,12 @@ def mahalanobis_threshold(n_channels: int, dof: int | None = None,
     return base * inflation
 
 
-def robust_train_threshold(train_scores: np.ndarray, z: float = 3.0) -> float:
-    """median + z * 1.4826 * MAD of the training scores."""
+def robust_train_threshold(train_scores: np.ndarray) -> float:
+    """median + ROBUST_Z * 1.4826 * MAD of the training scores."""
     s = np.asarray(train_scores, dtype=float)
     s = s[np.isfinite(s)]
     if len(s) == 0:
         return np.inf
     med = float(np.median(s))
     mad = float(np.median(np.abs(s - med)))
-    return med + z * 1.4826 * max(mad, 1e-12)
+    return med + ROBUST_Z * 1.4826 * max(mad, 1e-12)

@@ -49,17 +49,31 @@ def _floored_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d, _DIST_EPS, out=d)
 
 
-def _k_neighborhood(dists: np.ndarray, k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """k-distance and the (tie-inclusive) k-neighborhood per row."""
-    n = dists.shape[0]
-    kth = np.partition(dists, k - 1, axis=1)[:, k - 1]
-    neighborhoods = [np.where(dists[i] <= kth[i])[0] for i in range(n)]
-    return kth, neighborhoods
+def _k_neighborhood(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k-distance of each row and its tie-inclusive k-neighborhood, as a
+    boolean mask over the row's columns."""
+    kdist = np.partition(dists, LOF_K - 1, axis=1)[:, LOF_K - 1].copy()
+    return kdist, dists <= kdist[:, None]
+
+
+def _neighborhood_means(values: np.ndarray, neighborhoods: np.ndarray) -> np.ndarray:
+    """Mean of ``values`` (a matrix, or one row for all) over each row's
+    neighborhood mask, summed in column order."""
+    values = np.broadcast_to(values, neighborhoods.shape)
+    return values.sum(axis=1, where=neighborhoods) / neighborhoods.sum(axis=1)
+
+
+def _reach_densities(dists: np.ndarray, kdist: np.ndarray, neighborhoods: np.ndarray
+                     ) -> np.ndarray:
+    """Local reachability density of each row against training points with
+    k-distances ``kdist``. Overwrites ``dists`` with the reach distances."""
+    reach = np.maximum(dists, kdist, out=dists)
+    return 1.0 / _neighborhood_means(reach, neighborhoods)
 
 
 def lof_fit(train: np.ndarray) -> dict:
-    """Precompute k-distances and local reachability densities of the
-    training set, which is kept centred on its mean."""
+    """Precompute k-distances, neighborhoods and local reachability
+    densities of the training set, which is kept centred on its mean."""
     train = np.atleast_2d(np.asarray(train, dtype=float))
     n = len(train)
     if n <= LOF_K:
@@ -68,34 +82,24 @@ def lof_fit(train: np.ndarray) -> dict:
     centred = train - center
     d = _floored_distances(centred, centred)
     np.fill_diagonal(d, np.inf)
-    kdist, neigh = _k_neighborhood(d, LOF_K)
-    lrd = np.empty(n)
-    for i in range(n):
-        reach = np.maximum(kdist[neigh[i]], d[i, neigh[i]])
-        lrd[i] = 1.0 / reach.mean()
+    kdist, neighborhoods = _k_neighborhood(d)
+    lrd = _reach_densities(d, kdist, neighborhoods)
     return {"center": center, "centred": centred, "kdist": kdist, "lrd": lrd,
-            "neighborhoods": neigh}
+            "neighborhoods": neighborhoods}
 
 
 def lof_train_scores(model: dict) -> np.ndarray:
     """LOF of each training point within the training set (self excluded)."""
-    lrd = model["lrd"]
-    return np.array([lrd[nb].mean() / lrd[i]
-                     for i, nb in enumerate(model["neighborhoods"])])
+    return _neighborhood_means(model["lrd"], model["neighborhoods"]) / model["lrd"]
 
 
 def lof_score(model: dict, queries: np.ndarray) -> np.ndarray:
     """LOF of each query against the fitted training set (higher = sparser)."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d = _floored_distances(queries - model["center"], model["centred"])
-    kdist_q, neigh_q = _k_neighborhood(d, LOF_K)
-    out = np.empty(len(queries))
-    for i in range(len(queries)):
-        nb = neigh_q[i]
-        reach = np.maximum(model["kdist"][nb], d[i, nb])
-        lrd_q = 1.0 / reach.mean()
-        out[i] = model["lrd"][nb].mean() / lrd_q
-    return out
+    _, neighborhoods = _k_neighborhood(d)
+    lrd_q = _reach_densities(d, model["kdist"], neighborhoods)
+    return _neighborhood_means(model["lrd"], neighborhoods) / lrd_q
 
 
 def silverman_bandwidths(train: np.ndarray) -> np.ndarray:

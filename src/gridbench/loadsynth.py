@@ -66,19 +66,6 @@ class StyleParams:
 
 
 @dataclass(frozen=True)
-class ScalingMode:
-    mode: str
-    factor_range: tuple[float, float] = (0.8, 1.2)
-
-    def __post_init__(self):
-        if self.mode not in SCALING_MODES:
-            raise LoadSynthError(f"unknown scaling mode {self.mode!r}")
-        lo, hi = self.factor_range
-        if not (0 < lo <= hi):
-            raise LoadSynthError("factor_range must satisfy 0 < lo <= hi")
-
-
-@dataclass(frozen=True)
 class DeltaStats:
     """Per-load worst step size relative to daily max, plus threshold table."""
 
@@ -128,31 +115,36 @@ def style_profile(params: StyleParams, horizon: int, seed: int = 0) -> np.ndarra
     return np.maximum(out, POSITIVE_FLOOR)
 
 
-def scale_loads(base: np.ndarray, mode: ScalingMode, groups: list[str] | None,
-                n_samples: int, seed: int) -> np.ndarray:
+def scale_loads(base: np.ndarray, mode: str, groups: list[str] | None,
+                n_samples: int, seed: int,
+                factor_range: tuple[float, float] = (0.8, 1.2)) -> np.ndarray:
     """Sample scaled load vectors: one row per sample.
 
-    naive: one factor per sample for every load; grouped: one factor per
-    (sample, group); brute_force: one factor per (sample, load). Factors
-    are i.i.d. uniform on the configured range.
+    ``mode`` is one of ``SCALING_MODES``. naive: one factor per sample for
+    every load; grouped: one factor per (sample, group); brute_force: one
+    factor per (sample, load). Factors are i.i.d. uniform on
+    ``factor_range``.
     """
+    if mode not in SCALING_MODES:
+        raise LoadSynthError(f"unknown scaling mode {mode!r}")
+    lo, hi = factor_range
+    if not (0 < lo <= hi):
+        raise LoadSynthError("factor_range must satisfy 0 < lo <= hi")
     base = np.asarray(base, dtype=float)
     n_loads = len(base)
-    if mode.mode == "naive":
+    if mode == "naive":
         col = np.zeros(n_loads, dtype=int)
         k = 1
-    elif mode.mode == "grouped":
+    elif mode == "grouped":
         if not groups or len(groups) != n_loads:
             raise LoadSynthError("grouped mode needs a group label per load")
         order, col = np.unique(groups, return_inverse=True)  # sorted groups
         k = len(order)
-    elif mode.mode == "brute_force":
+    else:  # brute_force
         col = np.arange(n_loads)
         k = n_loads
-    else:  # pragma: no cover
-        raise LoadSynthError(f"unknown scaling mode {mode.mode!r}")
     # sample-major draws: row i holds sample i's factor per column
-    factors = Rng(seed).uniforms(n_samples * k, *mode.factor_range).reshape(n_samples, k)
+    factors = Rng(seed).uniforms(n_samples * k, lo, hi).reshape(n_samples, k)
     # np.take keeps the result C-ordered; factors[:, col] would be F-ordered
     # and change the summation order of BLAS matmuls on it downstream
     return np.take(factors, col, axis=1) * base
@@ -217,16 +209,15 @@ def sample_style_params(style: str, horizon: int, rng: Rng) -> StyleParams:
     raise LoadSynthError(f"no population defaults for style {style!r}")
 
 
-def sample_population(n_loads: int, horizon: int, seed: int,
-                      mix: tuple[tuple[str, float], ...] = DEFAULT_STYLE_MIX,
-                      ) -> list[StyleParams]:
+def sample_population(n_loads: int, horizon: int, seed: int) -> list[StyleParams]:
     """Per-load style parameters for a mixed population.
 
-    Styles are assigned by deterministic largest-remainder quotas from the
-    mix, then shuffled, so the realized fractions track the mix exactly.
+    Styles are assigned by deterministic largest-remainder quotas from
+    ``DEFAULT_STYLE_MIX``, then shuffled, so the realized fractions track
+    the mix exactly.
     """
-    total = sum(w for _, w in mix)
-    quotas = [(name, w / total * n_loads) for name, w in mix]
+    total = sum(w for _, w in DEFAULT_STYLE_MIX)
+    quotas = [(name, w / total * n_loads) for name, w in DEFAULT_STYLE_MIX]
     counts = {name: int(q) for name, q in quotas}
     remainder = n_loads - sum(counts.values())
     for name, _ in sorted(quotas, key=lambda kv: -(kv[1] - int(kv[1]))):

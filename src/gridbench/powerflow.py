@@ -149,7 +149,6 @@ def _bus_sums(at: np.ndarray, weights: Sequence[float], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PFSolution:
-    bus_ids: tuple[int, ...]
     vm: np.ndarray
     va: np.ndarray
     pg: np.ndarray  # recovered net generation per bus (pu)
@@ -347,9 +346,8 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
     qg = net.q_spec + net.qd
     pg[slack] = s.real[slack] + net.pd[slack]
     qg[regulated] = s.imag[regulated] + net.qd[regulated]
-    return PFSolution(bus_ids=ybus.bus_ids, vm=vm, va=va, pg=pg, qg=qg,
-                      iterations=iterations, converged=converged,
-                      max_mismatch=max_mis, ybus=ybus)
+    return PFSolution(vm=vm, va=va, pg=pg, qg=qg, iterations=iterations,
+                      converged=converged, max_mismatch=max_mis, ybus=ybus)
 
 
 def branch_flows(case: GridCase, sol: PFSolution) -> BranchFlows:

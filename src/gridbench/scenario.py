@@ -412,8 +412,7 @@ def _toggle_plan(case: GridCase, n_topologies: int,
 
 
 def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
-                     n_topologies: int = 13, segment: int = 50,
-                     noise_sigma_rel: float = 0.01) -> ScenarioConfig:
+                     n_topologies: int = 13, segment: int = 50) -> ScenarioConfig:
     """The seeded regression scenario: 13 announced topologies, 10/3 split,
     unannounced trip/reclose anomaly pairs, and a load variant.
 
@@ -480,6 +479,5 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     return ScenarioConfig(
         case=case, horizon=horizon, load_styles=styles,
         known_events=tuple(known), anomaly_events=tuple(anomalies),
-        topology_count=n_topologies, noise_sigma_rel=noise_sigma_rel,
-        seed=seed, train_topologies=n_topologies - 3)
+        topology_count=n_topologies, seed=seed, train_topologies=n_topologies - 3)
 

@@ -27,7 +27,7 @@ from gridbench.acopf import (
     split_realistic,
     train_penalty,
 )
-from gridbench.acopf.mlp import mlp_backward, mlp_forward
+from gridbench.acopf.mlp import input_standardization, mlp_backward, mlp_forward
 from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
 from gridbench.acopf.train import decision_loss_and_input_grad
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
@@ -100,6 +100,11 @@ def scaled_case30(factor):
     return replace(case, loads=loads)
 
 
+def case_loads(case):
+    """The case's own per-load demand, (pd, qd)."""
+    return np.array([l.pd for l in case.loads]), np.array([l.qd for l in case.loads])
+
+
 # ------------------------------------------------------------- layering
 
 def _imported_modules(tree, package):
@@ -135,7 +140,7 @@ def test_feasible_pf_decision_near_zero_violation():
     case = scaled_case30(0.9)
     space = DecisionSpace(case)
     dec = feasible_decision_from_pf(space)
-    report = space.violations(dec)
+    report = space.violations(dec, *case_loads(case))
     assert report.overall_mean <= 1e-6
     assert report.equality_mean <= 1e-6
     assert report.inequality_mean <= 1e-6
@@ -152,8 +157,8 @@ def test_pg_excess_contributes_exactly():
     assert exc[0] == pytest.approx(0.1, abs=1e-12)  # the pg_hi constraint alone
     base_exc = space.evaluate(np.atleast_2d(dec), 0.0, 0.0).inequality[0]
     np.testing.assert_allclose(exc[1:], base_exc[1:], atol=1e-12)
-    raised = space.violations(bumped)
-    base = space.violations(dec)
+    raised = space.violations(bumped, *case_loads(case))
+    base = space.violations(dec, *case_loads(case))
     assert (raised.inequality_mean - base.inequality_mean) * space.n_ineq == \
         pytest.approx(0.1, abs=1e-9)
 
@@ -233,7 +238,8 @@ def test_model_weight_gradient_matches_finite_differences():
     qd = 0.1 + 0.02 * rng.normals(6).reshape(3, 2)
     inputs = np.concatenate([pd, qd], axis=1)
     pd_bus, qd_bus = space.loads_to_buses(pd, qd)
-    model = build_mlp(space, hidden_layers=2, width=8, seed=1, train_inputs=inputs)
+    model = build_mlp(space, hidden_layers=2, width=8, seed=1)
+    model.input_mean, model.input_std = input_standardization(inputs)
     w = PenaltyWeights()
     _, grads_w, grads_b, _ = decision_loss_and_input_grad(model, inputs, pd_bus,
                                                           qd_bus, w)
@@ -268,28 +274,14 @@ def test_zero_epochs_leaves_model_unchanged():
     space = DecisionSpace(case)
     samples = gen_realistic(case, 20, seed=0)
     inputs = np.concatenate([samples.pd, samples.qd], axis=1)
-    model = build_mlp(space, 1, 16, seed=2, train_inputs=inputs)
+    model = build_mlp(space, 1, 16, seed=2)
+    model.input_mean, model.input_std = input_standardization(inputs)
     before = [w.copy() for w in model.weights]
     trained, trace = train_penalty(model, samples.pd, samples.qd,
                                    TrainConfig(epochs=0))
     assert trace == []
     for w0, w1 in zip(before, trained.weights):
         np.testing.assert_array_equal(w0, w1)
-
-
-def test_build_mlp_weights_do_not_depend_on_train_inputs():
-    # a seed's cells share one initial network and set their own
-    # standardization, which is only sound if the inputs touch nothing else
-    case = toy_case()
-    space = DecisionSpace(case)
-    samples = gen_realistic(case, 20, seed=0)
-    inputs = np.concatenate([samples.pd, samples.qd], axis=1)
-    plain = build_mlp(space, 2, 16, seed=3)
-    fitted = build_mlp(space, 2, 16, seed=3, train_inputs=inputs)
-    for a, b in zip(plain.weights + plain.biases, fitted.weights + fitted.biases):
-        assert np.array_equal(a, b)
-    assert not np.array_equal(plain.input_mean, fitted.input_mean)
-    assert not np.array_equal(plain.input_std, fitted.input_std)
 
 
 def test_training_a_copy_leaves_the_original_unchanged():
@@ -314,7 +306,8 @@ def test_equality_loss_decreases_on_repeated_sample():
     pd = np.tile([[0.5, 0.18]], (16, 1))
     qd = np.tile([[0.15, 0.04]], (16, 1))
     inputs = np.concatenate([pd, qd], axis=1)
-    model = build_mlp(space, 2, 32, seed=4, train_inputs=inputs)
+    model = build_mlp(space, 2, 32, seed=4)
+    model.input_mean, model.input_std = input_standardization(inputs)
     cfg = TrainConfig(epochs=120, lr=0.02, lr_decay=0.15, momentum=0.0, seed=6,
                       weights=PenaltyWeights(w_cost=0.0))
     _, trace = train_penalty(model, pd, qd, cfg)
@@ -330,7 +323,8 @@ def test_training_divergence_reports_epoch():
     space = DecisionSpace(case)
     samples = gen_realistic(case, 8, seed=1)
     inputs = np.concatenate([samples.pd, samples.qd], axis=1)
-    model = build_mlp(space, 1, 8, seed=0, train_inputs=inputs)
+    model = build_mlp(space, 1, 8, seed=0)
+    model.input_mean, model.input_std = input_standardization(inputs)
     cfg = TrainConfig(epochs=8, lr=1e80, grad_clip=np.inf, momentum=0.99)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -427,7 +421,8 @@ def test_zero_weight_model_equals_direct_baseline():
     space = DecisionSpace(case)
     samples = gen_realistic(case, 10, seed=0)
     inputs = np.concatenate([samples.pd, samples.qd], axis=1)
-    model = build_mlp(space, 2, 16, seed=0, train_inputs=inputs)
+    model = build_mlp(space, 2, 16, seed=0)
+    model.input_mean, model.input_std = input_standardization(inputs)
     for w in model.weights:
         w[:] = 0.0
     for b in model.biases:
@@ -457,13 +452,14 @@ def test_train_beats_test_for_naive_mode_seeded():
     cfg = ExperimentConfig(case=case, n_real=120, n_fake=(150,), seeds=(0,),
                            train=TrainConfig(epochs=80, lr=0.01))
     realistic = gen_realistic(case, cfg.n_real, 0, noise_sigma=_REALISTIC_NOISE_SIGMA)
-    train_pool, test_set = split_realistic(realistic, cfg.test_fraction)
+    train_pool, test_set = split_realistic(realistic)
     base_pd = train_pool.pd.mean(axis=0)
     base_qd = train_pool.qd.mean(axis=0)
     fake = gen_augmented(case, base_pd, base_qd, "naive", 150, seed=11)
     space = DecisionSpace(case)
     inputs = np.concatenate([fake.pd, fake.qd], axis=1)
-    model = build_mlp(space, 2, 64, seed=12, train_inputs=inputs)
+    model = build_mlp(space, 2, 64, seed=12)
+    model.input_mean, model.input_std = input_standardization(inputs)
     model, _ = train_penalty(model, fake.pd, fake.qd,
                              TrainConfig(epochs=80, lr=0.01, seed=13))
     on_train = evaluate_decisions(model, fake.pd, fake.qd)

@@ -17,6 +17,7 @@ from scipy.stats import chi2, f, norm
 from scipy.stats import t as student_t
 
 from gridbench.detectors import (
+    FIT_BASED,
     DetectorConfig,
     IforestConfig,
     OcsvmConfig,
@@ -30,11 +31,13 @@ from gridbench.detectors import (
     iforest_score,
     lof_fit,
     lof_score,
+    lof_train_scores,
     mahalanobis_threshold,
     max_z_threshold,
     parzen_fit,
     parzen_log_density,
     parzen_score,
+    score_stream,
     sensitivity_weights,
     topo_aware_score,
     var_score_stream,
@@ -222,11 +225,14 @@ def test_var_channel_guard_keeps_regression_overdetermined():
 
 # ------------------------------------------------------------------- LOF
 
-def brute_force_lof(train, queries, k):
-    """Loop transliteration of the LOF definition."""
-    def dist(a, b):
-        return max(np.linalg.norm(a - b), 1e-12)
+def _lof_dist(a, b):
+    return max(np.linalg.norm(a - b), 1e-12)
 
+
+def brute_force_lof_fit(train, k):
+    """Loop transliteration of the LOF training quantities: k-distances,
+    neighborhoods (self excluded) and local reachability densities."""
+    dist = _lof_dist
     n = len(train)
     kdist = np.empty(n)
     neigh = []
@@ -239,6 +245,14 @@ def brute_force_lof(train, queries, k):
     for i in range(n):
         lrd[i] = 1.0 / np.mean([max(kdist[j], dist(train[i], train[j]))
                                 for j in neigh[i]])
+    return kdist, neigh, lrd
+
+
+def brute_force_lof(train, queries, k):
+    """Loop transliteration of the LOF definition."""
+    dist = _lof_dist
+    n = len(train)
+    kdist, _, lrd = brute_force_lof_fit(train, k)
     out = []
     for q in queries:
         ds = sorted(dist(q, train[j]) for j in range(n))
@@ -263,6 +277,25 @@ def test_lof_offset_duplicates_match_brute_force():
     want = brute_force_lof(train, queries, 3)
     np.testing.assert_allclose(got, want, rtol=1e-10)
     assert got[2] > 2.0
+
+
+def test_lof_matches_brute_force_to_rounding_on_standardized_data():
+    # each neighborhood is summed by a masked reduction in column order, the
+    # oracle's mean in its own order, so they agree to rounding, not bitwise;
+    # 1e-13 is ~450 ulps, far above the 4.4e-16 seen and far below a changed
+    # neighborhood. Duplicates and a far query included.
+    rng = Rng(21)
+    raw = 5.0 + rng.normals(90 * 12).reshape(90, 12) * np.linspace(0.5, 3.0, 12)
+    raw[[4, 9, 70]] = raw[30]
+    raw[80] += 6.0
+    mean, std = raw[:60].mean(axis=0), raw[:60].std(axis=0)
+    train, queries = (raw[:60] - mean) / std, (raw[60:] - mean) / std
+    model = lof_fit(train)
+    np.testing.assert_allclose(lof_score(model, queries),
+                               brute_force_lof(train, queries, 3), rtol=1e-13)
+    _, neigh, lrd = brute_force_lof_fit(train, 3)
+    want = np.array([np.mean(lrd[nb]) / lrd[i] for i, nb in enumerate(neigh)])
+    np.testing.assert_allclose(lof_train_scores(model), want, rtol=1e-13)
 
 
 def test_lof_uniform_grid_interior_near_one():
@@ -688,6 +721,19 @@ def test_detector_determinism():
     a = arima_score_stream(values)
     b = arima_score_stream(values)
     np.testing.assert_array_equal(a.scores, b.scores)
+
+
+def test_fit_based_detectors_return_empty_series_without_test_topologies():
+    # every tick is a training tick, so there is nothing to score
+    stream = SimpleNamespace(values=Rng(5).normals(60 * 4).reshape(60, 4),
+                             train_ticks=tuple(range(60)), test_ticks=())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = score_stream(stream, FIT_BASED)
+    assert set(out) == set(FIT_BASED)
+    for name, series in out.items():
+        assert series.ticks.shape == series.scores.shape == series.flags.shape == (0,), name
+        assert np.isfinite(series.threshold), name
 
 
 @pytest.mark.parametrize("names,with_case,match", [

@@ -9,7 +9,6 @@ import pytest
 from gridbench.loadsynth import (
     DEFAULT_STYLE_MIX,
     LoadSynthError,
-    ScalingMode,
     StyleParams,
     aggregate_stats,
     delta_stats,
@@ -83,13 +82,13 @@ def test_oscillating_seed_determinism():
 
 def test_factor_range_one_reproduces_base():
     base = np.array([1.0, 2.0, 3.0])
-    out = scale_loads(base, ScalingMode("naive", (1.0, 1.0)), None, 5, seed=0)
+    out = scale_loads(base, "naive", None, 5, seed=0, factor_range=(1.0, 1.0))
     np.testing.assert_allclose(out, np.tile(base, (5, 1)))
 
 
 def test_naive_mode_rank_one_structure():
     base = np.array([1.0, 2.0, 4.0])
-    out = scale_loads(base, ScalingMode("naive"), None, 20, seed=3)
+    out = scale_loads(base, "naive", None, 20, seed=3)
     ratios = out / base
     for i in range(20):
         assert np.allclose(ratios[i], ratios[i, 0])
@@ -98,7 +97,7 @@ def test_naive_mode_rank_one_structure():
 def test_grouped_mode_structure():
     base = np.array([1.0, 1.0, 2.0, 2.0])
     groups = ["a", "b", "a", "b"]
-    out = scale_loads(base, ScalingMode("grouped"), groups, 30, seed=4)
+    out = scale_loads(base, "grouped", groups, 30, seed=4)
     ratios = out / base
     for i in range(30):
         assert ratios[i, 0] == pytest.approx(ratios[i, 2])
@@ -108,7 +107,8 @@ def test_grouped_mode_structure():
 
 def test_brute_force_monte_carlo_uniformity():
     base = np.ones(4)
-    out = scale_loads(base, ScalingMode("brute_force", (0.8, 1.2)), None, 10000, seed=7)
+    out = scale_loads(base, "brute_force", None, 10000, seed=7,
+                      factor_range=(0.8, 1.2))
     factors = out.ravel()
     assert 0.99 <= factors.mean() <= 1.01
     assert factors.min() >= 0.8
@@ -117,7 +117,7 @@ def test_brute_force_monte_carlo_uniformity():
 
 def test_brute_force_no_shared_ratios():
     base = np.ones(5)
-    out = scale_loads(base, ScalingMode("brute_force"), None, 50, seed=9)
+    out = scale_loads(base, "brute_force", None, 50, seed=9)
     for a in range(5):
         for b in range(a + 1, 5):
             assert not np.allclose(out[:, a], out[:, b])
@@ -125,7 +125,17 @@ def test_brute_force_no_shared_ratios():
 
 def test_grouped_requires_groups():
     with pytest.raises(LoadSynthError, match="group"):
-        scale_loads(np.ones(3), ScalingMode("grouped"), None, 2, seed=0)
+        scale_loads(np.ones(3), "grouped", None, 2, seed=0)
+
+
+@pytest.mark.parametrize("mode,factor_range,match", [
+    ("uniform", (0.8, 1.2), "unknown scaling mode 'uniform'"),
+    ("naive", (0.0, 1.2), "0 < lo <= hi"),
+    ("brute_force", (1.2, 0.8), "0 < lo <= hi"),
+])
+def test_scale_loads_rejects_unknown_mode_and_bad_range(mode, factor_range, match):
+    with pytest.raises(LoadSynthError, match=match):
+        scale_loads(np.ones(3), mode, None, 2, seed=0, factor_range=factor_range)
 
 
 # ------------------------------------------------------------ statistics

@@ -366,7 +366,7 @@ def test_case30_kirchhoff_balance_oracle(name, data):
     vm = np.array(data.draw(st.lists(st.floats(0.8, 1.2), min_size=n, max_size=n)))
     va = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
     yb = build_ybus(case)
-    sol = PFSolution(yb.bus_ids, vm, va, pg=np.zeros(n), qg=np.zeros(n), iterations=0,
+    sol = PFSolution(vm, va, pg=np.zeros(n), qg=np.zeros(n), iterations=0,
                      converged=False, max_mismatch=np.nan, ybus=yb)
     flows = branch_flows(case, sol)
     inj = calculated_injections(yb, sol.vm, sol.va)
