@@ -13,6 +13,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import AnomalyScoreSeries, mahalanobis_threshold, max_z_threshold
 
@@ -31,25 +32,35 @@ def ar_fit_batch(diffs: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, n
     Returns (coefs, sigmas): coefs is (channels, p+1) with the intercept
     last; sigmas are residual standard deviations. Singular normal
     equations fall back to ridge regression with a warning.
+
+    The lags are a strided view of ``diffs``, so no design tensor is built:
+    the normal equations' lag block is one einsum over the view, and the
+    intercept row, column and right-hand side are sums against a vector of
+    ones, which reduce in the order the full design's products did.
     """
     diffs = np.atleast_2d(diffs)
     rows = diffs.shape[0] - p
     if rows < p + 2:
         raise ValueError("history too short for the requested lag order")
     m = diffs.shape[1]
-    # lag tensor: L[k, r, c] = diffs[p - 1 - k + r, c]
-    lags = np.stack([diffs[p - 1 - k: p - 1 - k + rows] for k in range(p)])
-    design = np.concatenate([lags, np.ones((1, rows, m))])  # (p+1, rows, m)
+    # lags[k, r, c] = diffs[p - 1 - k + r, c], lag k + 1 of target row r
+    lags = sliding_window_view(diffs, rows, axis=0)[p - 1::-1].transpose(0, 2, 1)
+    ones = np.ones(rows)
     y = diffs[p:]
-    a = np.einsum("krm,lrm->mkl", design, design)
-    b = np.einsum("krm,rm->mk", design, y)
+    a = np.empty((m, p + 1, p + 1))
+    a[:, :p, :p] = np.einsum("krm,lrm->mkl", lags, lags)
+    a[:, :p, p] = a[:, p, :p] = np.einsum("krm,r->mk", lags, ones)
+    a[:, p, p] = rows
+    b = np.empty((m, p + 1))
+    b[:, :p] = np.einsum("krm,rm->mk", lags, y)
+    b[:, p] = np.einsum("rm,r->m", y, ones)
     try:
         coefs = np.linalg.solve(a, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         warnings.warn("rank-deficient AR regression; using ridge fallback", stacklevel=2)
         a = a + ridge * np.eye(p + 1)[None, :, :]
         coefs = np.linalg.solve(a, b[..., None])[..., 0]
-    preds = np.einsum("krm,mk->rm", design, coefs)
+    preds = np.einsum("krm,mk->rm", lags, coefs[:, :p]) + coefs[:, p]
     resid = y - preds
     dof = max(1, rows - (p + 1))
     sigmas = np.sqrt((resid ** 2).sum(axis=0) / dof)

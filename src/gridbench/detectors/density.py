@@ -14,6 +14,7 @@ import numpy as np
 LOF_K = 3  # neighbours per point
 BANDWIDTH_FLOOR = 1e-6  # Parzen bandwidth of a constant feature
 _DIST_EPS = 1e-12  # duplicate points would otherwise zero the densities
+_KDIST_BLOCK = 64  # rows per partition when selecting k-distances
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,8 +52,15 @@ def _floored_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _k_neighborhood(dists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k-distance of each row and its tie-inclusive k-neighborhood, as a
-    boolean mask over the row's columns."""
-    kdist = np.partition(dists, LOF_K - 1, axis=1)[:, LOF_K - 1].copy()
+    boolean mask over the row's columns.
+
+    The k-distances are selected ``_KDIST_BLOCK`` rows at a time, so the
+    partition copies one block of rows rather than the whole matrix.
+    """
+    kdist = np.empty(len(dists))
+    for lo in range(0, len(dists), _KDIST_BLOCK):
+        block = np.partition(dists[lo:lo + _KDIST_BLOCK], LOF_K - 1, axis=1)
+        kdist[lo:lo + len(block)] = block[:, LOF_K - 1]
     return kdist, dists <= kdist[:, None]
 
 

@@ -37,42 +37,49 @@ def _window_scores_vectorized(frame: np.ndarray) -> tuple[float, bool]:
     step where its newest point was removed, or its plain studentized
     deviate minus lambda_1 when it never was; a zero-variance sensor scores
     0, unflagged.
+
+    At the first step every point is active, so it needs no masks, and its
+    std and deviations are the whole window's, computed in the order
+    ``frame.std(ddof=1)`` and ``frame.mean`` use: the plain deviate of a
+    sensor whose newest point was never removed reuses them.
     """
     w, m = frame.shape
     newest = w - 1
+    cols = np.arange(m)
+    centred = frame - frame.sum(axis=0) / w
+    std_full = np.sqrt((centred ** 2).sum(axis=0) / (w - 1))
+    dev_full = np.abs(centred)
     active = np.ones((w, m), dtype=bool)
     newest_score = np.full(m, np.nan)
     removed_step = np.zeros(m, dtype=int)
     n_outliers = np.zeros(m, dtype=int)
     alive = np.ones(m, dtype=bool)  # sensors still being processed
+    std, dev = std_full, dev_full  # step 1: every point is active
     for i in range(1, MAX_ANOMS + 1):
-        counts = active.sum(axis=0)
-        sums = np.where(active, frame, 0.0).sum(axis=0)
-        means = sums / counts
-        sq = np.where(active, (frame - means) ** 2, 0.0).sum(axis=0)
-        var = sq / (counts - 1)
-        std = np.sqrt(var)
+        if i > 1:
+            counts = active.sum(axis=0)
+            means = np.where(active, frame, 0.0).sum(axis=0) / counts
+            sq = np.where(active, (frame - means) ** 2, 0.0).sum(axis=0)
+            std = np.sqrt(sq / (counts - 1))
+            dev = np.where(active, np.abs(frame - means), -np.inf)
         alive = alive & (std > 0.0)
         if not alive.any():
             break
-        dev = np.where(active, np.abs(frame - means), -np.inf)
         worst = np.argmax(dev, axis=0)
-        r_i = dev[worst, np.arange(m)] / np.where(std > 0, std, 1.0)
+        r_i = dev[worst, cols] / np.where(std > 0, std, 1.0)
         lam = gesd_critical_value(w, i, SIGNIFICANCE)
         exceeds = alive & (r_i > lam)
         n_outliers[exceeds] = i
         hit_newest = alive & (worst == newest) & (removed_step == 0)
         newest_score[hit_newest] = r_i[hit_newest] - lam
         removed_step[hit_newest] = i
-        active[worst[alive], np.where(alive)[0]] = False
+        active[worst[alive], cols[alive]] = False
     # sensors whose newest point never got removed: plain studentized deviate
     pending = np.isnan(newest_score)
     if pending.any():
-        std_full = frame.std(axis=0, ddof=1)
         ok = pending & (std_full > 0)
         lam1 = gesd_critical_value(w, 1, SIGNIFICANCE)
-        dev = np.abs(frame[newest] - frame.mean(axis=0))
-        newest_score[ok] = dev[ok] / std_full[ok] - lam1
+        newest_score[ok] = dev_full[newest, ok] / std_full[ok] - lam1
         newest_score[pending & ~ok] = 0.0
     flagged = (removed_step > 0) & (removed_step <= n_outliers)
     return float(newest_score.max()), bool(flagged.any())

@@ -6,13 +6,16 @@ height cap ceil(log2(subsample)). Scores follow the usual path-length
 normalization 2^(-E[h]/c(n)); c uses exact harmonic numbers so small-leaf
 adjustments are exact (c(2) = 1).
 
-Trees are flat node arrays, so scoring walks all queries down a tree
-together, one level per step, and averages an (n_queries x trees) matrix
-of path lengths per row, as the per-query mean over trees did.
+A tree grows over a sorted copy of its subsample, each node a range of it
+that a binary search cuts at the split, so growth copies no values. Trees
+are flat node arrays, so scoring walks all queries down a tree together,
+one level per step, and averages an (n_queries x trees) matrix of path
+lengths per row, as the per-query mean over trees did.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -71,21 +74,35 @@ class IsolationForestModel:
     subsample: int
 
 
-def _grow(values: np.ndarray, depth: int, cap: int, rng: Rng,
-          nodes: list[list]) -> int:
-    """Append the subtree isolating ``values`` to ``nodes`` (rows of split,
-    left, right, leaf size), preorder with the left child first; return
-    its root index."""
-    idx = len(nodes)
-    lo, hi = float(values.min()), float(values.max())
-    if depth >= cap or len(values) <= 1 or hi - lo <= 0.0:
-        nodes.append([math.nan, -1, -1, len(values)])
-        return idx
-    split = rng.uniform(lo, hi)
-    nodes.append([split, -1, -1, 0])
-    nodes[idx][1] = _grow(values[values < split], depth + 1, cap, rng, nodes)
-    nodes[idx][2] = _grow(values[values >= split], depth + 1, cap, rng, nodes)
-    return idx
+def _grow(sample: list[float], cap: int, rng: Rng) -> list[list]:
+    """Nodes of the tree isolating the sorted ``sample``: rows of split,
+    left, right and leaf size, in preorder with the left child first.
+
+    A node holds a range ``sample[start:stop]``; its split point is drawn
+    between the range's ends, and the values below it, a prefix of the
+    range, go left. A stack of pending ranges replaces recursion: the left
+    child is popped right after its parent, so it is the next node, and the
+    right child is popped once the left subtree is complete. A range's size
+    is checked before its ends are read, because a split drawn at the low
+    end leaves the left child empty.
+    """
+    nodes: list[list] = []
+    pending = [(0, len(sample), 0, -1)]  # start, stop, depth, parent of a right child
+    while pending:
+        start, stop, depth, parent = pending.pop()
+        idx = len(nodes)
+        if parent >= 0:
+            nodes[parent][2] = idx
+        size = stop - start
+        if depth >= cap or size <= 1 or sample[stop - 1] - sample[start] <= 0.0:
+            nodes.append([math.nan, -1, -1, size])
+            continue
+        split = rng.uniform(sample[start], sample[stop - 1])
+        cut = bisect.bisect_left(sample, split, start, stop)
+        nodes.append([split, idx + 1, -1, 0])
+        pending.append((cut, stop, depth + 1, idx))
+        pending.append((start, cut, depth + 1, -1))
+    return nodes
 
 
 def iforest_fit(train: np.ndarray, cfg: IforestConfig, seed: int) -> IsolationForestModel:
@@ -106,9 +123,7 @@ def iforest_fit(train: np.ndarray, cfg: IforestConfig, seed: int) -> IsolationFo
             sample = train[order[:psi], feature]
         else:
             sample = train[:, feature]
-        nodes: list[list] = []
-        _grow(sample, 0, cap, tree_rng, nodes)
-        split, left, right, size = zip(*nodes)
+        split, left, right, size = zip(*_grow(sorted(sample.tolist()), cap, tree_rng))
         trees.append(IsolationTree(
             feature=feature, split=np.array(split), left=np.array(left),
             right=np.array(right), size=np.array(size),

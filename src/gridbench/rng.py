@@ -17,8 +17,11 @@ into stream order. Blackman and Vigna, "Scrambled linear pseudorandom
 number generators", ACM TOMS 47(4), 2021, give the jump construction.
 Box-Muller then runs in numpy except for ``log``, ``cos`` and ``sin``,
 which stay on ``math``: ``np.log`` is not ``math.log`` in the last bit for
-some inputs. Below the crossover, deriving the lanes and stepping them
-costs more than the scalar loop, so short draws stay scalar.
+some inputs. ``shuffle`` takes its words the same way from ``_CROSSOVER``
+swaps on, and falls back to the scalar loop from its start state in the
+rare case that ``randrange`` might have rejected one. Below the crossover,
+deriving the lanes and stepping them costs more than the scalar loop, so
+short draws stay scalar.
 """
 
 from __future__ import annotations
@@ -132,8 +135,27 @@ class Rng:
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(seq) - 1, 0, -1):
+        """In-place Fisher-Yates, swapping item i with item randrange(i + 1)
+        for i from the last down to 1.
+
+        From ``_CROSSOVER`` swaps on the n - 1 words come from the bulk path
+        and each j is ``word % (i + 1)``, which is what ``randrange`` returns
+        for any word below 2**64 - n: its rejection limit for a bound k is
+        2**64 - (2**64 % k), above 2**64 - k. If a word is at or above
+        2**64 - n (probability below n**2 / 2**64), the state is restored
+        and the scalar loop runs instead.
+        """
+        n = len(seq)
+        if n - 1 >= _CROSSOVER:
+            start = (self._s0, self._s1, self._s2, self._s3)
+            words = self._bulk_words(n - 1)
+            if words.max() < _MASK64 + 1 - n:
+                words %= np.arange(n, 1, -1, dtype=np.uint64)
+                for i, j in zip(range(n - 1, 0, -1), words.tolist()):
+                    seq[i], seq[j] = seq[j], seq[i]
+                return
+            self._s0, self._s1, self._s2, self._s3 = start
+        for i in range(n - 1, 0, -1):
             j = self.randrange(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
 

@@ -1,5 +1,6 @@
 """Detector oracle tests: GESD, AR/VAR, LOF, Parzen, isolation forest, topo."""
 
+import math
 import os
 import subprocess
 import sys
@@ -44,8 +45,9 @@ from gridbench.detectors import (
 )
 from gridbench.detectors.ar import FIT_WINDOW, LAGS, ar_fit_batch, var_channel_subset
 from gridbench.detectors.base import P_THREE_SIGMA
-from gridbench.detectors.density import BANDWIDTH_FLOOR, squared_distances
-from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE
+from gridbench.detectors.density import BANDWIDTH_FLOOR, LOF_K, _k_neighborhood, squared_distances
+from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE, _window_scores_vectorized
+from gridbench.detectors.iforest import IsolationTree, _grow
 from gridbench.detectors.ocsvm import rbf_kernel
 from gridbench.detectors.topo import _weighted_median_rows
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load
@@ -161,6 +163,63 @@ def test_gesd_flags_on_step_change():
     assert bool(series.flags[150])
 
 
+def masked_window_scores(frame: np.ndarray) -> tuple[float, bool]:
+    """Reference: the all-sensor window score with every removal step,
+    the first included, computed over masks of the active points, and the
+    never-removed sensors' deviates from ``frame.std``/``frame.mean``."""
+    w, m = frame.shape
+    newest = w - 1
+    active = np.ones((w, m), dtype=bool)
+    newest_score = np.full(m, np.nan)
+    removed_step = np.zeros(m, dtype=int)
+    n_outliers = np.zeros(m, dtype=int)
+    alive = np.ones(m, dtype=bool)
+    for i in range(1, MAX_ANOMS + 1):
+        counts = active.sum(axis=0)
+        means = np.where(active, frame, 0.0).sum(axis=0) / counts
+        sq = np.where(active, (frame - means) ** 2, 0.0).sum(axis=0)
+        std = np.sqrt(sq / (counts - 1))
+        alive = alive & (std > 0.0)
+        if not alive.any():
+            break
+        dev = np.where(active, np.abs(frame - means), -np.inf)
+        worst = np.argmax(dev, axis=0)
+        r_i = dev[worst, np.arange(m)] / np.where(std > 0, std, 1.0)
+        lam = gesd_critical_value(w, i, SIGNIFICANCE)
+        n_outliers[alive & (r_i > lam)] = i
+        hit_newest = alive & (worst == newest) & (removed_step == 0)
+        newest_score[hit_newest] = r_i[hit_newest] - lam
+        removed_step[hit_newest] = i
+        active[worst[alive], np.where(alive)[0]] = False
+    pending = np.isnan(newest_score)
+    if pending.any():
+        std_full = frame.std(axis=0, ddof=1)
+        ok = pending & (std_full > 0)
+        dev = np.abs(frame[newest] - frame.mean(axis=0))
+        newest_score[ok] = dev[ok] / std_full[ok] - gesd_critical_value(w, 1, SIGNIFICANCE)
+        newest_score[pending & ~ok] = 0.0
+    flagged = (removed_step > 0) & (removed_step <= n_outliers)
+    return float(newest_score.max()), bool(flagged.any())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gesd_window_scores_equal_masked_reference(seed):
+    """The mask-free first step gives exactly the masked steps' scores and
+    flags, on windows with constant, duplicate and tied columns."""
+    rng = np.random.default_rng(seed)
+    for trial in range(40):
+        m = (1, 2, 7, 60)[trial % 4]
+        frame = rng.normal(size=(50, m)) * 10.0 ** rng.uniform(-3, 3)
+        if m > 2:
+            frame[:, 0] = 1.5  # constant
+            frame[:, 1] = frame[:, 2]  # duplicate
+        if trial % 3 == 0:
+            frame[-1] += 6.0 * frame.std(axis=0)  # newest tick an outlier
+        if trial % 5 == 0:
+            frame = np.round(frame, 1)  # ties
+        assert _window_scores_vectorized(frame) == masked_window_scores(frame)
+
+
 # ---------------------------------------------------------------- AR/VAR
 
 def test_ar_exact_process_near_zero_scores():
@@ -190,6 +249,48 @@ def test_ar_fit_matches_normal_equations_oracle():
         resid = y - x @ beta
         np.testing.assert_allclose(
             sigmas[c], np.sqrt((resid**2).sum() / (rows - p - 1)), rtol=1e-10)
+
+
+def stacked_design_ar_fit(diffs, p, ridge):
+    """Reference: ar_fit_batch over the full (p+1, rows, m) design tensor,
+    the lag slices stacked and a slab of ones appended."""
+    rows = diffs.shape[0] - p
+    m = diffs.shape[1]
+    lags = np.stack([diffs[p - 1 - k: p - 1 - k + rows] for k in range(p)])
+    design = np.concatenate([lags, np.ones((1, rows, m))])
+    y = diffs[p:]
+    a = np.einsum("krm,lrm->mkl", design, design)
+    b = np.einsum("krm,rm->mk", design, y)
+    try:
+        coefs = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        a = a + ridge * np.eye(p + 1)[None, :, :]
+        coefs = np.linalg.solve(a, b[..., None])[..., 0]
+    resid = y - np.einsum("krm,mk->rm", design, coefs)
+    sigmas = np.sqrt((resid ** 2).sum(axis=0) / max(1, rows - (p + 1)))
+    return coefs, sigmas
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 213])
+def test_ar_fit_batch_equals_stacked_design_reference(m):
+    """The view-based normal equations give exactly the design tensor's
+    coefficients and sigmas, the ridge fallback of constant and duplicate
+    channels included."""
+    rng = np.random.default_rng(m)
+    for n in (2 * LAGS + 2, 40, 129, FIT_WINDOW):  # from the shortest window
+        diffs = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = ar_fit_batch(diffs, LAGS, 1e-8)
+        for g, want in zip(got, stacked_design_ar_fit(diffs, LAGS, 1e-8)):
+            np.testing.assert_array_equal(g, want)
+    if m > 2:
+        diffs[:, 0] = 0.25  # constant: singular normal equations
+        diffs[:, 1] = diffs[:, 2]
+        with pytest.warns(UserWarning, match="ridge fallback"):
+            got = ar_fit_batch(diffs, LAGS, 1e-8)
+        for g, want in zip(got, stacked_design_ar_fit(diffs, LAGS, 1e-8)):
+            np.testing.assert_array_equal(g, want)
 
 
 def test_ar_step_spike_at_change_tick():
@@ -335,6 +436,16 @@ def standardized_pair(n=500, d=213):
     train, queries = raw[:n], raw[n:]
     mean, std = train.mean(axis=0), train.std(axis=0)
     return (queries - mean) / std, (train - mean) / std
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
+def test_k_neighborhood_equals_whole_matrix_partition(rows):
+    """Selecting k-distances block by block gives the whole matrix's."""
+    dists = np.round(np.random.default_rng(rows).uniform(0.0, 2.0, (rows, 80)), 1)
+    kdist, neighborhoods = _k_neighborhood(dists)
+    want = np.partition(dists, LOF_K - 1, axis=1)[:, LOF_K - 1]
+    np.testing.assert_array_equal(kdist, want)
+    np.testing.assert_array_equal(neighborhoods, dists <= want[:, None])
 
 
 def test_squared_distances_match_cdist():
@@ -490,6 +601,58 @@ def test_iforest_score_equals_path_oracle_for_every_query():
     got = iforest_score(model, queries)
     want = [brute_force_iforest_score(model, q) for q in queries]
     np.testing.assert_array_equal(got, want)
+
+
+def mask_recursion_grow(values, depth, cap, rng, nodes):
+    """Reference: tree growth by recursion over boolean-mask copies of the
+    unsorted subsample; returns the subtree's root index."""
+    idx = len(nodes)
+    lo, hi = float(values.min()), float(values.max())
+    if depth >= cap or len(values) <= 1 or hi - lo <= 0.0:
+        nodes.append([math.nan, -1, -1, len(values)])
+        return idx
+    split = rng.uniform(lo, hi)
+    nodes.append([split, -1, -1, 0])
+    nodes[idx][1] = mask_recursion_grow(values[values < split], depth + 1, cap, rng, nodes)
+    nodes[idx][2] = mask_recursion_grow(values[values >= split], depth + 1, cap, rng, nodes)
+    return idx
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_grow_over_sorted_ranges_equals_mask_recursion(seed):
+    """Same nodes in the same preorder from the same draws, on samples
+    with duplicates, a constant run and the subsample's height cap."""
+    gen = np.random.default_rng(seed)
+    for n, cap in ((256, 8), (40, 6), (9, 2), (2, 1)):
+        values = gen.normal(size=n)
+        values[: n // 4] = np.round(values[: n // 4], 1)  # duplicates
+        values[n // 2: n // 2 + n // 8] = values[0]  # a run of equal values
+        for sample in (values, np.full(n, 0.5)):
+            want_rng, got_rng = Rng(seed), Rng(seed)
+            want: list[list] = []
+            mask_recursion_grow(sample, 0, cap, want_rng, want)
+            got = _grow(sorted(sample.tolist()), cap, got_rng)
+            np.testing.assert_array_equal(np.array(got), np.array(want))
+            assert got_rng.next_u64() == want_rng.next_u64()
+
+
+def test_grow_split_at_the_low_end_leaves_an_empty_left_leaf():
+    """A split drawn at a range's low end sends nothing left: that child is
+    an empty leaf, and its bounds are never read."""
+    low_end = SimpleNamespace(uniform=lambda lo, hi: lo)
+    sample = [0.0, 1.0, 1.0, 2.0]
+    nodes = np.array(_grow(sample, 2, low_end))
+    np.testing.assert_array_equal(nodes, [[0.0, 1, 2, 0], [np.nan, -1, -1, 0],
+                                          [0.0, 3, 4, 0], [np.nan, -1, -1, 0],
+                                          [np.nan, -1, -1, 4]])
+    split, left, right, size = nodes.T
+    size = size.astype(int)
+    tree = IsolationTree(feature=0, split=split, left=left.astype(int),
+                         right=right.astype(int), size=size,
+                         leaf_path=np.array([average_path_length(k) for k in size]))
+    right_leaf = 2.0 + average_path_length(4)
+    np.testing.assert_array_equal(tree.path_lengths(np.array([-1.0, 0.0, 3.0])),
+                                  [1.0, right_leaf, right_leaf])
 
 
 # ---------------------------------------------------------- graph distance

@@ -120,6 +120,45 @@ def test_shuffle_is_permutation_and_deterministic():
     assert a != list(range(20))
 
 
+def _scalar_shuffle(rng, seq):
+    """Reference Fisher-Yates: one randrange per swap."""
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3 * _CROSSOVER))
+@example(seed=1, n=_CROSSOVER)
+@example(seed=1, n=_CROSSOVER + 1)  # the first bulk shuffle: _CROSSOVER swaps
+@example(seed=5, n=1000)
+def test_shuffle_equals_scalar_randrange_loop(seed, n):
+    """On either side of the crossover, shuffle gives the permutation and
+    leaves the state of one randrange call per swap."""
+    bulk, scalar = Rng(seed), Rng(seed)
+    got, want = list(range(n)), list(range(n))
+    bulk.shuffle(got)
+    _scalar_shuffle(scalar, want)
+    assert got == want
+    assert bulk.next_u64() == scalar.next_u64()
+
+
+@pytest.mark.parametrize("n", [_CROSSOVER + 2, 2 * _CROSSOVER + 1, 512])
+def test_shuffle_with_a_word_near_2_to_64_takes_the_scalar_path(n):
+    """With _s1 = 0x4fc71c71c71c71c7 the next word is 2**64 - 1, which
+    randrange(n) rejects unless n is a power of two (512 here): either way
+    the bulk path must hand over to the scalar loop and match it."""
+    bulk, scalar, probe = Rng(3), Rng(3), Rng(3)
+    for rng in (bulk, scalar, probe):
+        rng._s1 = 0x4fc71c71c71c71c7
+    assert probe.next_u64() == 2**64 - 1
+    got, want = list(range(n)), list(range(n))
+    bulk.shuffle(got)
+    _scalar_shuffle(scalar, want)
+    assert got == want
+    assert bulk.next_u64() == scalar.next_u64()
+
+
 def test_poisson_mean():
     rng = Rng(31)
     xs = [rng.poisson(2.5) for _ in range(4000)]
