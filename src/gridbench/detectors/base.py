@@ -14,9 +14,13 @@ standard deviations above their training-score median. GESD flags by its
 own hypothesis-test decision.
 
 The quantiles come from ``scipy.special``, which gives the same values as
-``scipy.stats`` without its import cost: ``ndtr`` and ``ndtri`` for the
-normal tail and quantile, ``chdtri`` for the chi-square upper quantile and
-``fdtri`` for the F quantile (``gesd.py`` uses ``stdtrit`` for Student's t).
+``scipy.stats`` without its import cost: ``ndtri`` for the normal quantile,
+``chdtri`` for the chi-square upper quantile, ``fdtri`` for the F quantile
+and ``stdtrit`` for Student's t (behind ``gesd_critical_value``). This is
+the only module that names scipy, and it imports ``scipy.special`` when the
+first threshold is computed, not at import: ``scipy.special`` loads ~300
+modules and scipy's own bundled OpenBLAS (~25 MB of RSS), which processes
+that only build scenario streams or run the ACOPF sweep never use.
 """
 
 from __future__ import annotations
@@ -24,11 +28,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtri, fdtri, ndtr, ndtri
 
-# two-sided tail mass of |z| > 3: the "3 robust z equivalents" reference
-P_THREE_SIGMA = 2.0 * (1.0 - ndtr(3.0))
+# two-sided tail mass of |z| > 3: the "3 robust z equivalents" reference.
+# Exactly 2.0 * (1.0 - scipy.special.ndtr(3.0)), written out so that import
+# loads no scipy; test_max_z_threshold_equals_scipy_stats_at_every_channel_count
+# pins it to scipy.stats.
+P_THREE_SIGMA = 0.002699796063260207
 ROBUST_Z = 3.0  # robust standard deviations above the training-score median
+
+
+def _special():
+    """``scipy.special``, imported at the first call."""
+    import scipy.special
+    return scipy.special
 
 
 @dataclass(frozen=True)
@@ -93,7 +105,7 @@ class DetectorConfig:
 def max_z_threshold(n_channels: int) -> float:
     """z threshold matching the 3-sigma tail after a max over channels."""
     p = P_THREE_SIGMA / max(1, n_channels)
-    return float(ndtri(1.0 - p / 2.0))
+    return float(_special().ndtri(1.0 - p / 2.0))
 
 
 def mahalanobis_threshold(n_channels: int, dof: int | None = None,
@@ -107,11 +119,16 @@ def mahalanobis_threshold(n_channels: int, dof: int | None = None,
     """
     k = max(1, n_channels)
     if dof is None or dof <= k + 1:
-        base = float(np.sqrt(chdtri(k, P_THREE_SIGMA)))
+        base = float(np.sqrt(_special().chdtri(k, P_THREE_SIGMA)))
     else:
-        fq = fdtri(k, dof - k, 1.0 - P_THREE_SIGMA)
+        fq = _special().fdtri(k, dof - k, 1.0 - P_THREE_SIGMA)
         base = float(np.sqrt(k * (dof - 1) / (dof - k) * fq))
     return base * inflation
+
+
+def student_t_quantile(df: int, p: float) -> float:
+    """Quantile of Student's t with ``df`` degrees of freedom at ``p``."""
+    return _special().stdtrit(df, p)
 
 
 def robust_train_threshold(train_scores: np.ndarray) -> float:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import stdtrit
 
-from .base import AnomalyScoreSeries
+from .base import AnomalyScoreSeries, student_t_quantile
 
 WINDOW = 50        # trailing ticks per test, the newest included
 MAX_ANOMS = 2      # removal steps per window
@@ -26,7 +25,7 @@ def gesd_critical_value(n: int, i: int, significance: float) -> float:
     """Critical value lambda_i for the i-th removal from an n-point window."""
     df = n - i - 1
     p = 1.0 - significance / (2.0 * (n - i + 1))
-    tq = stdtrit(df, p)
+    tq = student_t_quantile(df, p)
     return float((n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1)))
 
 

@@ -957,16 +957,45 @@ def test_gesd_critical_value_equals_scipy_stats_for_every_window(significance):
         assert np.array_equal(got, expect), n
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial"])
-def test_detector_import_leaves_scipy_stats_unloaded(module):
-    # a fresh interpreter that finds gridbench where this one does
+def run_fresh_interpreter(code: str) -> str:
+    """stdout of ``code`` run by a new interpreter that finds gridbench where this one does."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
-    code = ("import sys; "
-            "import gridbench.scenario, gridbench.detectors, gridbench.acopf; "
-            f"print({module!r} in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special", "scipy"])
+def test_detector_import_leaves_scipy_stats_unloaded(module):
+    out = run_fresh_interpreter(
+        "import sys; "
+        "import gridbench.scenario, gridbench.detectors, gridbench.acopf; "
+        f"print({module!r} in sys.modules)")
     assert out.split() == ["False"]
+
+
+def test_first_threshold_loads_scipy_special_and_matches_scipy_stats():
+    # this process has scipy.stats loaded, so only a new one meets the deferred import
+    out = run_fresh_interpreter("""
+import sys
+from gridbench.detectors import gesd_critical_value, mahalanobis_threshold, max_z_threshold
+print('scipy.special' in sys.modules)
+values = (max_z_threshold(213), mahalanobis_threshold(19),
+          mahalanobis_threshold(19, dof=150), gesd_critical_value(50, 2, 0.05))
+print('scipy.special' in sys.modules)
+for v in values:
+    print(repr(v))
+""")
+    before, after, *values = out.split()
+    assert (before, after) == ("False", "True")
+    k, dof, n, i = 19, 150, 50, 2
+    tq = student_t.ppf(1.0 - 0.05 / (2.0 * (n - i + 1)), n - i - 1)
+    expect = [
+        norm.ppf(1.0 - P_THREE_SIGMA / 213 / 2.0),
+        np.sqrt(chi2.ppf(1.0 - P_THREE_SIGMA, df=k)),
+        np.sqrt(k * (dof - 1) / (dof - k) * f.ppf(1.0 - P_THREE_SIGMA, k, dof - k)),
+        (n - i) * tq / np.sqrt((n - i - 1 + tq * tq) * (n - i + 1)),
+    ]
+    assert [float(v) for v in values] == [float(e) for e in expect]
 
 
 @pytest.mark.parametrize("make,match", [
