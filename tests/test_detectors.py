@@ -964,7 +964,8 @@ def run_fresh_interpreter(code: str) -> str:
                           capture_output=True, text=True).stdout
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special", "scipy"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.spatial", "scipy.special", "scipy",
+                                    "numpy.random"])
 def test_detector_import_leaves_scipy_stats_unloaded(module):
     out = run_fresh_interpreter(
         "import sys; "

@@ -1,8 +1,9 @@
 """Tests for the deterministic PRNG.
 
 The reference oracle below is a direct transliteration of the published
-xoshiro256** / splitmix64 reference algorithms, kept independent of the
-implementation under test.
+splitmix64 reference algorithm, kept independent of the implementation
+under test. ``_unmix`` inverts its output mix, so a test can set the
+counter that yields a chosen word.
 """
 
 import math
@@ -29,27 +30,30 @@ def _ref_splitmix64_stream(seed, n):
     return out
 
 
-def _ref_xoshiro_stream(seed, n):
-    s = _ref_splitmix64_stream(seed, 4)
-    out = []
-    for _ in range(n):
-        x = (s[1] * 5) & M64
-        x = ((x << 7) | (x >> 57)) & M64
-        out.append((x * 9) & M64)
-        t = (s[1] << 17) & M64
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = ((s[3] << 45) | (s[3] >> 19)) & M64
-    return out
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _unxorshift(z, shift):
+    """Inverse of z ^ (z >> shift)."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _unmix(z):
+    """The counter whose splitmix64 output is z."""
+    z = _unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & M64
+    z = _unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & M64
+    return _unxorshift(z, 30)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 10**18, 0xDEADBEEF])
 def test_matches_reference_stream(seed):
     rng = Rng(seed)
-    ref = _ref_xoshiro_stream(seed, 500)
+    ref = _ref_splitmix64_stream(seed, 500)
     got = [rng.next_u64() for _ in range(500)]
     assert got == ref
 
@@ -83,9 +87,9 @@ def test_normal_moments():
 
 @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF])
 def test_bulk_uniforms_match_reference_stream(seed):
-    # enough words for many lanes, and a count that is no multiple of a lane
+    # a count well past the crossover
     n = 5 * _CROSSOVER + 7
-    expect = [(w >> 11) * 2.0**-53 for w in _ref_xoshiro_stream(seed, n)]
+    expect = [(w >> 11) * 2.0**-53 for w in _ref_splitmix64_stream(seed, n)]
     assert Rng(seed).uniforms(n).tolist() == expect
 
 
@@ -93,7 +97,7 @@ def test_normal_box_muller_reference():
     # First normal must equal the Box-Muller transform of the first two
     # 53-bit uniforms from the raw stream.
     seed = 99
-    raw = _ref_xoshiro_stream(seed, 2)
+    raw = _ref_splitmix64_stream(seed, 2)
     u1 = (raw[0] >> 11) * 2.0**-53
     u2 = (raw[1] >> 11) * 2.0**-53
     expect = math.sqrt(-2 * math.log(u1)) * math.cos(2 * math.pi * u2)
@@ -145,12 +149,12 @@ def test_shuffle_equals_scalar_randrange_loop(seed, n):
 
 @pytest.mark.parametrize("n", [_CROSSOVER + 2, 2 * _CROSSOVER + 1, 512])
 def test_shuffle_with_a_word_near_2_to_64_takes_the_scalar_path(n):
-    """With _s1 = 0x4fc71c71c71c71c7 the next word is 2**64 - 1, which
+    """With _x = unmix(2**64 - 1) - GOLDEN the next word is 2**64 - 1, which
     randrange(n) rejects unless n is a power of two (512 here): either way
     the bulk path must hand over to the scalar loop and match it."""
     bulk, scalar, probe = Rng(3), Rng(3), Rng(3)
     for rng in (bulk, scalar, probe):
-        rng._s1 = 0x4fc71c71c71c71c7
+        rng._x = (_unmix(M64) - GOLDEN) & M64
     assert probe.next_u64() == 2**64 - 1
     got, want = list(range(n)), list(range(n))
     bulk.shuffle(got)
@@ -223,13 +227,14 @@ def test_uniforms_equal_scalar_draws(seed, n):
 
 @pytest.mark.parametrize("spare", [False, True])
 def test_normals_redraw_zero_u1_as_normal_does(spare):
-    """With _s1 = 0 the next word is 0, so the first u1 is 0: normal()
-    rejects it and draws again, and normals() must do the same."""
+    """With _x = -GOLDEN the next counter is 0 and mix(0) = 0, so the first
+    u1 is 0: normal() rejects it and draws again, and normals() must do the
+    same."""
     bulk, scalar, probe = Rng(8), Rng(8), Rng(8)
     if spare:
         bulk.normal(), scalar.normal()
     for rng in (bulk, scalar, probe):
-        rng._s0, rng._s1, rng._s2, rng._s3 = 11, 0, 22, 33
+        rng._x = -GOLDEN & M64
     assert probe.next_u64() == 0
     n = 2 * _CROSSOVER + 1
     assert np.array_equal(bulk.normals(n), _scalar_normals(scalar, n, 0.0, 1.0))

@@ -90,19 +90,26 @@ def test_sampled_schedule_monte_carlo_rate():
 
 
 def test_sampled_schedule_stops_once_every_tick_holds_an_event():
-    """Seed 583 draws two events for a one-tick horizon; the second finds
+    """Seed 2615 draws two events for a one-tick horizon; the second finds
     no free tick and is dropped instead of redrawn forever."""
+    case, seed = bundled_case("case57"), 2615
+    # the precondition: the seed's Poisson counts (the schedule's first two
+    # draws, at half an hour's rates) add up to two or more events
+    rates = expected_event_counts(case, hours=0.5)
+    rng = Rng(seed)
+    assert rng.poisson(rates["line_changes"]) + rng.poisson(rates["gen_switches"]) >= 2
+
     def timeout(signum, frame):
         raise TimeoutError("sample_event_schedule did not return")
 
     previous = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(10)
     try:
-        events = sample_event_schedule(bundled_case("case57"), 1, 583)
+        events = sample_event_schedule(case, 1, seed)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert events == [TopologyEvent(0, "line_open", 7, "known")]
+    assert events == [TopologyEvent(0, "line_open", 33, "known")]
 
 
 def test_unservable_island_error_names_event():
