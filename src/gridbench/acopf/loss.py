@@ -12,8 +12,9 @@ on S, dL = Re(conj(c)^T dS) and
 
     dS = (C dV) * conj(Y V) + (C V) * conj(Y dV),  dV = j V dva + E dvm,
 
-with E = V/|V|, collapsed into two batched matrix products against C and
-conj(Y).
+with E = V/|V|, collapsed into batched matrix products against C and
+conj(Y). ``DecisionSpace`` stores conj(Y) and a complex C, so no batch
+converts a matrix; the identity C of the bus injections takes no product.
 """
 
 from __future__ import annotations
@@ -33,15 +34,19 @@ class PenaltyWeights:
 
 
 def _adjoint_to_grads(c: np.ndarray, v: np.ndarray, v_end: np.ndarray,
-                      i_end: np.ndarray, C: np.ndarray, Y: np.ndarray):
+                      i_end: np.ndarray, C: np.ndarray | None, y_conj: np.ndarray):
     """Gradients wrt (va, vm) of dL = Re(conj(c)^T dS), S = (C V) * conj(Y V).
 
     ``v_end`` = C V and ``i_end`` = Y V are the term's evaluated end voltages
     and currents. dS = (C dV) conj(I) + V_end conj(Y dV), with
-    dV = j V dva + E dvm, E = V/|V|.
+    dV = j V dva + E dvm, E = V/|V|. ``C`` is complex, or None for the
+    identity; ``y_conj`` is conj(Y).
     """
-    first = (np.conj(c) * np.conj(i_end)) @ C  # coefficient on dV
-    w = (np.conj(c) * v_end) @ np.conj(Y)      # coefficient on conj(dV)
+    c_conj = np.conj(c)
+    first = c_conj * np.conj(i_end)  # coefficient on dV
+    if C is not None:
+        first = first @ C
+    w = (c_conj * v_end) @ y_conj    # coefficient on conj(dV)
     e = v / np.abs(v)
     g_va = np.real(1j * v * first) + np.real(-1j * np.conj(v) * w)
     g_vm = np.real(e * first) + np.real(np.conj(e) * w)
@@ -74,7 +79,7 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
     lam_p = -2.0 * weights.w_eq * ev.r_p / (b * n_eq)
     lam_q = -2.0 * weights.w_eq * ev.r_q / (b * n_eq)
     g_va, g_vm = _adjoint_to_grads(lam_p + 1j * lam_q, ev.v, ev.v, ev.i_bus,
-                                   np.eye(n), space.y)
+                                   None, space.y_conj)
     # and directly on generator injections
     g_pg = -lam_p @ space.gen_inc.T
     g_qg = -lam_q @ space.gen_inc.T
@@ -87,15 +92,16 @@ def penalty_loss_and_grad(space: DecisionSpace, decision: np.ndarray,
 
     # inequality: thermal terms through the branch end flows
     ends = ev.ends
-    for s_end, v_end, i_end, excess, C, Y in (
-            (ends.s_f, ends.vf, ends.i_f, exc["th_f"], space.cf, space.yf),
-            (ends.s_t, ends.vt, ends.i_t, exc["th_t"], space.ct, space.yt)):
+    for s_end, v_end, i_end, excess, C, y_conj in (
+            (ends.s_f, ends.vf, ends.i_f, exc["th_f"], space.cf, space.yf_conj),
+            (ends.s_t, ends.vt, ends.i_t, exc["th_t"], space.ct, space.yt_conj)):
         active = excess > 0
         if not active.any():
             continue
         # d|S| = Re(conj(S)/|S| dS)
         eta = np.where(active, s_end / np.maximum(np.abs(s_end), 1e-12), 0.0)
-        dva, dvm = _adjoint_to_grads(k_ineq * excess * eta, ev.v, v_end, i_end, C, Y)
+        dva, dvm = _adjoint_to_grads(k_ineq * excess * eta, ev.v, v_end, i_end,
+                                     C, y_conj)
         g_va += dva
         g_vm += dvm
 

@@ -68,7 +68,14 @@ class Evaluation(NamedTuple):
 
 
 class DecisionSpace:
-    """Precomputed case tensors shared by violation and gradient passes."""
+    """Precomputed case tensors shared by violation and gradient passes.
+
+    ``y`` is Ybus, read by ``evaluate``. The penalty gradient's operands are
+    kept in the form its products use, so no batch converts a matrix:
+    ``y_conj``, ``yf_conj`` and ``yt_conj`` hold conj(Ybus), conj(Yf) and
+    conj(Yt), and ``cf``/``ct`` are complex. Yf and Yt are stored only
+    conjugated.
+    """
 
     def __init__(self, case: GridCase):
         self.case = case
@@ -101,9 +108,13 @@ class DecisionSpace:
         self.n_rated = len(self.rate)
         # incidence matrices: rows are branches / loads / online generators
         eye = np.eye(self.n_bus)
-        self.cf, self.ct = eye[br.f], eye[br.t]
-        self.yf = br.yff[:, None] * self.cf + br.yft[:, None] * self.ct
-        self.yt = br.ytf[:, None] * self.cf + br.ytt[:, None] * self.ct
+        # the loss's operands (see the class docstring)
+        self.y_conj = np.conj(self.y)
+        self.cf, self.ct = eye[br.f].astype(complex), eye[br.t].astype(complex)
+        self.yf_conj = br.yff[:, None] * self.cf + br.yft[:, None] * self.ct
+        self.yt_conj = br.ytf[:, None] * self.cf + br.ytt[:, None] * self.ct
+        np.conj(self.yf_conj, out=self.yf_conj)
+        np.conj(self.yt_conj, out=self.yt_conj)
         self.gen_inc = eye[self.gen_bus]
 
         self.n_load = len(case.loads)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,22 @@ class TrainConfig:
     weights: PenaltyWeights = field(default_factory=PenaltyWeights)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
+        if not 0.0 <= self.lr_decay < math.inf:
+            raise ValueError("lr_decay must be non-negative and finite")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if not self.grad_clip > 0.0:  # inf disables clipping
+            raise ValueError("grad_clip must be positive")
 
-def decision_loss_and_input_grad(model: MlpModel, inputs: np.ndarray,
-                                 pd_bus: np.ndarray, qd_bus: np.ndarray,
-                                 weights: PenaltyWeights):
+
+def decision_loss_and_grads(model: MlpModel, inputs: np.ndarray,
+                            pd_bus: np.ndarray, qd_bus: np.ndarray,
+                            weights: PenaltyWeights):
     """Single forward/backward pass: loss, parameter grads, term breakdown.
 
     A non-finite loss skips the backward pass; its grads are then None.
@@ -52,16 +65,19 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
 
     Returns the model and a per-epoch loss trace. Zero epochs leave the
     model untouched. Non-finite loss aborts with the epoch index.
+
+    Each batch builds its network inputs and bus loads from its own rows of
+    pd and qd, and the momentum step updates the optimizer state in place,
+    so memory beyond the samples and the model grows with the batch, not
+    with the sample set.
     """
     space = model.space
     n = pd.shape[0]
     if n == 0:
         raise ValueError("no training samples")
-    inputs = np.concatenate([pd, qd], axis=1)
-    pd_bus, qd_bus = space.loads_to_buses(pd, qd)
     rng = Rng(cfg.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(p) for p in params]
     trace: list[dict] = []
     order = list(range(n))
     for epoch in range(cfg.epochs):
@@ -72,18 +88,22 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
         batches = 0
         for start in range(0, n, BATCH_SIZE):
             idx = order[start:start + BATCH_SIZE]
-            loss, grads_w, grads_b, parts = decision_loss_and_input_grad(
-                model, inputs[idx], pd_bus[idx], qd_bus[idx], cfg.weights)
+            pd_batch, qd_batch = pd[idx], qd[idx]
+            pd_bus, qd_bus = space.loads_to_buses(pd_batch, qd_batch)
+            loss, grads_w, grads_b, parts = decision_loss_and_grads(
+                model, np.concatenate([pd_batch, qd_batch], axis=1), pd_bus, qd_bus,
+                cfg.weights)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads_w)
                             + sum(float((g**2).sum()) for g in grads_b))
-            scale = min(1.0, cfg.grad_clip / max(gnorm, 1e-12))
-            for k in range(len(model.weights)):
-                vel_w[k] = cfg.momentum * vel_w[k] - lr * scale * grads_w[k]
-                vel_b[k] = cfg.momentum * vel_b[k] - lr * scale * grads_b[k]
-                model.weights[k] += vel_w[k]
-                model.biases[k] += vel_b[k]
+            step = lr * min(1.0, cfg.grad_clip / max(gnorm, 1e-12))
+            # vel = momentum * vel - step * g, in place and rounded as written
+            for p, vel, g in zip(params, velocity, grads_w + grads_b):
+                g *= step
+                vel *= cfg.momentum
+                vel -= g
+                p += vel
             epoch_loss += loss
             for key in epoch_parts:
                 epoch_parts[key] += parts[key]

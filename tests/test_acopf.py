@@ -1,6 +1,7 @@
 """Violation metric, penalty gradients, data generation, sweep plumbing."""
 
 import ast
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -29,7 +30,7 @@ from gridbench.acopf import (
 )
 from gridbench.acopf.mlp import input_standardization, mlp_backward, mlp_forward
 from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
-from gridbench.acopf.train import decision_loss_and_input_grad
+from gridbench.acopf.train import BATCH_SIZE, decision_loss_and_grads
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
 from gridbench.powerflow import solve_pf
 from gridbench.rng import Rng
@@ -241,8 +242,7 @@ def test_model_weight_gradient_matches_finite_differences():
     model = build_mlp(space, hidden_layers=2, width=8, seed=1)
     model.input_mean, model.input_std = input_standardization(inputs)
     w = PenaltyWeights()
-    _, grads_w, grads_b, _ = decision_loss_and_input_grad(model, inputs, pd_bus,
-                                                          qd_bus, w)
+    _, grads_w, grads_b, _ = decision_loss_and_grads(model, inputs, pd_bus, qd_bus, w)
 
     def loss_at():
         decision, _ = mlp_forward(model, inputs)
@@ -333,6 +333,181 @@ def test_training_divergence_reports_epoch():
     # the loss's own overflow is how divergence shows; the diverged batch
     # gets no backward pass, so nothing overflows in the network
     assert not [w for w in caught if w.filename.endswith("mlp.py")]
+
+
+def test_train_config_rejects_negative_epochs():
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-2)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.01, np.inf, np.nan])
+def test_train_config_rejects_non_positive_or_non_finite_lr(value):
+    with pytest.raises(ValueError, match="lr must"):
+        TrainConfig(lr=value)
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.0, 1.5, np.nan])
+def test_train_config_rejects_momentum_outside_unit_interval(value):
+    with pytest.raises(ValueError, match="momentum"):
+        TrainConfig(momentum=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+def test_train_config_rejects_non_positive_grad_clip(value):
+    with pytest.raises(ValueError, match="grad_clip"):
+        TrainConfig(grad_clip=value)
+    assert TrainConfig(grad_clip=np.inf).grad_clip == np.inf  # no clipping
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+def test_train_config_rejects_negative_lr_decay(value):
+    with pytest.raises(ValueError, match="lr_decay"):
+        TrainConfig(lr_decay=value)
+
+
+# Reference copies of the training loop and loss before they indexed each
+# batch from pd/qd, dropped the identity product and updated the optimizer
+# state in place: whole-set inputs and bus loads, np.eye(n) for the bus
+# injections, conj(Y) and real C taken per call, allocating momentum step.
+
+def _ref_adjoint_to_grads(c, v, v_end, i_end, C, Y):
+    first = (np.conj(c) * np.conj(i_end)) @ C
+    w = (np.conj(c) * v_end) @ np.conj(Y)
+    e = v / np.abs(v)
+    g_va = np.real(1j * v * first) + np.real(-1j * np.conj(v) * w)
+    g_vm = np.real(e * first) + np.real(np.conj(e) * w)
+    return g_va, g_vm
+
+
+def _ref_penalty_loss_and_grad(space, decision, pd_bus, qd_bus, weights):
+    decision = np.atleast_2d(decision)
+    b = decision.shape[0]
+    n = space.n_bus
+    ev = space.evaluate(decision, pd_bus, qd_bus)
+    exc = ev.excess
+    n_eq = 2 * n
+    loss_eq = float(np.sum(ev.r_p**2 + ev.r_q**2) / (b * n_eq))
+    n_ineq = space.n_ineq
+    loss_ineq = float(sum(np.sum(e**2) for e in exc.values()) / (b * n_ineq))
+    loss_cost = float(space.cost(ev.pg).mean())
+    loss = (weights.w_cost * loss_cost + weights.w_eq * loss_eq
+            + weights.w_ineq * loss_ineq)
+    lam_p = -2.0 * weights.w_eq * ev.r_p / (b * n_eq)
+    lam_q = -2.0 * weights.w_eq * ev.r_q / (b * n_eq)
+    g_va, g_vm = _ref_adjoint_to_grads(lam_p + 1j * lam_q, ev.v, ev.v, ev.i_bus,
+                                       np.eye(n), space.y)
+    g_pg = -lam_p @ space.gen_inc.T
+    g_qg = -lam_q @ space.gen_inc.T
+    k_ineq = 2.0 * weights.w_ineq / (b * n_ineq)
+    g_pg += k_ineq * (exc["pg_hi"] - exc["pg_lo"])
+    g_qg += k_ineq * (exc["qg_hi"] - exc["qg_lo"])
+    g_vm += k_ineq * (exc["vm_hi"] - exc["vm_lo"])
+    ends = ev.ends
+    for s_end, v_end, i_end, excess, C, Y in (
+            (ends.s_f, ends.vf, ends.i_f, exc["th_f"], space.cf.real,
+             np.conj(space.yf_conj)),
+            (ends.s_t, ends.vt, ends.i_t, exc["th_t"], space.ct.real,
+             np.conj(space.yt_conj))):
+        active = excess > 0
+        if not active.any():
+            continue
+        eta = np.where(active, s_end / np.maximum(np.abs(s_end), 1e-12), 0.0)
+        dva, dvm = _ref_adjoint_to_grads(k_ineq * excess * eta, ev.v, v_end, i_end,
+                                         C, Y)
+        g_va += dva
+        g_vm += dvm
+    g_pg += weights.w_cost * (2.0 * space.cost_c2 * ev.pg + space.cost_c1) / (
+        space.cost_ref * b)
+    g_va[:, space.slack] = 0.0
+    grad = space.pack(g_vm, g_va, g_pg, g_qg)
+    return loss, grad, {"cost": loss_cost, "eq": loss_eq, "ineq": loss_ineq}
+
+
+def _ref_train_penalty(model, pd, qd, cfg):
+    space = model.space
+    n = pd.shape[0]
+    inputs = np.concatenate([pd, qd], axis=1)
+    pd_bus, qd_bus = space.loads_to_buses(pd, qd)
+    rng = Rng(cfg.seed)
+    vel_w = [np.zeros_like(w) for w in model.weights]
+    vel_b = [np.zeros_like(b) for b in model.biases]
+    trace = []
+    order = list(range(n))
+    for epoch in range(cfg.epochs):
+        rng.shuffle(order)
+        lr = cfg.lr / (1.0 + cfg.lr_decay * epoch)
+        epoch_loss = 0.0
+        epoch_parts = {"cost": 0.0, "eq": 0.0, "ineq": 0.0}
+        batches = 0
+        for start in range(0, n, BATCH_SIZE):
+            idx = order[start:start + BATCH_SIZE]
+            decision, cache = mlp_forward(model, inputs[idx])
+            loss, grad_dec, parts = _ref_penalty_loss_and_grad(
+                space, decision, pd_bus[idx], qd_bus[idx], cfg.weights)
+            grads_w, grads_b = mlp_backward(model, cache, grad_dec)
+            gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads_w)
+                            + sum(float((g**2).sum()) for g in grads_b))
+            scale = min(1.0, cfg.grad_clip / max(gnorm, 1e-12))
+            for k in range(len(model.weights)):
+                vel_w[k] = cfg.momentum * vel_w[k] - lr * scale * grads_w[k]
+                vel_b[k] = cfg.momentum * vel_b[k] - lr * scale * grads_b[k]
+                model.weights[k] += vel_w[k]
+                model.biases[k] += vel_b[k]
+            epoch_loss += loss
+            for key in epoch_parts:
+                epoch_parts[key] += parts[key]
+            batches += 1
+        entry = {"epoch": epoch, "loss": epoch_loss / batches}
+        entry.update({k: v / batches for k, v in epoch_parts.items()})
+        trace.append(entry)
+    return model, trace
+
+
+@pytest.mark.parametrize("case_name, cfg", [
+    # case30's rated branches run the thermal adjoint; case57 has none
+    ("case30", TrainConfig(epochs=4, seed=3)),
+    ("case57", TrainConfig(epochs=4, seed=3)),
+    # every batch's gradient norm exceeds this clip
+    ("case30", TrainConfig(epochs=4, lr=0.05, lr_decay=0.5, momentum=0.5,
+                           grad_clip=1e-3, seed=5)),
+])
+def test_training_equals_reference_loop(case_name, cfg):
+    case = bundled_case(case_name)
+    space = DecisionSpace(case)
+    samples = gen_realistic(case, 150, seed=2)  # two full batches and a partial one
+    pd_bus, qd_bus = space.loads_to_buses(samples.pd, samples.qd)
+    model = build_mlp(space, 2, 32, seed=1)
+    model.input_mean, model.input_std = input_standardization(
+        np.concatenate([samples.pd, samples.qd], axis=1))
+    ev = space.evaluate(mlp_forward(model, np.concatenate(
+        [samples.pd, samples.qd], axis=1))[0], pd_bus, qd_bus)
+    thermal = ev.excess["th_f"].any() or ev.excess["th_t"].any()
+    assert thermal == (case_name == "case30")
+    ref, ref_trace = _ref_train_penalty(model.copy(), samples.pd, samples.qd, cfg)
+    new, trace = train_penalty(model.copy(), samples.pd, samples.qd, cfg)
+    assert trace == ref_trace
+    for a, b in zip(new.weights + new.biases, ref.weights + ref.biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_training_memory_does_not_grow_with_the_sample_set():
+    # each batch builds its own inputs and bus loads, and the optimizer
+    # state is updated in place; whole-set copies grew this by ~6 MB
+    case = bundled_case("case57")
+    space = DecisionSpace(case)
+    peaks = []
+    for n in (200, 4000):
+        samples = gen_realistic(case, n, seed=0)
+        model = build_mlp(space, 2, 200, seed=0)
+        model.input_mean, model.input_std = input_standardization(
+            np.concatenate([samples.pd, samples.qd], axis=1))
+        tracemalloc.start()
+        try:
+            train_penalty(model, samples.pd, samples.qd, TrainConfig(epochs=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.5 * 2**20, peaks
 
 
 # ------------------------------------------------------------- data gen
