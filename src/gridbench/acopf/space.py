@@ -79,17 +79,15 @@ class DecisionSpace:
 
     def __init__(self, case: GridCase):
         self.case = case
-        self.bus_index = {b.id: i for i, b in enumerate(case.buses)}
         self.n_bus = len(case.buses)
-        ybus = build_ybus(case)
-        self.y = ybus.matrix
+        self.y, closed = build_ybus(case)
         self.slack = next(i for i, b in enumerate(case.buses) if b.kind == "slack")
         self.v_min = np.array([b.v_min for b in case.buses])
         self.v_max = np.array([b.v_max for b in case.buses])
 
         self.gens = tuple(g for g in case.generators if g.online)
         self.n_gen = len(self.gens)
-        self.gen_bus = np.array([self.bus_index[g.bus] for g in self.gens], dtype=int)
+        self.gen_bus = np.array([case.bus_index[g.bus] for g in self.gens], dtype=int)
         self.p_min = np.array([g.p_min for g in self.gens])
         self.p_max = np.array([g.p_max for g in self.gens])
         self.q_min = np.array([g.q_min for g in self.gens])
@@ -102,8 +100,8 @@ class DecisionSpace:
         self.cost_ref = max(ref, 1e-9)
 
         # thermal limits apply to the closed branches with a rating
-        rate = np.array([br.rate_a for br in case.branches])[ybus.branches.pos]
-        self.rated = br = ybus.branches.subset(rate > 0)
+        rate = np.array([br.rate_a for br in case.branches])[closed.pos]
+        self.rated = br = closed.subset(rate > 0)
         self.rate = rate[rate > 0]
         self.n_rated = len(self.rate)
         # incidence matrices: rows are branches / loads / online generators
@@ -118,7 +116,7 @@ class DecisionSpace:
         self.gen_inc = eye[self.gen_bus]
 
         self.n_load = len(case.loads)
-        self.load_inc = eye[[self.bus_index[l.bus] for l in case.loads]]
+        self.load_inc = eye[[case.bus_index[l.bus] for l in case.loads]]
 
         self.dim = 2 * self.n_bus + 2 * self.n_gen
         self.n_ineq = (4 * self.n_gen + 2 * self.n_bus + 2 * self.n_rated)

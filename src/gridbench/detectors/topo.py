@@ -56,15 +56,14 @@ def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
                    weights: dict[int, float]) -> float:
     """Weighted size of the symmetric difference of closed-branch sets.
 
-    Keys contain (branch id, from bus, to bus) triples; each triple in
-    only one key adds its branch's weight from ``weights`` (branch id ->
+    Keys are sets of closed branch ids (``GridCase.closed_branch_key``);
+    each id in only one key adds its weight from ``weights`` (branch id ->
     weight, as ``sensitivity_weights`` returns). A nonnegative metric:
     symmetric, zero iff equal keys, triangle inequality via the
     symmetric-difference union bound.
     """
     default = min(weights.values()) if weights else 1.0
-    diff = topo_a ^ topo_b
-    return float(sum(weights.get(entry[0], default) for entry in diff))
+    return float(sum(weights.get(bid, default) for bid in topo_a ^ topo_b))
 
 
 def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:

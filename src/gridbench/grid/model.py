@@ -15,7 +15,6 @@ BRANCH_STATUS = ("closed", "open")
 GEN_STATUS = ("on", "off")
 LOAD_STYLES = ("constant", "smooth", "oscillating", "abrupt")
 EVENT_KINDS = ("line_open", "line_close", "gen_on", "gen_off")
-EVENT_LABELS = ("known", "anomaly")
 
 
 class GridModelError(ValueError):
@@ -116,13 +115,10 @@ class TopologyEvent:
     tick: int
     kind: str  # line_open | line_close | gen_on | gen_off
     target: int  # branch id for line events, generator id for gen events
-    label: str = "known"
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
             raise GridModelError(f"event at tick {self.tick}: unknown kind {self.kind!r}")
-        if self.label not in EVENT_LABELS:
-            raise GridModelError(f"event at tick {self.tick}: unknown label {self.label!r}")
 
     @property
     def changes_graph(self) -> bool:
@@ -145,14 +141,15 @@ class GridCase:
 
     def bus(self, bus_id: int) -> Bus:
         try:
-            return self._bus_by_id[bus_id]
+            return self.buses[self.bus_index[bus_id]]
         except KeyError:
             raise GridModelError(f"unknown bus {bus_id}") from None
 
     # once per (immutable) case; cached_property writes the instance dict, not a field
     @cached_property
-    def _bus_by_id(self) -> dict[int, Bus]:
-        return {b.id: b for b in self.buses}
+    def bus_index(self) -> dict[int, int]:
+        """Bus id -> position in ``buses``, the order of every per-bus array."""
+        return {b.id: i for i, b in enumerate(self.buses)}
 
     @cached_property
     def _islands(self) -> tuple[tuple[int, ...], ...]:
@@ -187,14 +184,13 @@ class GridCase:
                 return g
         raise GridModelError(f"unknown generator {gen_id}")
 
-    def closed_branch_key(self) -> frozenset[tuple[int, int, int]]:
-        """Identity of the electrical topology: the closed branches.
+    def closed_branch_key(self) -> frozenset[int]:
+        """Identity of the electrical topology: the ids of the closed branches.
 
-        Events never move a branch's endpoints, so the branch id alone would
-        do; the (id, from bus, to bus) triples are kept so that topology keys
-        keep their format.
+        Events only switch a branch's status, never its endpoints, so two
+        states of one case have the same topology iff they close the same ids.
         """
-        return frozenset((br.id, br.from_bus, br.to_bus) for br in self.branches if br.closed)
+        return frozenset(br.id for br in self.branches if br.closed)
 
 
 def validate_case(case: GridCase) -> None:

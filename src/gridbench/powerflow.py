@@ -1,22 +1,24 @@
 """Vectorized network arrays and Newton-Raphson AC power flow.
 
 ``build_ybus`` compiles a case into dense arrays: the bus admittance
-matrix plus, for every closed branch, its position in ``case.branches``,
-its terminal bus indices and its pi-model admittances (``BranchArrays``).
-Every branch quantity in the package (flows, losses, the ACOPF decision
-space) is evaluated from these arrays. A ``PFSolution`` keeps the matrix it
-was solved on, so flows and losses need no rebuild. The bundled cases have
-at most 57 buses, so the admittance matrix and the Jacobian are plain dense
-arrays and each Newton step is one dense solve.
+matrix, with rows and columns in ``case.buses`` order, plus, for every
+closed branch, its position in ``case.branches``, its terminal bus indices
+and its pi-model admittances (``BranchArrays``). Every branch quantity in
+the package (flows, losses, the ACOPF decision space) is evaluated from
+these arrays. A ``PFSolution`` keeps the branch arrays of the network it
+was solved on, so flows need no rebuild. The bundled cases have at most 57
+buses, so the admittance matrix and the Jacobian are plain dense arrays and
+each Newton step is one dense solve.
 
 ``network`` compiles one topology of a case for the solver into a
-``Network`` record: the admittance matrix, the slack/PV/PQ bus index
-vectors (after the island check), the voltage setpoints, the slack angles,
-the bus of each load and online generator, and the Newton structure of the
-topology: the index vectors of the regulated buses and of the unknowns, and
-the admittance blocks that the reduced Jacobian is built from. A scenario
-tick supplies only the per-bus demand and scheduled injections
-(``Network.with_injections``); ``solve_pf`` also takes a case and compiles it.
+``Network`` record: ``build_ybus``'s matrix and closed-branch arrays, the
+slack/PV/PQ bus index vectors (after the island check), the voltage
+setpoints, the slack angles, the bus of each load and online generator, and
+the Newton structure of the topology: the index vectors of the regulated
+buses and of the unknowns, and the admittance blocks that the reduced
+Jacobian is built from. A scenario tick supplies only the per-bus demand
+and scheduled injections (``Network.with_injections``); ``solve_pf`` also
+takes a case and compiles it.
 
 Conventions:
     - complex voltage V = vm * exp(j*va), arrays ordered like case.buses
@@ -87,41 +89,28 @@ class BranchArrays:
 
 
 @dataclass(frozen=True)
-class AdmittanceMatrix:
-    """Bus admittance matrix with the bus-id ordering and the closed-branch
-    arrays it was built from."""
-
-    dimension: int
-    matrix: np.ndarray  # complex, dimension x dimension
-    bus_ids: tuple[int, ...]
-    branches: BranchArrays  # the closed branches, in case order
-
-    @property
-    def index(self) -> dict[int, int]:
-        return {b: i for i, b in enumerate(self.bus_ids)}
-
-
-@dataclass(frozen=True)
 class Network:
     """One topology of a case compiled for the solver (see ``network``).
 
-    Index vectors hold bus positions. A PV bus without an online generator
-    is PQ; buses of inert slackless islands are in none of slack/pv/pq.
-    ``unknowns`` indexes the stacked (va, vm) of all buses, and also the
-    stacked (P, Q) mismatches, which it picks in the same order. Only the
-    per-bus demand and scheduled net injection (online generation minus
-    demand, pu) change with loads and dispatch.
+    ``y`` and ``branches`` are ``build_ybus``'s pair; the bus count is
+    ``len(y)``. Index vectors hold bus positions in ``case.buses``. A PV bus
+    without an online generator is PQ; buses of inert slackless islands are
+    in none of slack/pv/pq. ``unknowns`` indexes the stacked (va, vm) of all
+    buses, and also the stacked (P, Q) mismatches, which it picks in the
+    same order. Only the per-bus demand and scheduled net injection (online
+    generation minus demand, pu) change with loads and dispatch.
     """
 
-    ybus: AdmittanceMatrix
+    y: np.ndarray  # bus admittance matrix, complex n x n
+    branches: BranchArrays  # the closed branches, in case order
     slack: np.ndarray
     pv: np.ndarray
     pq: np.ndarray
     regulated: np.ndarray  # slack then PV buses: they hold their vm setpoint
     pvpq: np.ndarray  # PV then PQ buses: their va is unknown
     unknowns: np.ndarray  # va at pvpq, then vm at pq (offset by n)
-    y_pvpq: np.ndarray  # ybus rows and columns at pvpq
-    y_pvpq_pq: np.ndarray  # ybus rows at pvpq, columns at pq
+    y_pvpq: np.ndarray  # y rows and columns at pvpq
+    y_pvpq_pq: np.ndarray  # y rows at pvpq, columns at pq
     vm_set: np.ndarray  # vm setpoint at slack/PV buses (the bus vm elsewhere)
     va_slack: np.ndarray  # angle of each slack bus
     load_bus: np.ndarray  # bus of each load, in case order
@@ -134,7 +123,7 @@ class Network:
     def with_injections(self, pd: Sequence[float], qd: Sequence[float],
                         pg: Sequence[float], qg: Sequence[float]) -> "Network":
         """This topology at per-load demand and per-online-generator output."""
-        n = self.ybus.dimension
+        n = len(self.y)
         at = np.concatenate([self.gen_bus, self.load_bus])
         return replace(
             self, pd=_bus_sums(self.load_bus, pd, n), qd=_bus_sums(self.load_bus, qd, n),
@@ -149,6 +138,9 @@ def _bus_sums(at: np.ndarray, weights: Sequence[float], n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PFSolution:
+    """Bus voltages and recovered generation of one solve, with the closed
+    branches of the network it was solved on (read by ``branch_flows``)."""
+
     vm: np.ndarray
     va: np.ndarray
     pg: np.ndarray  # recovered net generation per bus (pu)
@@ -156,7 +148,7 @@ class PFSolution:
     iterations: int
     converged: bool
     max_mismatch: float
-    ybus: AdmittanceMatrix  # the network the solution was computed on
+    branches: BranchArrays  # the closed branches of the network solved on
 
 
 @dataclass(frozen=True)
@@ -182,11 +174,12 @@ def branch_admittances(branches: Sequence[Branch]
     return (ys + bc) / (a * np.conj(a)), -ys / np.conj(a), -ys / a, ys + bc
 
 
-def build_ybus(case: GridCase) -> AdmittanceMatrix:
-    """Assemble the bus admittance matrix over closed branches plus shunts."""
-    bus_ids = tuple(b.id for b in case.buses)
-    idx = {b: i for i, b in enumerate(bus_ids)}
-    n = len(bus_ids)
+def build_ybus(case: GridCase) -> tuple[np.ndarray, BranchArrays]:
+    """The bus admittance matrix over closed branches plus shunts (complex,
+    rows and columns ordered like ``case.buses``) and the arrays of the
+    closed branches it was assembled from."""
+    idx = case.bus_index
+    n = len(case.buses)
     closed = [br for br in case.branches if br.closed]
     pos = np.array([k for k, br in enumerate(case.branches) if br.closed], dtype=int)
     f = np.array([idx[br.from_bus] for br in closed], dtype=int)
@@ -200,20 +193,19 @@ def build_ybus(case: GridCase) -> AdmittanceMatrix:
     vals = np.concatenate([np.stack([yff, yft, ytf, ytt], axis=1).ravel(), shunt[sh]])
     y = np.zeros((n, n), dtype=complex)
     np.add.at(y, (rows, cols), vals)
-    return AdmittanceMatrix(dimension=n, matrix=y, bus_ids=bus_ids,
-                            branches=BranchArrays(pos, f, t, yff, yft, ytf, ytt))
+    return y, BranchArrays(pos, f, t, yff, yft, ytf, ytt)
 
 
-def calculated_injections(ybus: AdmittanceMatrix, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
+def calculated_injections(y: np.ndarray, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     v = vm * np.exp(1j * va)
-    return v * np.conj(ybus.matrix @ v)
+    return v * np.conj(y @ v)
 
 
 def mismatch(net: Network | GridCase, vm: np.ndarray,
              va: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P, Q) mismatch = specified minus calculated injection, all buses."""
     net = network(net) if isinstance(net, GridCase) else net
-    s = calculated_injections(net.ybus, vm, va)
+    s = calculated_injections(net.y, vm, va)
     return net.p_spec - s.real, net.q_spec - s.imag
 
 
@@ -233,7 +225,7 @@ def _reduced_jacobian(net: Network, v: np.ndarray, ibus: np.ndarray) -> np.ndarr
     return np.concatenate([d.real, d[npv:].imag])
 
 
-def _check_islands_solvable(case: GridCase, idx: dict[int, int]) -> list[int]:
+def _check_islands_solvable(case: GridCase) -> list[int]:
     """Indices of buses excluded from the solve (inert slackless islands).
 
     An island without a slack bus is only tolerated when nothing electrical
@@ -251,7 +243,7 @@ def _check_islands_solvable(case: GridCase, idx: dict[int, int]) -> list[int]:
             raise PowerFlowError(
                 f"island with buses {list(rep.buses)} has no slack bus but carries "
                 "load, generation, shunts, or energized branches")
-        excluded.extend(idx[b] for b in rep.buses)
+        excluded.extend(case.bus_index[b] for b in rep.buses)
     return excluded
 
 
@@ -261,13 +253,13 @@ def network(case: GridCase) -> Network:
     Raises :class:`PowerFlowError` if the case has no slack bus or an
     energized island without one.
     """
-    ybus = build_ybus(case)
-    n, idx = ybus.dimension, ybus.index
+    y, branches = build_ybus(case)
+    n, idx = len(y), case.bus_index
     online = [g for g in case.generators if g.online]
     gen_bus = np.array([idx[g.bus] for g in online], dtype=int)
     kinds = np.array([b.kind for b in case.buses])
     kinds[(kinds == "pv") & ~np.isin(np.arange(n), gen_bus)] = "pq"
-    kinds[_check_islands_solvable(case, idx)] = "inert"
+    kinds[_check_islands_solvable(case)] = "inert"
     slack = np.flatnonzero(kinds == "slack")
     if not len(slack):
         raise PowerFlowError("case has no slack bus")
@@ -276,9 +268,9 @@ def network(case: GridCase) -> Network:
         vm_set[idx[g.bus]] = g.v_set  # the lowest-id online generator wins
     pv, pq = np.flatnonzero(kinds == "pv"), np.flatnonzero(kinds == "pq")
     pvpq = np.concatenate([pv, pq])
-    y_pvpq = ybus.matrix[pvpq]
+    y_pvpq = y[pvpq]
     empty = np.zeros(n)
-    net = Network(ybus, slack, pv, pq, np.concatenate([slack, pv]), pvpq,
+    net = Network(y, branches, slack, pv, pq, np.concatenate([slack, pv]), pvpq,
                   np.concatenate([pvpq, n + pq]), y_pvpq[:, pvpq], y_pvpq[:, pq],
                   vm_set, np.array([case.buses[i].va for i in slack]),
                   np.array([idx[l.bus] for l in case.loads], dtype=int), gen_bus,
@@ -297,8 +289,7 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
     :class:`PowerFlowError`.
     """
     net = network(net) if isinstance(net, GridCase) else net
-    ybus = net.ybus
-    n = ybus.dimension
+    n = len(net.y)
     slack, pq, pvpq, regulated = net.slack, net.pq, net.pvpq, net.regulated
 
     if start == "flat":
@@ -317,7 +308,7 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
         """Voltages, bus currents, calculated injections and the mismatch
         at the unknowns, at the current (vm, va)."""
         v = vm * np.exp(1j * va)
-        ibus = ybus.matrix @ v
+        ibus = net.y @ v
         s = v * np.conj(ibus)
         f = np.concatenate([net.p_spec - s.real, net.q_spec - s.imag])[net.unknowns]
         return v, ibus, s, f, float(np.abs(f).max(initial=0.0))
@@ -347,7 +338,7 @@ def solve_pf(net: Network | GridCase, start: str | tuple[np.ndarray, np.ndarray]
     pg[slack] = s.real[slack] + net.pd[slack]
     qg[regulated] = s.imag[regulated] + net.qd[regulated]
     return PFSolution(vm=vm, va=va, pg=pg, qg=qg, iterations=iterations,
-                      converged=converged, max_mismatch=max_mis, ybus=ybus)
+                      converged=converged, max_mismatch=max_mis, branches=net.branches)
 
 
 def branch_flows(case: GridCase, sol: PFSolution) -> BranchFlows:
@@ -356,7 +347,7 @@ def branch_flows(case: GridCase, sol: PFSolution) -> BranchFlows:
 
     Open branches report zeros.
     """
-    br = sol.ybus.branches
+    br = sol.branches
     end = br.terminals(sol.vm * np.exp(1j * sol.va))
     out = np.zeros((6, len(case.branches)))
     out[:, br.pos] = (end.s_f.real, end.s_f.imag, end.s_t.real, end.s_t.imag,

@@ -93,7 +93,7 @@ class Scenario:
     topology segment's first tick and true case (its events applied)."""
     config: ScenarioConfig
     multipliers: np.ndarray  # horizon x n_loads
-    events: tuple[TopologyEvent, ...]  # merged, sorted by tick
+    events: tuple[TopologyEvent, ...]  # merged, sorted by (tick, kind, target)
     segments: tuple[tuple[int, GridCase], ...]
     topology_id_per_tick: tuple[int, ...]
     topology_registry: dict[int, frozenset]
@@ -104,8 +104,11 @@ class Scenario:
 def build_scenario(config: ScenarioConfig) -> Scenario:
     """Materialize profiles and walk the event schedule into topology segments.
 
-    Fails fast if any event leaves a load island without an online
-    generator, naming the offending event.
+    An event is announced iff it is in ``config.known_events``; since known
+    and anomaly events may not share a tick, the walk tells them apart by
+    tick. The registry maps each announced topology id to its
+    ``closed_branch_key``. Fails fast if any event leaves a load island
+    without an online generator, naming the offending event.
     """
     horizon = config.horizon
     case = config.case
@@ -122,7 +125,7 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         raise ScenarioError(f"known and anomaly events share ticks {sorted(overlap)}")
 
     events = tuple(sorted(config.known_events + config.anomaly_events,
-                          key=lambda e: (e.tick, e.label, e.kind, e.target)))
+                          key=lambda e: (e.tick, e.kind, e.target)))
 
     # daily multiplier patterns tiled over the horizon
     daily = profiles_matrix(list(config.load_styles), TICKS_PER_DAY,
@@ -138,15 +141,16 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     topo_per_tick: list[int] = []
     for t, tick_events in groupby(events, key=lambda e: e.tick):
         topo_per_tick += [len(registry)] * (t - len(topo_per_tick))
+        announced = t in known_ticks
         announced_graph_change = False
         for ev in tick_events:
             true_case = apply_event(true_case, ev)
             for rep in connectivity_check(true_case):
                 if rep.unservable:
                     raise ScenarioError(
-                        f"{ev.label} event {ev.kind} on {ev.target} at tick {t} "
-                        f"leaves island {rep.buses} unservable")
-            if ev.label == "known":
+                        f"{'known' if announced else 'anomaly'} event {ev.kind} on "
+                        f"{ev.target} at tick {t} leaves island {rep.buses} unservable")
+            if announced:
                 announced_case = apply_event(announced_case, ev)
                 announced_graph_change |= ev.changes_graph
         if announced_graph_change:
@@ -193,21 +197,22 @@ def generation_dispatch(case: GridCase, total_demand: float) -> dict[int, float]
 
 
 def _sensor_roster(case: GridCase) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    ids, types = [], []
+    """Sensor ids and types: three per bus, then three per branch, in the
+    order of ``SENSOR_TYPES``."""
+    ids = []
     for b in case.buses:
         ids += [f"vm:{b.id}", f"pinj:{b.id}", f"qinj:{b.id}"]
-        types += ["vmag", "pinj", "qinj"]
     for br in case.branches:
         ids += [f"pf:{br.id}", f"qf:{br.id}", f"if:{br.id}"]
-        types += ["pflow", "qflow", "imag"]
-    return tuple(ids), tuple(types)
+    types = SENSOR_TYPES[:3] * len(case.buses) + SENSOR_TYPES[3:] * len(case.branches)
+    return tuple(ids), types
 
 
 def _readings(case: GridCase, net: Network, vm: np.ndarray, va: np.ndarray,
               p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Noise-free readings (ticks x roster, see ``_sensor_roster``) from
     ticks x buses voltages and net injections; open branches read zero."""
-    br = net.ybus.branches
+    br = net.branches
     end = br.terminals(vm * np.exp(1j * va))
     flows = np.zeros((len(vm), len(case.branches), 3))
     flows[:, br.pos] = np.stack([end.s_f.real, end.s_f.imag, np.abs(end.i_f)], axis=2)
@@ -276,8 +281,8 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
         values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
 
     return LabeledStream(
-        anomaly_ticks=frozenset(ev.tick for ev in scenario.events if ev.label == "anomaly"),
-        known_change_ticks=frozenset(ev.tick for ev in scenario.events if ev.label == "known"),
+        anomaly_ticks=frozenset(ev.tick for ev in cfg.anomaly_events),
+        known_change_ticks=frozenset(ev.tick for ev in cfg.known_events),
         topology_id_per_tick=scenario.topology_id_per_tick,
         sensor_ids=sensor_ids,
         sensor_types=sensor_types,
@@ -334,11 +339,11 @@ def sample_event_schedule(case: GridCase, horizon: int, seed: int) -> list[Topol
         if component == "line":
             br = rng.choice(sim.branches)
             kind = "line_open" if br.closed else "line_close"
-            ev = TopologyEvent(tick=tick, kind=kind, target=br.id, label="known")
+            ev = TopologyEvent(tick=tick, kind=kind, target=br.id)
         else:
             g = rng.choice(sim.generators)
             kind = "gen_off" if g.online else "gen_on"
-            ev = TopologyEvent(tick=tick, kind=kind, target=g.id, label="known")
+            ev = TopologyEvent(tick=tick, kind=kind, target=g.id)
         candidate = apply_event(sim, ev)
         if any(rep.unservable for rep in connectivity_check(candidate)):
             continue
@@ -439,8 +444,7 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     known = []
     announced = [case]  # the announced case of each segment
     for i, (kind, target) in enumerate(plan):
-        known.append(TopologyEvent(tick=segment * (i + 1), kind=kind,
-                                   target=target, label="known"))
+        known.append(TopologyEvent(tick=segment * (i + 1), kind=kind, target=target))
         announced.append(apply_event(announced[-1], known[-1]))
 
     # each anomaly trips a line inside one segment and recloses it three
@@ -471,10 +475,8 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     ax, ay = anomaly_lines
     anomalies = []
     for base_tick, line in zip(anomaly_base_ticks, (ay, ax, ay, ax)):
-        anomalies.append(TopologyEvent(tick=base_tick, kind="line_open",
-                                       target=line, label="anomaly"))
-        anomalies.append(TopologyEvent(tick=base_tick + 3, kind="line_close",
-                                       target=line, label="anomaly"))
+        anomalies.append(TopologyEvent(tick=base_tick, kind="line_open", target=line))
+        anomalies.append(TopologyEvent(tick=base_tick + 3, kind="line_close", target=line))
 
     return ScenarioConfig(
         case=case, horizon=horizon, load_styles=styles,

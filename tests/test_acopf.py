@@ -32,6 +32,7 @@ from gridbench.acopf.mlp import input_standardization, mlp_backward, mlp_forward
 from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
 from gridbench.acopf.train import BATCH_SIZE, decision_loss_and_grads
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
+from gridbench.loadsynth import TICKS_PER_DAY
 from gridbench.powerflow import solve_pf
 from gridbench.rng import Rng
 from gridbench.scenario import generation_dispatch
@@ -88,7 +89,7 @@ def feasible_decision_from_pf(space, pd=None, qd=None):
     pg = []
     qg = []
     for g, bus in zip(space.gens, space.gen_bus):
-        gens_here = [h for h in space.gens if space.bus_index[h.bus] == bus]
+        gens_here = [h for h in space.gens if space.case.bus_index[h.bus] == bus]
         pg.append(sol.pg[bus] / len(gens_here))
         qg.append(sol.qg[bus] / len(gens_here))
     return space.pack(sol.vm, sol.va, np.array(pg), np.array(qg))
@@ -195,7 +196,7 @@ def test_equality_residuals_match_transliteration_oracle():
                          for j in range(n))
             pg_i = sum(pg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
             qg_i = sum(qg[k] for k in range(space.n_gen) if space.gen_bus[k] == i)
-            here = [l for l in case.loads if space.bus_index[l.bus] == i]
+            here = [l for l in case.loads if space.case.bus_index[l.bus] == i]
             pd_i = sum(l.pd for l in here)
             qd_i = sum(l.qd for l in here)
             assert r_p[0, i] == pytest.approx(pg_i - pd_i - p_calc, abs=1e-10)
@@ -532,6 +533,29 @@ def test_intra_group_ratio_constancy():
         for c in cols[1:]:
             np.testing.assert_allclose(ratios[:, c], ratios[:, cols[0]],
                                        rtol=1e-12)
+
+
+def test_oscillating_group_moves_together_with_its_ripple_in_range():
+    # no bundled case has an oscillating group, so case30's smooth group is
+    # restyled; without noise its columns are one multiplier series, and
+    # what a daily hump leaves of each day is the ripple: a sine of
+    # amplitude r in [0.005, 0.02] plus jitter of standard deviation r / 2,
+    # so an RMS of about 0.85 r
+    case = bundled_case("case30")
+    case = replace(case, loads=tuple(replace(l, style="oscillating") if l.style == "smooth"
+                                     else l for l in case.loads))
+    cols = [j for j, l in enumerate(case.loads) if l.style == "oscillating"]
+    samples = gen_realistic(case, 2 * TICKS_PER_DAY, seed=3)
+    base = np.array([l.pd for l in case.loads])
+    ratios = samples.pd[:, cols] / base[cols]
+    np.testing.assert_allclose(ratios, np.repeat(ratios[:, :1], len(cols), axis=1),
+                               rtol=1e-12)
+    angle = 2.0 * np.pi * np.arange(TICKS_PER_DAY) / TICKS_PER_DAY
+    hump = np.stack([np.ones(TICKS_PER_DAY), np.cos(angle), np.sin(angle)], axis=1)
+    lo, hi = 0.85 * 0.005, 0.85 * 0.02  # RMS at the ripple's range ends
+    for day in ratios[:, 0].reshape(2, TICKS_PER_DAY):
+        ripple = day - hump @ np.linalg.lstsq(hump, day, rcond=None)[0]
+        assert lo / 2 < np.sqrt(np.mean(ripple**2)) < 1.5 * hi
 
 
 def test_groups_differ_across_samples():

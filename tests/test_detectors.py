@@ -19,6 +19,7 @@ from scipy.stats import t as student_t
 
 from gridbench.detectors import (
     FIT_BASED,
+    STREAMING,
     DetectorConfig,
     IforestConfig,
     OcsvmConfig,
@@ -50,8 +51,9 @@ from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE, _window_scores_vec
 from gridbench.detectors.iforest import IsolationTree, _grow
 from gridbench.detectors.ocsvm import rbf_kernel
 from gridbench.detectors.topo import _weighted_median_rows
-from gridbench.grid import Branch, Bus, GridCase, Generator, Load
+from gridbench.grid import Branch, Bus, GridCase, Generator, Load, bundled_case
 from gridbench.rng import Rng
+from gridbench.scenario import benchmark_config, build_scenario, run_scenario
 
 
 # ------------------------------------------------------------------ GESD
@@ -669,8 +671,7 @@ def five_branch_case():
 
 
 def topo_key(case, open_ids):
-    return frozenset((br.id, br.from_bus, br.to_bus)
-                     for br in case.branches if br.id not in open_ids)
+    return frozenset(br.id for br in case.branches if br.id not in open_ids)
 
 
 def test_graph_distance_identity_and_positivity():
@@ -876,6 +877,26 @@ def test_streaming_detectors_are_online_replay():
                                    full[name].scores[:cut],
                                    equal_nan=True, atol=0,
                                    err_msg=name)
+
+
+def test_score_stream_runs_the_streaming_detectors_as_called_directly():
+    case = bundled_case("case14")
+    stream = run_scenario(build_scenario(benchmark_config(case, "realistic", 1, segment=20)))
+    got = score_stream(stream, STREAMING, case=case)
+    want = {
+        "gesd": gesd_score_stream(stream.values),
+        "arima": arima_score_stream(stream.values),
+        "var": var_score_stream(stream.values),
+        "topo": topo_aware_score(stream.values, stream.topology_id_per_tick,
+                                 stream.topology_registry, case, TopoConfig()),
+    }
+    assert set(got) == set(STREAMING)
+    for name, series in want.items():
+        assert np.isfinite(series.scores).any(), name
+        np.testing.assert_array_equal(got[name].ticks, series.ticks, err_msg=name)
+        np.testing.assert_array_equal(got[name].scores, series.scores, err_msg=name)
+        np.testing.assert_array_equal(got[name].flags, series.flags, err_msg=name)
+        assert got[name].threshold == series.threshold, name
 
 
 def test_detector_determinism():

@@ -15,6 +15,7 @@ from gridbench.grid import (
     Generator,
     GridCase,
     GridModelError,
+    Load,
     TopologyEvent,
     apply_event,
     bundled_case,
@@ -62,6 +63,26 @@ def test_unknown_bus_reference_rejected():
     doc = MINIMAL_2BUS + "\nbranch 2 from=1 to=99 r=0 x=0.2\n"
     with pytest.raises(GridModelError, match="unknown bus"):
         load_case(doc)
+
+
+@pytest.mark.parametrize("old, new, error, match", [
+    ("x=0.1", "x 0.1", CaseParseError, "line 6: expected key=value, got 'x'"),
+    ("x=0.1", "x=0.1 y=2", CaseParseError, "line 6: unknown field 'y'"),
+    ("base_mva 100\n", "", CaseParseError, "missing base_mva record"),
+    ("base_mva 100", "base_mva 0", GridModelError, "base_mva must be positive"),
+    ("bus 2 kind=pq", "bus 1 kind=pq", GridModelError, r"duplicate bus ids \[1\]"),
+    ("gen 1", "branch 1 from=1 to=2 r=0 x=0.2\ngen 1", GridModelError,
+     "duplicate branch ids"),
+    ("gen 1 bus=1", "gen 1 bus=9", GridModelError, "gen 1: unknown bus 9"),
+    ("load 1 bus=2", "load 1 bus=9", GridModelError, "load 1: unknown bus 9"),
+    ("bus 2 kind=pq", "bus 2 kind=slack", GridModelError,
+     r"island with buses \[1, 2\] has multiple slack buses \[1, 2\]"),
+    ("x=0.1", "x=0.1 status=open", GridModelError,
+     r"island with buses \[2\] has load/generation but no slack bus"),
+])
+def test_invalid_case_document_rejected(old, new, error, match):
+    with pytest.raises(error, match=match):
+        load_case(MINIMAL_2BUS.replace(old, new))
 
 
 def test_parse_error_reports_line():
@@ -229,6 +250,21 @@ def test_invariant_validation():
         Bus(id=1, kind="pq", v_min=1.1, v_max=0.9)
     with pytest.raises(GridModelError, match="p_min"):
         Generator(id=1, bus=1, p_min=2.0, p_max=1.0)
+    with pytest.raises(GridModelError, match="bus 1: vm must be positive"):
+        Bus(id=1, kind="pq", vm=0.0)
+    with pytest.raises(GridModelError, match="gen 1: q_min > q_max"):
+        Generator(id=1, bus=1, q_min=2.0, q_max=1.0)
+    with pytest.raises(GridModelError, match="branch 1: unknown status 'broken'"):
+        Branch(id=1, from_bus=1, to_bus=2, r=0.0, x=0.1, status="broken")
+    with pytest.raises(GridModelError, match="gen 1: unknown status 'idle'"):
+        Generator(id=1, bus=1, status="idle")
+    with pytest.raises(GridModelError, match="load 1: unknown style 'wavy'"):
+        Load(id=1, bus=1, pd=0.0, qd=0.0, style="wavy")
+    case = two_bus()
+    for lookup, kind in ((case.bus, "bus"), (case.branch, "branch"),
+                         (case.generator, "generator")):
+        with pytest.raises(GridModelError, match=f"unknown {kind} 99"):
+            lookup(99)
 
 
 # ------------------------------------------------------------- events

@@ -60,7 +60,7 @@ def dense_ybus_oracle(case):
 
 def test_single_branch_ybus_analytic():
     case = load_case(MINIMAL_2BUS)
-    y = build_ybus(case).matrix
+    y = build_ybus(case)[0]
     np.testing.assert_allclose(y, [[-10j, 10j], [10j, -10j]], atol=1e-12)
 
 
@@ -70,19 +70,19 @@ def test_all_branches_open_leaves_shunts():
         buses=(Bus(1, "slack", gs=0.02, bs=0.3), Bus(2, "pq", bs=-0.1)),
         branches=(Branch(1, 1, 2, r=0.0, x=0.1, status="open"),),
         generators=(), loads=())
-    y = build_ybus(case).matrix
+    y = build_ybus(case)[0]
     np.testing.assert_allclose(y, [[0.02 + 0.3j, 0], [0, -0.1j]], atol=1e-15)
 
 
 def test_case30_matches_dense_assembly_oracle():
     case = bundled_case("case30")
-    y = build_ybus(case).matrix
+    y = build_ybus(case)[0]
     np.testing.assert_allclose(y, dense_ybus_oracle(case), atol=1e-13)
 
 
 def test_ybus_hermitian_pattern():
     case = bundled_case("case57")
-    m = build_ybus(case).matrix
+    m = build_ybus(case)[0]
     pattern = (np.abs(m) > 0)
     assert (pattern == pattern.T).all()
 
@@ -91,7 +91,7 @@ def test_ybus_hermitian_pattern():
 
 def total_losses(case, sol) -> float:
     """Total active power absorbed by the network (series + shunt), pu."""
-    return float(np.sum(calculated_injections(sol.ybus, sol.vm, sol.va).real))
+    return float(np.sum(calculated_injections(build_ybus(case)[0], sol.vm, sol.va).real))
 
 
 def test_zero_injection_flat_start_zero_iterations():
@@ -147,8 +147,7 @@ def test_case30_cross_checked_against_independent_solver():
     values double-check the in-test oracle)."""
     case = bundled_case("case30")
     sol = solve_pf(case, tol=1e-10)
-    yb = build_ybus(case)
-    y = yb.matrix
+    y, _ = build_ybus(case)
     kinds = ["slack" if b.kind == "slack" else b.kind for b in case.buses]
     n = len(case.buses)
     pv = [i for i in range(n) if kinds[i] == "pv"]
@@ -216,6 +215,32 @@ def test_slackless_energized_island_rejected():
         solve_pf(case)
 
 
+@pytest.mark.parametrize("case, start, match", [
+    (GridCase("t", 100.0, (Bus(1, "pq"),), (), (), ()), "flat", "case has no slack bus"),
+    (load_case(MINIMAL_2BUS), (np.ones(3), np.zeros(3)),
+     "warm start dimensions do not match case"),
+])
+def test_unsolvable_input_rejected(case, start, match):
+    with pytest.raises(PowerFlowError, match=match):
+        solve_pf(case, start=start)
+
+
+def test_inert_island_left_out_of_the_solve():
+    # opening the only line to bus 3 leaves an island with nothing electrical
+    # in it: it is solved around; the same island with a shunt is rejected
+    doc = MINIMAL_2BUS + "bus 3 kind=pq\nbranch 2 from=2 to=3 r=0 x=0.2\n"
+    case = apply_event(load_case(doc), TopologyEvent(0, "line_open", 2))
+    net = network(case)
+    assert 2 not in np.concatenate([net.slack, net.pv, net.pq])
+    sol = solve_pf(net)
+    assert sol.converged
+    np.testing.assert_allclose(sol.vm, solve_pf(load_case(MINIMAL_2BUS)).vm.tolist() + [1.0])
+    shunted = apply_event(load_case(doc.replace("bus 3 kind=pq", "bus 3 kind=pq bs=0.1")),
+                          TopologyEvent(0, "line_open", 2))
+    with pytest.raises(PowerFlowError, match=r"island with buses \[3\] has no slack bus"):
+        network(shunted)
+
+
 def test_per_bus_power_balance_invariant():
     for name in ("case14", "case57"):
         case = bundled_case(name)
@@ -247,8 +272,8 @@ def jacobian(net, vm, va):
     Row order: P mismatch of every bus, then Q mismatch of every bus.
     Column order: va of every bus, then vm of every bus.
     """
-    ybus = net.ybus if isinstance(net, Network) else build_ybus(net)
-    ds_dva, ds_dvm = _dSbus_dV(ybus.matrix, vm * np.exp(1j * va))
+    y = net.y if isinstance(net, Network) else build_ybus(net)[0]
+    ds_dva, ds_dvm = _dSbus_dV(y, vm * np.exp(1j * va))
     ds = np.concatenate([ds_dva, ds_dvm], axis=1)
     return -np.concatenate([ds.real, ds.imag])
 
@@ -304,7 +329,7 @@ def test_reduced_jacobian_is_the_full_jacobians_unknowns_block(name):
         vm = 1.0 + 0.05 * rng.normals(n)
         va = 0.1 * rng.normals(n)
         v = vm * np.exp(1j * va)
-        got = _reduced_jacobian(net, v, net.ybus.matrix @ v)
+        got = _reduced_jacobian(net, v, net.y @ v)
         want = jacobian(net, vm, va)[np.ix_(net.unknowns, net.unknowns)]
         assert np.array_equal(got, want)
 
@@ -365,12 +390,12 @@ def test_case30_kirchhoff_balance_oracle(name, data):
         case = apply_event(case, TopologyEvent(0, "line_open", case.branches[k].id))
     vm = np.array(data.draw(st.lists(st.floats(0.8, 1.2), min_size=n, max_size=n)))
     va = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
-    yb = build_ybus(case)
+    y, branches = build_ybus(case)
     sol = PFSolution(vm, va, pg=np.zeros(n), qg=np.zeros(n), iterations=0,
-                     converged=False, max_mismatch=np.nan, ybus=yb)
+                     converged=False, max_mismatch=np.nan, branches=branches)
     flows = branch_flows(case, sol)
-    inj = calculated_injections(yb, sol.vm, sol.va)
-    pos = yb.index
+    inj = calculated_injections(y, sol.vm, sol.va)
+    pos = case.bus_index
     acc = np.zeros(len(case.buses), dtype=complex)
     for k, br in enumerate(case.branches):
         acc[pos[br.from_bus]] += flows.p_from[k] + 1j * flows.q_from[k]

@@ -109,22 +109,58 @@ def test_sampled_schedule_stops_once_every_tick_holds_an_event():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert events == [TopologyEvent(0, "line_open", 33, "known")]
+    assert events == [TopologyEvent(0, "line_open", 33)]
 
 
 def test_unservable_island_error_names_event():
     case = load_case(MINIMAL_2BUS)
-    ev = TopologyEvent(tick=3, kind="line_open", target=1, label="known")
+    ev = TopologyEvent(tick=3, kind="line_open", target=1)
     with pytest.raises(ScenarioError, match="line_open on 1 at tick 3"):
         build_scenario(small_config(case, known=[ev]))
 
 
 def test_overlapping_known_and_anomaly_ticks_rejected():
     case = bundled_case("case30")
-    known = [TopologyEvent(5, "line_open", 10, "known")]
-    anom = [TopologyEvent(5, "line_open", 12, "anomaly")]
+    known = [TopologyEvent(5, "line_open", 10)]
+    anom = [TopologyEvent(5, "line_open", 12)]
     with pytest.raises(ScenarioError, match="share ticks"):
         build_scenario(small_config(case, known=known, anomalies=anom))
+
+
+@pytest.mark.parametrize("known, anomalies, topology_count, match", [
+    ([TopologyEvent(12, "line_open", 10)], [], None, "event at tick 12 outside horizon 12"),
+    ([], [TopologyEvent(-1, "line_open", 10)], None, "event at tick -1 outside horizon 12"),
+    ([TopologyEvent(3, "line_open", 10), TopologyEvent(6, "line_close", 10)], [], None,
+     "announced topology sequence revisits an earlier topology"),
+    ([TopologyEvent(3, "line_open", 10)], [], 3, "schedule produces 2 topologies, expected 3"),
+])
+def test_invalid_schedule_rejected(known, anomalies, topology_count, match):
+    cfg = small_config(bundled_case("case30"), known=known, anomalies=anomalies,
+                       topology_count=topology_count)
+    with pytest.raises(ScenarioError, match=match):
+        build_scenario(cfg)
+
+
+@pytest.mark.parametrize("announced", [True, False])
+def test_announced_status_follows_the_config_tuple(announced):
+    # the same event changes the announced topology from known_events and
+    # only the true one from anomaly_events
+    case = bundled_case("case30")
+    ev = TopologyEvent(5, "line_open", 10)
+    known, anomalies = ([ev], []) if announced else ([], [ev])
+    scen = build_scenario(small_config(case, known=known, anomalies=anomalies))
+    stream = run_scenario(scen)
+    opened = apply_event(case, ev)
+    assert scen.segments[1] == (5, opened)
+    if announced:
+        assert scen.topology_registry == {1: case.closed_branch_key(),
+                                          2: opened.closed_branch_key()}
+        assert scen.topology_id_per_tick == (1,) * 5 + (2,) * 7
+        assert (stream.known_change_ticks, stream.anomaly_ticks) == ({5}, set())
+    else:
+        assert scen.topology_registry == {1: case.closed_branch_key()}
+        assert scen.topology_id_per_tick == (1,) * 12
+        assert (stream.known_change_ticks, stream.anomaly_ticks) == (set(), {5})
 
 
 def test_style_count_mismatch_rejected():
@@ -174,6 +210,12 @@ def test_dispatch_over_capacity_errors():
         generation_dispatch(case, 100.0)
 
 
+def test_dispatch_without_online_generator_errors():
+    case = load_case(MINIMAL_2BUS.replace("pmax=10", "pmax=10 status=off"))
+    with pytest.raises(ScenarioError, match="no online generators to dispatch"):
+        generation_dispatch(case, 0.5)
+
+
 # ------------------------------------------------------------ execution
 
 def test_zero_noise_frames_equal_pf_truth():
@@ -183,8 +225,8 @@ def test_zero_noise_frames_equal_pf_truth():
     case = bundled_case("case14")
     gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
     known = [TopologyEvent(2, "gen_off", gen.id), TopologyEvent(8, "gen_on", gen.id)]
-    anomalies = [TopologyEvent(4, "line_open", 7, "anomaly"),
-                 TopologyEvent(6, "line_close", 7, "anomaly")]
+    anomalies = [TopologyEvent(4, "line_open", 7),
+                 TopologyEvent(6, "line_close", 7)]
     styles = tuple(StyleParams(style="smooth", peak_tick=5, amplitude=0.2)
                    for _ in case.loads)
     scen = build_scenario(small_config(case, horizon=10, known=known,
@@ -290,7 +332,7 @@ def test_run_scenario_applies_no_event(monkeypatch):
 
 def test_line_open_zeroes_flow_sensors():
     case = bundled_case("case30")
-    ev = TopologyEvent(tick=4, kind="line_open", target=10, label="known")
+    ev = TopologyEvent(tick=4, kind="line_open", target=10)
     scen = build_scenario(small_config(case, horizon=8, known=[ev]))
     stream = run_scenario(scen)
     k = stream.sensor_ids.index("pf:10")
@@ -372,6 +414,11 @@ def test_benchmark_config_valid_for_short_segments(variant):
         except ScenarioError as exc:
             rejected[segment] = str(exc)
     assert rejected == {}
+
+
+def test_benchmark_config_rejects_unknown_variant():
+    with pytest.raises(ScenarioError, match="unknown variant 'medium'"):
+        benchmark_config(bundled_case("case14"), variant="medium")
 
 
 def test_benchmark_config_rejects_segment_without_room_for_reclose():
