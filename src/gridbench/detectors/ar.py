@@ -10,6 +10,7 @@ cheap; between refits the stored coefficients keep predicting.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -73,31 +74,38 @@ def ar_predict(history: np.ndarray, coefs: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("km,mk->m", recent, coefs[:, :p]) + coefs[:, p]
 
 
-def arima_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
-    """Max over channels of the absolute one-step residual z-score."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    n_ticks, m = values.shape
+def _rolling_scores(detector: str, values: np.ndarray, first: int, fit,
+                    threshold: float | None = None) -> AnomalyScoreSeries:
+    """The walk both models share. Diff i first involves tick i + 1; from
+    i = ``first`` on, ``score(window, diff)`` rates it against the
+    ``FIT_WINDOW`` diffs before it, with ``(score, threshold) = fit(window)``
+    refit every ``REFIT_EVERY`` diffs (``threshold`` until the first fit)."""
+    n_ticks = len(values)
     diffs = np.diff(values, axis=0)
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
-    threshold = max_z_threshold(m)
-    coefs = sigmas = None
-    fitted_at = -1
-    for t in range(n_ticks):
-        i = t - 1  # index of the diff that first involves tick t
-        if i < ARIMA_MIN_HISTORY:
-            continue
+    for i in range(first, n_ticks - 1):
         window = diffs[max(0, i - FIT_WINDOW):i]
-        if coefs is None or t - fitted_at >= REFIT_EVERY:
-            coefs, sigmas = ar_fit_batch(window, LAGS, ARIMA_RIDGE)
-            fitted_at = t
-        pred = ar_predict(window, coefs, LAGS)
-        resid = diffs[i] - pred
-        z = np.abs(resid) / np.maximum(sigmas, 1e-9)
-        scores[t] = float(z.max())
-        flags[t] = scores[t] > threshold
-    return AnomalyScoreSeries(detector="arima", ticks=np.arange(n_ticks),
+        if (i - first) % REFIT_EVERY == 0:
+            score, threshold = fit(window)
+        scores[i + 1] = score(window, diffs[i])
+        flags[i + 1] = scores[i + 1] > threshold
+    return AnomalyScoreSeries(detector=detector, ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)
+
+
+def arima_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
+    """Max over channels of the absolute one-step residual z-score."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    threshold = max_z_threshold(values.shape[1])
+
+    def fit(window):
+        coefs, sigmas = ar_fit_batch(window, LAGS, ARIMA_RIDGE)
+        scale = np.maximum(sigmas, 1e-9)
+        return (lambda w, diff: float((np.abs(diff - ar_predict(w, coefs, LAGS)) / scale).max()),
+                threshold)
+
+    return _rolling_scores("arima", values, ARIMA_MIN_HISTORY, fit, threshold)
 
 
 def var_channel_subset(values: np.ndarray) -> np.ndarray:
@@ -146,39 +154,22 @@ def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     berth than asymptotic chi-square would grant.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    n_ticks, _ = values.shape
-    p = LAGS
-    scores = np.full(n_ticks, np.nan)
-    flags = np.zeros(n_ticks, dtype=bool)
-    warm = 8 * p  # enough raw ticks to rank channel variances
-    subset: np.ndarray | None = None
-    coef = cov_inv = None
-    fitted_at = -1
-    threshold = None
-    n_regressors = None
-    for t in range(n_ticks):
-        i = t - 1  # index of the diff that first involves tick t
-        if i < warm:
-            continue
-        if subset is None:
-            subset = var_channel_subset(values[:t])
-            n_regressors = len(subset) * p + 1
-            diffs = np.diff(values[:, subset], axis=0)
-        rows_avail = i - p
-        if rows_avail < VAR_MIN_ROWS_FACTOR * n_regressors:
-            continue
-        window = diffs[max(0, i - FIT_WINDOW):i]
-        if coef is None or t - fitted_at >= REFIT_EVERY:
-            coef, cov = var_fit(window, p, VAR_RIDGE)
-            cov_inv = np.linalg.inv(cov)
-            fitted_at = t
-            rows = len(window) - p
-            dof = max(len(subset) + 2, rows - n_regressors)
-            leverage = np.sqrt(1.0 + n_regressors / max(1, rows))
-            threshold = mahalanobis_threshold(len(subset), dof=dof,
-                                              inflation=leverage)
-        resid = diffs[i] - var_predict(window, coef, p)
-        scores[t] = float(np.sqrt(resid @ cov_inv @ resid))
-        flags[t] = scores[t] > threshold
-    return AnomalyScoreSeries(detector="var", ticks=np.arange(n_ticks),
-                              scores=scores, flags=flags, threshold=threshold)
+    warm = 8 * LAGS  # enough raw ticks to rank channel variances
+    subset = var_channel_subset(values[:warm + 1])
+    n_regressors = len(subset) * LAGS + 1
+
+    def fit(window):
+        coef, cov = var_fit(window, LAGS, VAR_RIDGE)
+        cov_inv = np.linalg.inv(cov)
+        rows = len(window) - LAGS
+        dof = max(len(subset) + 2, rows - n_regressors)
+        leverage = np.sqrt(1.0 + n_regressors / max(1, rows))
+
+        def score(w, diff):
+            resid = diff - var_predict(w, coef, LAGS)
+            return float(np.sqrt(resid @ cov_inv @ resid))
+
+        return score, mahalanobis_threshold(len(subset), dof=dof, inflation=leverage)
+
+    first = max(warm, LAGS + math.ceil(VAR_MIN_ROWS_FACTOR * n_regressors))
+    return _rolling_scores("var", values[:, subset], first, fit)

@@ -18,6 +18,7 @@ immediately.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -60,10 +61,11 @@ def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
     each id in only one key adds its weight from ``weights`` (branch id ->
     weight, as ``sensitivity_weights`` returns). A nonnegative metric:
     symmetric, zero iff equal keys, triangle inequality via the
-    symmetric-difference union bound.
+    symmetric-difference union bound. ``math.fsum`` makes the sum exact up
+    to one rounding, so it does not depend on the difference's set order.
     """
     default = min(weights.values()) if weights else 1.0
-    return float(sum(weights.get(bid, default) for bid in topo_a ^ topo_b))
+    return math.fsum(weights.get(bid, default) for bid in topo_a ^ topo_b)
 
 
 def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:

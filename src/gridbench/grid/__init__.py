@@ -13,13 +13,12 @@ from .model import (
     Generator,
     GridCase,
     GridModelError,
+    IslandReport,
     Load,
     TopologyEvent,
-    islands_of,
     require_slack_per_active_island,
 )
 from .topology import (
-    IslandReport,
     apply_event,
     connectivity_check,
 )
@@ -27,6 +26,6 @@ from .topology import (
 __all__ = [
     "BUNDLED_CASES", "Branch", "Bus", "CaseParseError", "Generator", "GridCase",
     "GridModelError", "IslandReport", "Load", "TopologyEvent",
-    "apply_event", "bundled_case", "connectivity_check", "islands_of", "load_case",
+    "apply_event", "bundled_case", "connectivity_check", "load_case",
     "require_slack_per_active_island", "serialize_case",
 ]

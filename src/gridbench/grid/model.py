@@ -3,6 +3,9 @@
 All quantities are stored in per-unit on the case's MVA base. Values are
 immutable after construction: a topology event (``apply_event``) returns a
 new :class:`GridCase`, so cases can be shared freely across concurrent runs.
+
+Every island check reads one source: ``GridCase.islands``, the case's
+:class:`IslandReport` per island over closed branches, cached on first use.
 """
 
 from __future__ import annotations
@@ -126,6 +129,28 @@ class TopologyEvent:
 
 
 @dataclass(frozen=True)
+class IslandReport:
+    """What one island over closed branches holds (see ``GridCase.islands``)."""
+
+    buses: tuple[int, ...]  # ascending
+    slacks: tuple[int, ...]  # the slack bus ids, ascending
+    has_load: bool
+    has_gen: bool  # any generator, online or not
+    has_online_gen: bool
+    has_shunt: bool
+    has_closed_branch: bool
+
+    @property
+    def has_slack(self) -> bool:
+        return bool(self.slacks)
+
+    @property
+    def unservable(self) -> bool:
+        """Load present but nothing able to serve it."""
+        return self.has_load and not self.has_online_gen
+
+
+@dataclass(frozen=True)
 class GridCase:
     name: str
     base_mva: float
@@ -152,8 +177,9 @@ class GridCase:
         return {b.id: i for i, b in enumerate(self.buses)}
 
     @cached_property
-    def _islands(self) -> tuple[tuple[int, ...], ...]:
-        """Islands over closed branches by union-find (see ``islands_of``)."""
+    def _roots(self) -> dict[int, int]:
+        """Bus id -> smallest bus id of its island over closed branches
+        (union-find; every union keeps the smaller root)."""
         parent = {b.id: b.id for b in self.buses}
 
         def find(i: int) -> int:
@@ -167,10 +193,34 @@ class GridCase:
                 ra, rb = find(br.from_bus), find(br.to_bus)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
-        groups: dict[int, list[int]] = {}
-        for bus_id in parent:
-            groups.setdefault(find(bus_id), []).append(bus_id)
-        return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
+        return {bus_id: find(bus_id) for bus_id in parent}
+
+    @cached_property
+    def _slacks(self) -> dict[int, list[int]]:
+        """Island root -> its slack bus ids, ascending; slackless islands absent."""
+        slacks: dict[int, list[int]] = {}
+        for bus_id in sorted(b.id for b in self.buses if b.kind == "slack"):
+            slacks.setdefault(self._roots[bus_id], []).append(bus_id)
+        return slacks
+
+    @cached_property
+    def islands(self) -> tuple[IslandReport, ...]:
+        """What each island over closed branches holds, ordered by smallest
+        bus id: the one source of ``connectivity_check``, the slack check of
+        case documents and the power-flow solver's island check."""
+        roots, slacks = self._roots, self._slacks
+        members: dict[int, list[int]] = {}  # keyed in root order: a root is its smallest member
+        for bus_id in sorted(roots):
+            members.setdefault(roots[bus_id], []).append(bus_id)
+        load = {roots[l.bus] for l in self.loads}
+        gen = {roots[g.bus] for g in self.generators}
+        online = {roots[g.bus] for g in self.generators if g.online}
+        shunt = {roots[b.id] for b in self.buses if b.gs != 0 or b.bs != 0}
+        closed = {roots[br.from_bus] for br in self.branches if br.closed}
+        return tuple(
+            IslandReport(tuple(buses), tuple(slacks.get(r, ())), r in load, r in gen,
+                         r in online, r in shunt, r in closed)
+            for r, buses in members.items())
 
     def branch(self, branch_id: int) -> Branch:
         for br in self.branches:
@@ -194,7 +244,9 @@ class GridCase:
 
 
 def validate_case(case: GridCase) -> None:
-    """Check referential integrity and per-island slack uniqueness."""
+    """Check referential integrity and per-island slack uniqueness, from the
+    island roots alone: every event makes a case, few need its reports. A
+    slackless load island is legal here; the power-flow solver rejects it."""
     if case.base_mva <= 0:
         raise GridModelError("base_mva must be positive")
     bus_ids = [b.id for b in case.buses]
@@ -217,33 +269,16 @@ def validate_case(case: GridCase) -> None:
     for l in case.loads:
         if l.bus not in bus_set:
             raise GridModelError(f"load {l.id}: unknown bus {l.bus}")
-    _check_island_slacks(case)
-
-
-def _check_island_slacks(case: GridCase) -> None:
-    """No island may hold more than one slack bus.
-
-    A load-bearing island *without* a slack is legal at the model level
-    (topology events can create one); it is reported by connectivity_check
-    and rejected by the power-flow solver, not here.
-    """
-    for members in islands_of(case):
-        slacks = [b for b in members if case.bus(b).kind == "slack"]
+    for root, slacks in sorted(case._slacks.items()):
         if len(slacks) > 1:
-            raise GridModelError(f"island with buses {sorted(members)} has multiple slack buses {slacks}")
+            members = sorted(b for b, r in case._roots.items() if r == root)
+            raise GridModelError(f"island with buses {members} has multiple slack buses {slacks}")
 
 
 def require_slack_per_active_island(case: GridCase) -> None:
     """Strict check used when loading fresh case documents: every island
     containing any generator or load must have exactly one slack bus."""
-    active_buses = {g.bus for g in case.generators} | {l.bus for l in case.loads}
-    for members in islands_of(case):
-        slacks = [b for b in members if case.bus(b).kind == "slack"]
-        if not slacks and any(b in active_buses for b in members):
+    for rep in case.islands:
+        if not rep.has_slack and (rep.has_load or rep.has_gen):
             raise GridModelError(
-                f"island with buses {sorted(members)} has load/generation but no slack bus")
-
-
-def islands_of(case: GridCase) -> list[list[int]]:
-    """Bus ids grouped into islands, each sorted, ordered by smallest member."""
-    return [list(members) for members in case._islands]
+                f"island with buses {list(rep.buses)} has load/generation but no slack bus")

@@ -1,28 +1,16 @@
 """Topology events and island reporting on bus-branch cases.
 
 Events open or close a branch or switch a generator on or off; bus
-endpoints never change.
+endpoints never change. Each event returns a new case, whose islands are
+reported by ``connectivity_check`` from the case's own cached reports.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .model import GridCase, TopologyEvent, islands_of
-
-
-@dataclass(frozen=True)
-class IslandReport:
-    buses: tuple[int, ...]
-    has_load: bool
-    has_online_gen: bool
-    has_slack: bool
-
-    @property
-    def unservable(self) -> bool:
-        """Load present but nothing able to serve it."""
-        return self.has_load and not self.has_online_gen
+from .model import GridCase, IslandReport, TopologyEvent
 
 
 # event kind -> (GridCase field holding the target, its lookup by id, status set)
@@ -52,18 +40,9 @@ def apply_event(case: GridCase, event: TopologyEvent) -> GridCase:
 
 
 def connectivity_check(case: GridCase) -> list[IslandReport]:
-    """Islands over closed branches, flagging unservable ones.
+    """The case's island reports (``GridCase.islands``), as a list.
 
     Report-only: an island with load but no online generator is marked
     unservable; has_slack tells whether a power flow could reference it.
     """
-    reports = []
-    for members in islands_of(case):
-        mset = set(members)
-        reports.append(IslandReport(
-            buses=tuple(members),
-            has_load=any(l.bus in mset for l in case.loads),
-            has_online_gen=any(g.bus in mset and g.online for g in case.generators),
-            has_slack=any(case.bus(b).kind == "slack" for b in members),
-        ))
-    return reports
+    return list(case.islands)

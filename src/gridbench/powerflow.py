@@ -41,7 +41,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid.model import Branch, GridCase
-from .grid.topology import connectivity_check
 
 
 class PowerFlowError(RuntimeError):
@@ -232,19 +231,13 @@ def _check_islands_solvable(case: GridCase) -> list[int]:
     happens there: no load, no online generator, no shunt, and no closed
     branch (line charging would inject reactive power).
     """
-    excluded: list[int] = []
-    for rep in connectivity_check(case):
-        if rep.has_slack:
-            continue
-        mset = set(rep.buses)
-        has_shunt = any(case.bus(b).gs != 0 or case.bus(b).bs != 0 for b in mset)
-        has_branch = any(br.closed and br.from_bus in mset for br in case.branches)
-        if rep.has_load or rep.has_online_gen or has_shunt or has_branch:
+    inert = [rep for rep in case.islands if not rep.has_slack]
+    for rep in inert:
+        if rep.has_load or rep.has_online_gen or rep.has_shunt or rep.has_closed_branch:
             raise PowerFlowError(
                 f"island with buses {list(rep.buses)} has no slack bus but carries "
                 "load, generation, shunts, or energized branches")
-        excluded.extend(case.bus_index[b] for b in rep.buses)
-    return excluded
+    return [case.bus_index[b] for rep in inert for b in rep.buses]
 
 
 def network(case: GridCase) -> Network:

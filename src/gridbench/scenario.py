@@ -23,7 +23,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .grid.model import GridCase, TopologyEvent, islands_of
+from .grid.model import GridCase, TopologyEvent
 from .grid.topology import apply_event, connectivity_check
 from .loadsynth import TICKS_PER_DAY, StyleParams, profiles_matrix, sample_population
 from .powerflow import Network, PFSolution, PowerFlowError, branch_flows, network, solve_pf
@@ -347,7 +347,7 @@ def sample_event_schedule(case: GridCase, horizon: int, seed: int) -> list[Topol
         candidate = apply_event(sim, ev)
         if any(rep.unservable for rep in connectivity_check(candidate)):
             continue
-        if len(islands_of(candidate)) > len(islands_of(sim)):
+        if len(candidate.islands) > len(sim.islands):
             continue  # keep the benchmark single-island
         sim = candidate
         used_ticks.add(tick)
@@ -364,7 +364,7 @@ def _outage_ok(case: GridCase, branch_ids: tuple[int, ...]) -> bool:
         trial = apply_event(trial, TopologyEvent(0, "line_open", b))
     if any(rep.unservable for rep in connectivity_check(trial)):
         return False
-    if len(islands_of(trial)) > len(islands_of(case)):
+    if len(trial.islands) > len(case.islands):
         return False
     try:
         return solve_pf(trial).converged

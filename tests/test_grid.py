@@ -353,3 +353,50 @@ def test_islands_match_bfs_oracle_on_random_cases():
                 stack.extend(adj[u] - seen)
             want.add(tuple(sorted(comp)))
         assert got == want, f"trial {trial}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("case14", "case30")), data=st.data())
+def test_island_reports_match_bfs_over_random_outages(name, data):
+    # GridCase.islands against a brute-force search over closed branches:
+    # the partition and its order, the slacks and every flag
+    case = bundled_case(name)
+    opened = data.draw(st.sets(st.sampled_from([br.id for br in case.branches])))
+    off = data.draw(st.sets(st.sampled_from([g.id for g in case.generators])))
+    case = replace(
+        case,
+        branches=tuple(replace(br, status="open") if br.id in opened else br
+                       for br in case.branches),
+        generators=tuple(replace(g, status="off") if g.id in off else g
+                         for g in case.generators))
+    adj = {b.id: set() for b in case.buses}
+    for br in case.branches:
+        if br.closed:
+            adj[br.from_bus].add(br.to_bus)
+            adj[br.to_bus].add(br.from_bus)
+    want, seen = [], set()
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            u = stack.pop()
+            if u not in comp:
+                comp.add(u)
+                stack.extend(adj[u] - comp)
+        seen |= comp
+        want.append(tuple(sorted(comp)))
+    assert [rep.buses for rep in case.islands] == want
+    for rep in case.islands:
+        members = set(rep.buses)
+        buses = [b for b in case.buses if b.id in members]
+        assert rep.slacks == tuple(sorted(b.id for b in buses if b.kind == "slack"))
+        assert rep.has_slack == bool(rep.slacks)
+        assert rep.has_load == any(l.bus in members for l in case.loads)
+        assert rep.has_gen == any(g.bus in members for g in case.generators)
+        assert rep.has_online_gen == any(g.bus in members and g.online
+                                         for g in case.generators)
+        assert rep.has_shunt == any(b.gs != 0 or b.bs != 0 for b in buses)
+        assert rep.has_closed_branch == any(br.closed and br.from_bus in members
+                                            for br in case.branches)
+        assert rep.unservable == (rep.has_load and not rep.has_online_gen)

@@ -14,6 +14,7 @@ import pytest
 import gridbench.acopf.train
 from gridbench.acopf import ExperimentConfig, TrainConfig, experiment_sweep
 from gridbench.grid import bundled_case
+from gridbench.scenario import benchmark_config, build_scenario, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
@@ -236,3 +237,22 @@ def test_traced_sweep_prepares_each_seed_once(monkeypatch):
     assert calls["acopf.gen_realistic"] == calls["acopf.build_mlp"] == 2
     assert calls["acopf.gen_augmented"] == calls["acopf.train_penalty"] == 8
     assert calls["acopf.evaluate_decisions"] == 8
+
+
+def test_traced_stream_reaches_every_stream_layer(monkeypatch):
+    # the stream's layers are traced through ``gridbench.scenario``'s globals
+    # and ``gridbench.powerflow.build_ybus``; a check routed around those
+    # names would silently zero its layer's figure
+    layers = _bench_layers(monkeypatch)
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer)
+        cfg = benchmark_config(bundled_case("case14"), segment=5)
+        run_scenario(build_scenario(cfg))
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    for layer in ("powerflow.solve_pf", "powerflow.branch_flows", "powerflow.build_ybus",
+                  "grid.apply_event", "grid.connectivity_check"):
+        assert calls[layer] >= 1, layer
+    assert calls["powerflow.solve_pf"] >= cfg.horizon
