@@ -7,9 +7,11 @@ of topology/generator events, some announced ("known") and some not
 compiles each segment's case once, then per tick sets loads, dispatches
 generation to follow demand and solves the power flow warm-started from
 the previous tick (from a flat start when the warm start diverges); it
-reads the segment's sensors in one batch. The stream is two ticks x
-sensors arrays, ``values`` (noisy readings) and ``sigmas`` (their noise
-levels), under one fixed sensor roster, plus per-tick solver stats.
+reads the segment's sensors in one batch and adds their noise in place.
+The stream is one ticks x sensors array of noisy readings, ``values``,
+under one fixed sensor roster, plus per-tick solver stats. It keeps no
+noise levels: they derive from the noise-free truth, which a detector
+must not see.
 
 Announced topology ids track *known* events only; anomalies change the
 physics but not the announced id, which is exactly the blind spot the
@@ -75,8 +77,9 @@ class LabeledStream:
     topology_id_per_tick: tuple[int, ...]
     sensor_ids: tuple[str, ...]
     sensor_types: tuple[str, ...]
-    values: np.ndarray  # ticks x sensors, noisy
-    sigmas: np.ndarray  # ticks x sensors, noise standard deviation of each reading
+    # ticks x sensors, noisy; a reading's noise has standard deviation
+    # noise_sigma_rel * max(|noise-free reading|, noise_floor)
+    values: np.ndarray
     # per tick, of the kept solve: Newton iterations, final max mismatch (pu),
     # and whether a diverged warm start (max_iter iterations) was retried flat
     iterations: np.ndarray
@@ -229,10 +232,11 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     start. Aborts with the tick index if that fails too, or if the tick's
     demand exceeds the online capacity; ticks are never silently skipped.
 
-    The measurement noise is drawn after the loop, in one call for the whole
-    horizon and in reading order (tick by tick, each tick in roster order),
-    so reading ``(t, j)`` gets the same draw as a per-reading loop would
-    give it.
+    Each segment's noise is added in place as soon as its noise-free
+    readings land in ``values``, drawn in reading order (tick by tick, each
+    tick in roster order) from one noise stream that runs on across
+    segments; since ``Rng.normals`` equals as many scalar draws, reading
+    ``(t, j)`` gets the same draw as a per-reading loop would give it.
     """
     cfg = scenario.config
     case = cfg.case
@@ -241,6 +245,7 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     sensor_ids, sensor_types = _sensor_roster(case)
 
     starts = [first for first, _ in scenario.segments]
+    noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY) if cfg.noise_sigma_rel > 0 else None
     values = np.empty((cfg.horizon, len(sensor_ids)))
     iterations = np.zeros(cfg.horizon, dtype=int)
     max_mismatch = np.zeros(cfg.horizon)
@@ -274,11 +279,11 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
             iterations[t], max_mismatch[t] = sol.iterations, sol.max_mismatch
             state[:, t - first] = sol.vm, sol.va, sol.pg - tick.pd, sol.qg - tick.qd
         values[first:stop] = _readings(case, net, *state)
-
-    sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
-    if cfg.noise_sigma_rel > 0:
-        noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
-        values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
+        if noise_rng is not None:
+            seg = values[first:stop]
+            sigma = np.maximum(np.abs(seg), cfg.noise_floor)
+            sigma *= cfg.noise_sigma_rel
+            seg += noise_rng.normals(seg.size, 0.0, sigma.ravel()).reshape(seg.shape)
 
     return LabeledStream(
         anomaly_ticks=frozenset(ev.tick for ev in cfg.anomaly_events),
@@ -287,7 +292,6 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
         sensor_ids=sensor_ids,
         sensor_types=sensor_types,
         values=values,
-        sigmas=sigmas,
         iterations=iterations,
         max_mismatch=max_mismatch,
         retried=retried,
@@ -416,29 +420,15 @@ def _toggle_plan(case: GridCase, n_topologies: int,
     return plan[:n_topologies - 1]
 
 
-def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
-                     n_topologies: int = 13, segment: int = 50) -> ScenarioConfig:
-    """The seeded regression scenario: 13 announced topologies, 10/3 split,
-    unannounced trip/reclose anomaly pairs, and a load variant.
-
-    variant "small": every load follows one shared low-amplitude smooth
-    pattern (no spatial differences). variant "realistic": per-load styles,
-    peaks, and amplitudes from the default population.
-    """
-    if variant not in ("small", "realistic"):
-        raise ScenarioError(f"unknown variant {variant!r}")
+def _outage_plan(case: GridCase, n_topologies: int,
+                 segment: int) -> tuple[tuple[TopologyEvent, ...], tuple[TopologyEvent, ...]]:
+    """The benchmark's (known, anomaly) events: a line toggle every ``segment``
+    ticks through ``n_topologies`` announced topologies, and unannounced
+    trip/reclose pairs. Neither the seed nor the load variant enters."""
     if segment < 5:
         raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
     if n_topologies < 5:
         raise ScenarioError(f"{n_topologies} topologies leave no fifth segment for a trip")
-    horizon = segment * n_topologies
-    n_loads = len(case.loads)
-    if variant == "small":
-        shared = StyleParams(style="smooth", peak_tick=TICKS_PER_DAY // 3, amplitude=0.05)
-        styles = tuple(shared for _ in range(n_loads))
-    else:
-        styles = tuple(sample_population(n_loads, TICKS_PER_DAY, derive_seed(seed, 7)))
-
     ranked = _branches_by_flow(case)
     plan = _toggle_plan(case, n_topologies, ranked)
     known = []
@@ -477,9 +467,30 @@ def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
     for base_tick, line in zip(anomaly_base_ticks, (ay, ax, ay, ax)):
         anomalies.append(TopologyEvent(tick=base_tick, kind="line_open", target=line))
         anomalies.append(TopologyEvent(tick=base_tick + 3, kind="line_close", target=line))
+    return tuple(known), tuple(anomalies)
+
+
+def benchmark_config(case: GridCase, variant: str = "small", seed: int = 0,
+                     n_topologies: int = 13, segment: int = 50) -> ScenarioConfig:
+    """The seeded regression scenario: 13 announced topologies, 10/3 split,
+    unannounced trip/reclose anomaly pairs, and a load variant.
+
+    The events come from ``_outage_plan``, the same for every variant and
+    seed. variant "small": every load follows one shared low-amplitude
+    smooth pattern (no spatial differences). variant "realistic": per-load
+    styles, peaks, and amplitudes from the default population.
+    """
+    if variant not in ("small", "realistic"):
+        raise ScenarioError(f"unknown variant {variant!r}")
+    known, anomalies = _outage_plan(case, n_topologies, segment)
+    n_loads = len(case.loads)
+    if variant == "small":
+        shared = StyleParams(style="smooth", peak_tick=TICKS_PER_DAY // 3, amplitude=0.05)
+        styles = tuple(shared for _ in range(n_loads))
+    else:
+        styles = tuple(sample_population(n_loads, TICKS_PER_DAY, derive_seed(seed, 7)))
 
     return ScenarioConfig(
-        case=case, horizon=horizon, load_styles=styles,
-        known_events=tuple(known), anomaly_events=tuple(anomalies),
+        case=case, horizon=segment * n_topologies, load_styles=styles,
+        known_events=known, anomaly_events=anomalies,
         topology_count=n_topologies, seed=seed, train_topologies=n_topologies - 3)
-

@@ -1,7 +1,8 @@
 """Project metadata: every declared console script resolves, every public
 name in the package is reached by the program, every module-level constant
-is read, every default is set by some call, and the benchmark's tracer still finds every program attribute it wraps
-and sees the sweep prepare each seed once."""
+and every ``LabeledStream`` field is read, every default is set by some
+call, and the benchmark's tracer still finds every program attribute it
+wraps and sees the sweep prepare each seed once."""
 
 import ast
 import importlib
@@ -113,6 +114,30 @@ def test_config_fields_are_read():
         "ScenarioConfig", "ExperimentConfig", "TrainConfig", "PenaltyWeights",
         "DetectorConfig", "OcsvmConfig", "IforestConfig", "TopoConfig"}
     assert {f for f in fields if f[1] not in loaded} == set()
+
+
+# LabeledStream fields that no code in src/ or bench/ reads, each kept for a
+# reason
+KEPT_UNREAD_STREAM_FIELDS = {
+    # the per-tick flat-start retries that the CLI's stream report will list
+    # (ROADMAP D1)
+    "retried",
+}
+
+
+def test_stream_fields_are_read():
+    # every field of LabeledStream is read as an attribute somewhere in src/
+    # or bench/, so a stream carries no array that nothing uses
+    fields, loaded = set(), set()
+    for root in ("src", "bench"):
+        for tree in _parsed(ROOT / root):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and node.name == "LabeledStream":
+                    fields.update(n.target.id for n in node.body if isinstance(n, ast.AnnAssign))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+    assert "values" in fields
+    assert fields - loaded == KEPT_UNREAD_STREAM_FIELDS
 
 
 # defaults that no call sets, each kept for a reason

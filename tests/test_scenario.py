@@ -1,6 +1,7 @@
 """Scenario construction, tick loop, dispatch, and event rates."""
 
 import signal
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from gridbench.grid import TopologyEvent, apply_event, bundled_case, load_case
 from gridbench.loadsynth import StyleParams
 from gridbench.powerflow import branch_flows, network, solve_pf
-from gridbench.rng import Rng
+from gridbench.rng import _CROSSOVER, Rng
 from gridbench.scenario import (
     _NOISE_SEED_KEY,
+    _outage_plan,
     DISPATCH_LOSS_FRAC,
     ScenarioConfig,
     ScenarioError,
@@ -262,8 +264,9 @@ def test_zero_noise_frames_equal_pf_truth():
 
 def per_tick_stream(scenario):
     """Reference tick loop: one warm-started solve and one ``branch_flows``
-    call per tick, noise drawn as ``run_scenario`` draws it. Returns
-    (values, sigmas, ticks that took the flat-start retry)."""
+    call per tick, then the noise in one draw over the whole horizon, each
+    reading's sigma taken from its noise-free value. Returns (values, ticks
+    that took the flat-start retry)."""
     cfg = scenario.config
     case = cfg.case
     base_pd = np.array([l.pd for l in case.loads])
@@ -298,7 +301,7 @@ def per_tick_stream(scenario):
     sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
     noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
     values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
-    return values, sigmas, retried
+    return values, retried
 
 
 @pytest.mark.parametrize("name,variant,seed,segment", [
@@ -309,9 +312,8 @@ def test_segment_walk_equals_per_tick_loop(name, variant, seed, segment):
     cfg = benchmark_config(bundled_case(name), variant=variant, seed=seed, segment=segment)
     scen = build_scenario(cfg)
     stream = run_scenario(scen)
-    values, sigmas, retried = per_tick_stream(scen)
+    values, retried = per_tick_stream(scen)
     assert np.array_equal(stream.values, values)
-    assert np.array_equal(stream.sigmas, sigmas)
     assert list(np.flatnonzero(stream.retried)) == retried
 
 
@@ -348,17 +350,38 @@ def test_fixed_seed_stream_bit_identical():
     assert a.values.tobytes() == b.values.tobytes()
 
 
-def test_noise_is_the_scalar_stream_over_readings_in_order():
+def assert_noise_law(cfg):
     """A noisy stream is its noise-free run plus one scalar ``normal(0, sigma)``
-    per reading from the seed's noise stream, tick by tick in roster order."""
-    cfg = benchmark_config(bundled_case("case14"), variant="realistic", seed=3)
+    per reading from the seed's noise stream, tick by tick in roster order,
+    where sigma is ``noise_sigma_rel * max(|noise-free reading|, noise_floor)``."""
     noisy = run_scenario(build_scenario(cfg))
     clean = run_scenario(build_scenario(replace(cfg, noise_sigma_rel=0.0)))
-    assert np.array_equal(noisy.sigmas, cfg.noise_sigma_rel
-                          * np.maximum(np.abs(clean.values), cfg.noise_floor))
+    sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(clean.values), cfg.noise_floor)
     rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
-    noise = np.array([rng.normal(0.0, s) for s in noisy.sigmas.ravel()])
+    noise = np.array([rng.normal(0.0, s) for s in sigmas.ravel()])
     assert np.array_equal(noisy.values, clean.values + noise.reshape(clean.values.shape))
+
+
+def test_noise_is_the_scalar_stream_over_readings_in_order():
+    assert_noise_law(benchmark_config(bundled_case("case14"), variant="realistic", seed=3))
+
+
+def test_noise_stream_runs_on_across_short_and_odd_segments():
+    """Noise is drawn segment by segment; a two-bus case reads 9 sensors a
+    tick, so its segments hold odd counts, some below the bulk crossover,
+    and a Box-Muller spare carries over from one segment to the next."""
+    case = load_case(MINIMAL_2BUS + "gen 2 bus=1 pmax=10\n")
+    known = [TopologyEvent(1, "gen_off", 2), TopologyEvent(3, "gen_on", 2),
+             TopologyEvent(8, "gen_off", 2)]
+    cfg = small_config(case, horizon=12, known=known, noise=0.01, seed=5)
+    scen = build_scenario(cfg)
+    n_sensors = 3 * len(case.buses) + 3 * len(case.branches)
+    firsts = [first for first, _ in scen.segments]
+    counts = [n_sensors * (stop - first)
+              for first, stop in zip(firsts, firsts[1:] + [cfg.horizon])]
+    assert counts == [9, 18, 45, 36]
+    assert min(counts) < _CROSSOVER <= max(counts)
+    assert_noise_law(cfg)
 
 
 def test_zero_noise_no_events_frames_track_load_profiles_only():
@@ -472,11 +495,44 @@ def test_over_capacity_tick_aborts_with_tick():
 
 def test_measurement_sigma_positive_and_roster_constant():
     case = bundled_case("case14")
-    scen = build_scenario(small_config(case, horizon=4, noise=0.01))
-    stream = run_scenario(scen)
-    # every tick reads the same roster, each reading with a positive sigma
-    assert stream.values.shape == stream.sigmas.shape == (4, len(stream.sensor_ids))
-    assert np.all(stream.sigmas > 0)
+    cfg = small_config(case, horizon=4, noise=0.01)
+    noisy = run_scenario(build_scenario(cfg))
+    clean = run_scenario(build_scenario(replace(cfg, noise_sigma_rel=0.0)))
+    # every tick reads the same roster, and each reading's sigma is positive,
+    # so every reading differs from its noise-free value
+    assert noisy.values.shape == clean.values.shape == (4, len(noisy.sensor_ids))
+    assert np.all(noisy.values != clean.values)
+
+
+def test_run_scenario_keeps_one_readings_array():
+    """Running the case30 benchmark stream allocates little beyond its
+    ``values``: the noise is added segment by segment, so no full-horizon
+    sigma or noise array is built or kept."""
+    scen = build_scenario(benchmark_config(bundled_case("case30")))
+    run_scenario(scen)  # builds the segment cases' cached bus indexes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stream = run_scenario(scen)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = stream.values.nbytes
+    assert after - before <= 1.05 * size
+    assert peak - before <= 2 * size
+
+
+@pytest.mark.parametrize("n_topologies,segment", [(13, 50), (7, 12)])
+@pytest.mark.parametrize("name", ["case14", "case30", "case57"])
+def test_benchmark_events_are_the_seed_free_outage_plan(name, n_topologies, segment):
+    """Only the load styles depend on the variant and seed: every config
+    holds the events of one outage plan."""
+    case = bundled_case(name)
+    plan = _outage_plan(case, n_topologies, segment)
+    for variant in ("small", "realistic"):
+        for seed in (0, 3, 10):
+            cfg = benchmark_config(case, variant, seed, n_topologies, segment)
+            assert (cfg.known_events, cfg.anomaly_events) == plan
 
 
 def test_benchmark_config_line_ranking_ignores_flow_roundoff(monkeypatch):
