@@ -92,10 +92,10 @@ def gen_realistic(case: GridCase, n_real: int, seed: int,
     n_days = int(np.ceil(n_real / TICKS_PER_DAY))
     multipliers = {}
     for gi, g in enumerate(groups):
-        rng = Rng(derive_seed(seed, 11, gi))
         days = []
         for day in range(n_days):
-            params = _group_day_params(style_of[g], rng.spawn(day), TICKS_PER_DAY)
+            params = _group_day_params(style_of[g], Rng(derive_seed(seed, 11, gi, day)),
+                                       TICKS_PER_DAY)
             days.append(style_profile(params, TICKS_PER_DAY,
                                       seed=derive_seed(seed, 13, gi, day)))
         multipliers[g] = np.concatenate(days)[:n_real]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import IforestConfig
-from ..rng import Rng
+from ..rng import Rng, derive_seed
 
 
 @functools.cache
@@ -112,10 +112,9 @@ def iforest_fit(train: np.ndarray, cfg: IforestConfig, seed: int) -> IsolationFo
         raise ValueError("need at least 8 training points")
     psi = min(cfg.subsample, n)
     cap = max(1, math.ceil(math.log2(psi)))
-    rng = Rng(seed)
     trees = []
     for t in range(cfg.trees):
-        tree_rng = rng.spawn(t)
+        tree_rng = Rng(derive_seed(seed, t))
         feature = tree_rng.randrange(d)
         if psi < n:
             order = list(range(n))

@@ -1,4 +1,4 @@
-"""Grid data model, case documents, and topology operations."""
+"""Grid data model with its topology events and island reports, and case documents."""
 
 from .caseio import (
     BUNDLED_CASES,
@@ -16,11 +16,9 @@ from .model import (
     IslandReport,
     Load,
     TopologyEvent,
-    require_slack_per_active_island,
-)
-from .topology import (
     apply_event,
     connectivity_check,
+    require_slack_per_active_island,
 )
 
 __all__ = [

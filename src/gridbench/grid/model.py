@@ -1,8 +1,10 @@
-"""Electrical network data model.
+"""Electrical network data model and the topology events applied to it.
 
 All quantities are stored in per-unit on the case's MVA base. Values are
 immutable after construction: a topology event (``apply_event``) returns a
 new :class:`GridCase`, so cases can be shared freely across concurrent runs.
+One table, ``EVENT_UPDATES``, says what each event kind switches; events
+change a status, never a bus endpoint.
 
 Every island check reads one source: ``GridCase.islands``, the case's
 :class:`IslandReport` per island over closed branches, cached on first use.
@@ -10,14 +12,21 @@ Every island check reads one source: ``GridCase.islands``, the case's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 BUS_KINDS = ("slack", "pv", "pq")
 BRANCH_STATUS = ("closed", "open")
 GEN_STATUS = ("on", "off")
 LOAD_STYLES = ("constant", "smooth", "oscillating", "abrupt")
-EVENT_KINDS = ("line_open", "line_close", "gen_on", "gen_off")
+# event kind -> (the GridCase field it switches, the item's name, the status it sets)
+EVENT_UPDATES = {
+    "line_open": ("branches", "branch", "open"),
+    "line_close": ("branches", "branch", "closed"),
+    "gen_on": ("generators", "generator", "on"),
+    "gen_off": ("generators", "generator", "off"),
+}
 
 
 class GridModelError(ValueError):
@@ -120,12 +129,12 @@ class TopologyEvent:
     target: int  # branch id for line events, generator id for gen events
 
     def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
+        if self.kind not in EVENT_UPDATES:
             raise GridModelError(f"event at tick {self.tick}: unknown kind {self.kind!r}")
 
     @property
     def changes_graph(self) -> bool:
-        return self.kind in ("line_open", "line_close")
+        return EVENT_UPDATES[self.kind][0] == "branches"
 
 
 @dataclass(frozen=True)
@@ -161,14 +170,6 @@ class GridCase:
 
     def __post_init__(self):
         validate_case(self)
-
-    # -- lookup helpers ---------------------------------------------------
-
-    def bus(self, bus_id: int) -> Bus:
-        try:
-            return self.buses[self.bus_index[bus_id]]
-        except KeyError:
-            raise GridModelError(f"unknown bus {bus_id}") from None
 
     # once per (immutable) case; cached_property writes the instance dict, not a field
     @cached_property
@@ -222,18 +223,6 @@ class GridCase:
                          r in online, r in shunt, r in closed)
             for r, buses in members.items())
 
-    def branch(self, branch_id: int) -> Branch:
-        for br in self.branches:
-            if br.id == branch_id:
-                return br
-        raise GridModelError(f"unknown branch {branch_id}")
-
-    def generator(self, gen_id: int) -> Generator:
-        for g in self.generators:
-            if g.id == gen_id:
-                return g
-        raise GridModelError(f"unknown generator {gen_id}")
-
     def closed_branch_key(self) -> frozenset[int]:
         """Identity of the electrical topology: the ids of the closed branches.
 
@@ -282,3 +271,31 @@ def require_slack_per_active_island(case: GridCase) -> None:
         if not rep.has_slack and (rep.has_load or rep.has_gen):
             raise GridModelError(
                 f"island with buses {list(rep.buses)} has load/generation but no slack bus")
+
+
+def apply_event(case: GridCase, event: TopologyEvent) -> GridCase:
+    """Apply one topology event, returning the updated case.
+
+    No-op toggles (opening an open line, switching off an off generator)
+    warn and return the case unchanged.
+    """
+    attr, noun, want = EVENT_UPDATES[event.kind]
+    items = getattr(case, attr)
+    for i, item in enumerate(items):
+        if item.id == event.target:
+            break
+    else:
+        raise GridModelError(f"unknown {noun} {event.target}")
+    if item.status == want:
+        warnings.warn(f"tick {event.tick}: {noun} {item.id} already {want}", stacklevel=2)
+        return case
+    return replace(case, **{attr: items[:i] + (replace(item, status=want),) + items[i + 1:]})
+
+
+def connectivity_check(case: GridCase) -> list[IslandReport]:
+    """The case's island reports (``GridCase.islands``), as a list.
+
+    Report-only: an island with load but no online generator is marked
+    unservable; has_slack tells whether a power flow could reference it.
+    """
+    return list(case.islands)

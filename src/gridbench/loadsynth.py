@@ -228,7 +228,7 @@ def sample_population(n_loads: int, horizon: int, seed: int) -> list[StyleParams
     styles = [name for name, c in counts.items() for _ in range(c)]
     rng = Rng(seed)
     rng.shuffle(styles)
-    return [sample_style_params(s, horizon, rng.spawn(1000 + i))
+    return [sample_style_params(s, horizon, Rng(derive_seed(seed, 1000 + i)))
             for i, s in enumerate(styles)]
 
 

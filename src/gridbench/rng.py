@@ -41,7 +41,12 @@ def _splitmix64(x: int) -> tuple[int, int]:
 
 
 def derive_seed(seed: int, *keys: int) -> int:
-    """Child seed for (seed, keys), identical to ``Rng(seed).spawn(*keys)``."""
+    """Seed of the child stream for (seed, keys), for ``Rng(derive_seed(...))``.
+
+    Children depend only on (seed, keys), never on any stream's draws, so
+    concurrent consumers stay reproducible. Keys compose:
+    ``derive_seed(derive_seed(s, *a), *b) == derive_seed(s, *a, *b)``.
+    """
     x = seed & _MASK64
     for k in keys:
         x ^= (k & _MASK64) * _GOLDEN & _MASK64
@@ -57,20 +62,11 @@ class Rng:
     ``_GOLDEN`` to it, so every seed gives a stream of period 2**64.
     """
 
-    __slots__ = ("_root", "_x", "_spare_normal")
+    __slots__ = ("_x", "_spare_normal")
 
     def __init__(self, seed: int):
-        self._root = seed & _MASK64
-        self._x = self._root
+        self._x = seed & _MASK64
         self._spare_normal: float | None = None
-
-    def spawn(self, *keys: int) -> "Rng":
-        """Derive an independent child stream from the root seed and keys.
-
-        Children depend only on (root seed, keys), never on how many draws
-        the parent has made, so concurrent consumers stay reproducible.
-        """
-        return Rng(derive_seed(self._root, *keys))
 
     def next_u64(self) -> int:
         self._x, z = _splitmix64(self._x)

@@ -25,8 +25,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .grid.model import GridCase, TopologyEvent
-from .grid.topology import apply_event, connectivity_check
+from .grid.model import GridCase, TopologyEvent, apply_event, connectivity_check
 from .loadsynth import TICKS_PER_DAY, StyleParams, profiles_matrix, sample_population
 from .powerflow import Network, PFSolution, PowerFlowError, branch_flows, network, solve_pf
 from .rng import Rng, derive_seed
@@ -136,10 +135,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     reps = int(np.ceil(horizon / TICKS_PER_DAY))
     multipliers = np.tile(daily, (reps, 1))[:horizon]
 
-    # walk the schedule once, event tick to event tick: validate each tick's
-    # events, assign announced topology ids and record each segment's true case
-    true_case = announced_case = case
-    registry = {1: case.closed_branch_key()}
+    # walk the schedule once, event tick to event tick: apply each event to
+    # the true case, validate it, and move the announced closed-branch key by
+    # the announced line events' branch ids
+    true_case = case
+    announced_key = case.closed_branch_key()
+    registry = {1: announced_key}
     segments = {0: case}  # first tick -> true case
     topo_per_tick: list[int] = []
     for t, tick_events in groupby(events, key=lambda e: e.tick):
@@ -153,11 +154,12 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                     raise ScenarioError(
                         f"{'known' if announced else 'anomaly'} event {ev.kind} on "
                         f"{ev.target} at tick {t} leaves island {rep.buses} unservable")
-            if announced:
-                announced_case = apply_event(announced_case, ev)
-                announced_graph_change |= ev.changes_graph
+            if announced and ev.changes_graph:
+                announced_graph_change = True
+                announced_key = (announced_key | {ev.target} if ev.kind == "line_close"
+                                 else announced_key - {ev.target})
         if announced_graph_change:
-            registry[len(registry) + 1] = announced_case.closed_branch_key()
+            registry[len(registry) + 1] = announced_key
         segments[t] = true_case
     topo_per_tick += [len(registry)] * (horizon - len(topo_per_tick))
 
@@ -245,7 +247,7 @@ def run_scenario(scenario: Scenario) -> LabeledStream:
     sensor_ids, sensor_types = _sensor_roster(case)
 
     starts = [first for first, _ in scenario.segments]
-    noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY) if cfg.noise_sigma_rel > 0 else None
+    noise_rng = Rng(derive_seed(cfg.seed, _NOISE_SEED_KEY)) if cfg.noise_sigma_rel > 0 else None
     values = np.empty((cfg.horizon, len(sensor_ids)))
     iterations = np.zeros(cfg.horizon, dtype=int)
     max_mismatch = np.zeros(cfg.horizon)

@@ -261,10 +261,9 @@ def test_invariant_validation():
     with pytest.raises(GridModelError, match="load 1: unknown style 'wavy'"):
         Load(id=1, bus=1, pd=0.0, qd=0.0, style="wavy")
     case = two_bus()
-    for lookup, kind in ((case.bus, "bus"), (case.branch, "branch"),
-                         (case.generator, "generator")):
-        with pytest.raises(GridModelError, match=f"unknown {kind} 99"):
-            lookup(99)
+    for kind, noun in (("line_open", "branch"), ("gen_off", "generator")):
+        with pytest.raises(GridModelError, match=f"unknown {noun} 99"):
+            apply_event(case, TopologyEvent(0, kind, 99))
 
 
 # ------------------------------------------------------------- events
@@ -272,8 +271,11 @@ def test_invariant_validation():
 def test_line_open_toggles_status():
     case = bundled_case("case30")
     out = apply_event(case, TopologyEvent(tick=0, kind="line_open", target=7))
-    assert out.branch(7).status == "open"
-    assert case.branch(7).status == "closed"  # original untouched
+    assert [br.id for br in out.branches] == [br.id for br in case.branches]
+    status = {br.id: br.status for br in out.branches}
+    assert status.pop(7) == "open"
+    assert set(status.values()) == {"closed"}  # no other branch switched
+    assert all(br.closed for br in case.branches)  # original untouched
 
 
 def test_open_already_open_warns_noop():

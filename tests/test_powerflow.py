@@ -319,7 +319,7 @@ def test_reduced_jacobian_is_the_full_jacobians_unknowns_block(name):
     generator is off is solved as PQ."""
     case = bundled_case(name.split("-")[0])
     if name.endswith("gen-off"):
-        gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
+        gen = next(g for g in case.generators if case.buses[case.bus_index[g.bus]].kind == "pv")
         case = apply_event(case, TopologyEvent(0, "gen_off", gen.id))
         assert [b.id for b in case.buses].index(gen.bus) in network(case).pq
     net = network(case)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gridbench.rng import _CHUNK, _CROSSOVER, Rng
+from gridbench.rng import _CHUNK, _CROSSOVER, Rng, derive_seed
 
 M64 = (1 << 64) - 1
 
@@ -171,20 +171,21 @@ def test_poisson_mean():
     assert Rng(1).poisson(0) == 0
 
 
-def test_spawn_independent_of_parent_draws():
-    parent1 = Rng(42)
-    parent2 = Rng(42)
-    parent2.next_u64()  # advance one parent only
-    c1 = parent1.spawn(3, 9)
-    c2 = parent2.spawn(3, 9)
-    assert [c1.next_u64() for _ in range(10)] == [c2.next_u64() for _ in range(10)]
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(1 << 70), 1 << 70),
+       st.lists(st.integers(-(1 << 70), 1 << 70), max_size=4),
+       st.lists(st.integers(-(1 << 70), 1 << 70), max_size=4))
+def test_derived_seeds_compose(seed, a, b):
+    """A child of a child is the child of the joined keys, so one call with
+    all keys replaces any chain of derivations."""
+    assert derive_seed(derive_seed(seed, *a), *b) == derive_seed(seed, *a, *b)
 
 
-def test_spawn_children_differ():
-    root = Rng(42)
-    streams = {tuple(root.spawn(k).normals(4).tolist()) for k in range(20)}
+def test_derived_children_differ():
+    streams = {tuple(Rng(derive_seed(42, k)).normals(4).tolist()) for k in range(20)}
     assert len(streams) == 20
-    assert tuple(root.spawn(0).normals(4)) != tuple(Rng(42).normals(4))
+    assert tuple(Rng(derive_seed(42, 0)).normals(4)) != tuple(Rng(42).normals(4))
+    assert derive_seed(42, 3, 9) != derive_seed(42, 9, 3)
 
 
 def _scalar_normals(rng, n, mu, sigma):

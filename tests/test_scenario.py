@@ -2,15 +2,19 @@
 
 import signal
 import tracemalloc
+import warnings
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridbench.grid import TopologyEvent, apply_event, bundled_case, load_case
+from gridbench.grid import TopologyEvent, apply_event, bundled_case, connectivity_check, load_case
 from gridbench.loadsynth import StyleParams
 from gridbench.powerflow import branch_flows, network, solve_pf
-from gridbench.rng import _CROSSOVER, Rng
+from gridbench.rng import _CROSSOVER, Rng, derive_seed
 from gridbench.scenario import (
     _NOISE_SEED_KEY,
     _outage_plan,
@@ -165,6 +169,85 @@ def test_announced_status_follows_the_config_tuple(announced):
         assert (stream.known_change_ticks, stream.anomaly_ticks) == (set(), {5})
 
 
+def _schedule_order(ev):
+    return ev.tick, ev.kind, ev.target
+
+
+def announced_keys(case, known):
+    """The closed-branch key of each announced topology, from a walk of the
+    known events through ``apply_event``: a tick holding a line event
+    announces a new topology."""
+    keys = [case.closed_branch_key()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the true walk's no-ops are the ones reported
+        for _, tick_events in groupby(sorted(known, key=_schedule_order), key=lambda e: e.tick):
+            tick_events = list(tick_events)
+            for ev in tick_events:
+                case = apply_event(case, ev)
+            if any(ev.changes_graph for ev in tick_events):
+                keys.append(case.closed_branch_key())
+    return keys
+
+
+@pytest.mark.parametrize("name", ["case14", "case30", "case57"])
+def test_build_scenario_applies_each_event_once(name, monkeypatch):
+    """One walk of the true case: each event is applied once, in schedule
+    order, and the registry holds the announced walk's keys."""
+    import gridbench.scenario as scenario
+
+    cfg = benchmark_config(bundled_case(name))
+    applied = []
+
+    def counted(case, ev):
+        applied.append(ev)
+        return apply_event(case, ev)
+
+    monkeypatch.setattr(scenario, "apply_event", counted)
+    scen = build_scenario(cfg)
+    assert len(applied) == len(cfg.known_events) + len(cfg.anomaly_events) == 20
+    assert applied == list(scen.events)
+    keys = announced_keys(cfg.case, cfg.known_events)
+    assert scen.topology_registry == dict(enumerate(keys, 1))
+
+
+# case14 lines 17 and 20 both open isolate load bus 14; line 14 isolates bus 8
+TOGGLES = (st.tuples(st.sampled_from(["line_open", "line_close"]),
+                     st.sampled_from([3, 14, 17, 20]))
+           | st.tuples(st.sampled_from(["gen_on", "gen_off"]), st.sampled_from([1, 4, 5])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), TOGGLES), max_size=8),
+       st.lists(st.tuples(st.integers(0, 9), TOGGLES), max_size=4))
+@example([(0, ("gen_off", 4)), (1, ("gen_off", 4))], [])  # announced no-op
+@example([(0, ("line_open", 3)), (1, ("line_open", 3))], [])  # no-op line event: a revisit
+@example([(1, ("line_open", 3))], [(0, ("line_open", 3))])  # true no-op, announced change
+def test_registry_is_the_walk_of_the_known_events(known, anomalies):
+    """On case14, known events on even ticks and anomalies on odd ones:
+    the registry is the walk of the known events alone, and the warnings
+    are the no-ops of the true walk of all events."""
+    case = bundled_case("case14")
+    known = [TopologyEvent(2 * t, kind, target) for t, (kind, target) in known]
+    anomalies = [TopologyEvent(2 * t + 1, kind, target) for t, (kind, target) in anomalies]
+    with warnings.catch_warnings(record=True) as no_ops:
+        warnings.simplefilter("always")
+        true, unservable = case, False
+        for ev in sorted(known + anomalies, key=_schedule_order):
+            true = apply_event(true, ev)
+            unservable |= any(rep.unservable for rep in connectivity_check(true))
+    keys = announced_keys(case, known)
+    cfg = small_config(case, horizon=20, known=known, anomalies=anomalies)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        if unservable or len(set(keys)) < len(keys):
+            with pytest.raises(ScenarioError, match="unservable" if unservable else "revisits"):
+                build_scenario(cfg)
+            return
+        scen = build_scenario(cfg)
+    assert scen.topology_registry == dict(enumerate(keys, 1))
+    assert [str(w.message) for w in got] == [str(w.message) for w in no_ops]
+
+
 def test_style_count_mismatch_rejected():
     case = bundled_case("case30")
     with pytest.raises(ScenarioError, match="per load"):
@@ -225,7 +308,7 @@ def test_zero_noise_frames_equal_pf_truth():
     that tick's case, across a generator switched off and on at a PV bus
     and an unannounced line trip and reclose."""
     case = bundled_case("case14")
-    gen = next(g for g in case.generators if case.bus(g.bus).kind == "pv")
+    gen = next(g for g in case.generators if case.buses[case.bus_index[g.bus]].kind == "pv")
     known = [TopologyEvent(2, "gen_off", gen.id), TopologyEvent(8, "gen_on", gen.id)]
     anomalies = [TopologyEvent(4, "line_open", 7),
                  TopologyEvent(6, "line_close", 7)]
@@ -299,7 +382,7 @@ def per_tick_stream(scenario):
             np.column_stack([sol.vm, sol.pg - tick.pd, sol.qg - tick.qd]).ravel(),
             np.column_stack([flows.p_from, flows.q_from, flows.i_from_mag]).ravel()])
     sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(values), cfg.noise_floor)
-    noise_rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
+    noise_rng = Rng(derive_seed(cfg.seed, _NOISE_SEED_KEY))
     values += noise_rng.normals(values.size, 0.0, sigmas.ravel()).reshape(values.shape)
     return values, retried
 
@@ -357,7 +440,7 @@ def assert_noise_law(cfg):
     noisy = run_scenario(build_scenario(cfg))
     clean = run_scenario(build_scenario(replace(cfg, noise_sigma_rel=0.0)))
     sigmas = cfg.noise_sigma_rel * np.maximum(np.abs(clean.values), cfg.noise_floor)
-    rng = Rng(cfg.seed).spawn(_NOISE_SEED_KEY)
+    rng = Rng(derive_seed(cfg.seed, _NOISE_SEED_KEY))
     noise = np.array([rng.normal(0.0, s) for s in sigmas.ravel()])
     assert np.array_equal(noisy.values, clean.values + noise.reshape(clean.values.shape))
 
