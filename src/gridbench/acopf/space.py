@@ -40,14 +40,10 @@ class ViolationReport:
 
     equality_mean: float
     inequality_mean: float
-    overall_mean: float
 
-    @staticmethod
-    def combine(equality_mean: float, inequality_mean: float) -> "ViolationReport":
-        return ViolationReport(
-            equality_mean=float(equality_mean),
-            inequality_mean=float(inequality_mean),
-            overall_mean=float(0.5 * equality_mean + 0.5 * inequality_mean))
+    @property
+    def overall_mean(self) -> float:
+        return 0.5 * self.equality_mean + 0.5 * self.inequality_mean
 
 
 class Evaluation(NamedTuple):
@@ -176,7 +172,7 @@ class DecisionSpace:
         pd_bus, qd_bus = self.loads_to_buses(pd, qd)
         e = self.evaluate(decision, pd_bus, qd_bus)
         eq = float(np.mean(np.concatenate([np.abs(e.r_p), np.abs(e.r_q)], axis=1)))
-        return ViolationReport.combine(eq, float(np.mean(e.inequality)))
+        return ViolationReport(eq, float(np.mean(e.inequality)))
 
     def cost(self, pg: np.ndarray) -> np.ndarray:
         """Normalized quadratic generation cost per sample."""

@@ -43,28 +43,14 @@ class TrainConfig:
             raise ValueError("grad_clip must be positive")
 
 
-def decision_loss_and_grads(model: MlpModel, inputs: np.ndarray,
-                            pd_bus: np.ndarray, qd_bus: np.ndarray,
-                            weights: PenaltyWeights):
-    """Single forward/backward pass: loss, parameter grads, term breakdown.
-
-    A non-finite loss skips the backward pass; its grads are then None.
-    """
-    decision, cache = mlp_forward(model, inputs)
-    loss, grad_dec, parts = penalty_loss_and_grad(
-        model.space, decision, pd_bus, qd_bus, weights)
-    if not np.isfinite(loss):
-        return loss, None, None, parts
-    grads_w, grads_b = mlp_backward(model, cache, grad_dec)
-    return loss, grads_w, grads_b, parts
-
-
 def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
                   cfg: TrainConfig) -> tuple[MlpModel, list[dict]]:
     """Train in place on load samples (pd, qd are n_samples x n_loads).
 
     Returns the model and a per-epoch loss trace. Zero epochs leave the
-    model untouched. Non-finite loss aborts with the epoch index.
+    model untouched. Each batch runs forward, then the penalty loss and its
+    gradient, then backward; a non-finite loss raises ``TrainingDiverged``
+    with the epoch index before the backward pass.
 
     Each batch builds its network inputs and bus loads from its own rows of
     pd and qd, and the momentum step updates the optimizer state in place,
@@ -90,11 +76,16 @@ def train_penalty(model: MlpModel, pd: np.ndarray, qd: np.ndarray,
             idx = order[start:start + BATCH_SIZE]
             pd_batch, qd_batch = pd[idx], qd[idx]
             pd_bus, qd_bus = space.loads_to_buses(pd_batch, qd_batch)
-            loss, grads_w, grads_b, parts = decision_loss_and_grads(
-                model, np.concatenate([pd_batch, qd_batch], axis=1), pd_bus, qd_bus,
-                cfg.weights)
+            decision, cache = mlp_forward(
+                model, np.concatenate([pd_batch, qd_batch], axis=1))
+            loss, grad_dec, parts = penalty_loss_and_grad(
+                space, decision, pd_bus, qd_bus, cfg.weights)
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
+            grads_w, grads_b = mlp_backward(model, cache, grad_dec)
+            # freed here, not when the next batch rebinds them, so two
+            # batches' activations are never held at once
+            del decision, cache, grad_dec
             gnorm = np.sqrt(sum(float((g**2).sum()) for g in grads_w)
                             + sum(float((g**2).sum()) for g in grads_b))
             step = lr * min(1.0, cfg.grad_clip / max(gnorm, 1e-12))

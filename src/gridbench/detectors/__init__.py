@@ -64,12 +64,10 @@ def _fit_based_series(name: str, stream, seed: int) -> AnomalyScoreSeries:
         model = ocsvm_fit(train, OcsvmConfig())
         train_scores = ocsvm_score(model, train)
         scores = ocsvm_score(model, test)
-    elif name == "iforest":
+    else:  # iforest; score_stream rejects unknown names before any detector runs
         model = iforest_fit(train, IforestConfig(), seed=seed)
         train_scores = iforest_score(model, train)
         scores = iforest_score(model, test)
-    else:  # pragma: no cover
-        raise ValueError(name)
     threshold = robust_train_threshold(train_scores)
     flags = scores > threshold
     return AnomalyScoreSeries(detector=name, ticks=test_ticks,

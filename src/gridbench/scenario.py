@@ -379,7 +379,7 @@ def _outage_ok(case: GridCase, branch_ids: tuple[int, ...]) -> bool:
 
 
 def _branches_by_flow(case: GridCase) -> list[int]:
-    """Positions in ``case.branches`` by descending base-case |p_from|.
+    """Branch ids by descending base-case |p_from|.
 
     A flow within 1e-9 of the next larger one ties with it, and tied
     branches rank by id, so the order does not hang on roundoff.
@@ -388,23 +388,31 @@ def _branches_by_flow(case: GridCase) -> list[int]:
     order = np.argsort(-mag, kind="stable")
     tie_run = np.empty(len(mag), dtype=int)
     tie_run[order] = np.cumsum(np.diff(mag[order], prepend=mag[order[:1]]) < -1e-9)
-    return sorted(range(len(mag)), key=lambda k: (tie_run[k], case.branches[k].id))
+    ranked = sorted(range(len(mag)), key=lambda k: (tie_run[k], case.branches[k].id))
+    return [case.branches[k].id for k in ranked]
 
 
-def _toggle_plan(case: GridCase, n_topologies: int,
-                 ranked: list[int]) -> list[tuple[str, int]]:
-    """Deterministic line-toggle sequence visiting distinct topologies.
+def _outage_plan(case: GridCase, n_topologies: int,
+                 segment: int) -> tuple[tuple[TopologyEvent, ...], tuple[TopologyEvent, ...]]:
+    """The benchmark's (known, anomaly) events. Neither the seed nor the load
+    variant enters.
 
-    Produces open/close steps whose outage sets run
-    {}, {1}, {1,2}, {2}, {2,3}, {3}, ... so at most two lines are out at
-    once. Lines are picked in ``ranked`` order (descending base-case flow),
-    subject to each single and consecutive-pair outage staying connected
-    and solvable.
+    Known events toggle a line every ``segment`` ticks through
+    ``n_topologies`` announced topologies, whose outage sets run
+    {}, {c0}, {c0,c1}, {c1}, {c1,c2}, ... so at most two lines are out at
+    once. The chain c0, c1, ... takes lines in descending base-case flow
+    order, each one whose single outage, and whose pair outage with the
+    chain line before it, stays connected and solvable. The anomalies are
+    unannounced trip/reclose pairs of two further lines.
     """
+    if segment < 5:
+        raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
+    if n_topologies < 5:
+        raise ScenarioError(f"{n_topologies} topologies leave no fifth segment for a trip")
+    ranked = _branches_by_flow(case)
     n_lines = (n_topologies + 1) // 2
     chain: list[int] = []
-    for k in ranked:
-        cand = case.branches[k].id
+    for cand in ranked:
         if not _outage_ok(case, (cand,)):
             continue
         if chain and not _outage_ok(case, (chain[-1], cand)):
@@ -415,27 +423,12 @@ def _toggle_plan(case: GridCase, n_topologies: int,
     if len(chain) < n_lines:
         raise ScenarioError(
             f"only {len(chain)} of {n_lines} removable lines found for the plan")
-    plan: list[tuple[str, int]] = [("line_open", chain[0])]
-    for m in range(1, n_lines):
-        plan.append(("line_open", chain[m]))
-        plan.append(("line_close", chain[m - 1]))
-    return plan[:n_topologies - 1]
-
-
-def _outage_plan(case: GridCase, n_topologies: int,
-                 segment: int) -> tuple[tuple[TopologyEvent, ...], tuple[TopologyEvent, ...]]:
-    """The benchmark's (known, anomaly) events: a line toggle every ``segment``
-    ticks through ``n_topologies`` announced topologies, and unannounced
-    trip/reclose pairs. Neither the seed nor the load variant enters."""
-    if segment < 5:
-        raise ScenarioError(f"segment {segment} too short for a trip and its reclose")
-    if n_topologies < 5:
-        raise ScenarioError(f"{n_topologies} topologies leave no fifth segment for a trip")
-    ranked = _branches_by_flow(case)
-    plan = _toggle_plan(case, n_topologies, ranked)
+    steps = [("line_open", chain[0])]
+    for prev, line in zip(chain, chain[1:]):
+        steps += [("line_open", line), ("line_close", prev)]
     known = []
     announced = [case]  # the announced case of each segment
-    for i, (kind, target) in enumerate(plan):
+    for i, (kind, target) in enumerate(steps[:n_topologies - 1]):
         known.append(TopologyEvent(tick=segment * (i + 1), kind=kind, target=target))
         announced.append(apply_event(announced[-1], known[-1]))
 
@@ -450,14 +443,13 @@ def _outage_plan(case: GridCase, n_topologies: int,
                           (test_seg + 1, segment // 2 + 5),
                           (test_seg + 2, segment // 2)))
 
-    toggled = {t for _, t in plan}
-    spare = [k for k in ranked if case.branches[k].id not in toggled]
     anomaly_lines = []
-    for k in spare:
-        cand = case.branches[k].id
+    for cand in ranked:
+        if cand in chain:  # the cut plan toggles every chain line
+            continue
         # the trip must stay solvable inside every topology it lands in;
-        # _toggle_plan screened each announced outage set against the base
-        # case's island count, so each announced case has that count too
+        # the chain screen checked each announced outage set against the
+        # base case's island count, so each announced case has that count too
         if all(_outage_ok(announced[t // segment], (cand,)) for t in anomaly_base_ticks):
             anomaly_lines.append(cand)
         if len(anomaly_lines) >= 2:

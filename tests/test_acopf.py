@@ -30,7 +30,7 @@ from gridbench.acopf import (
 )
 from gridbench.acopf.mlp import input_standardization, mlp_backward, mlp_forward
 from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
-from gridbench.acopf.train import BATCH_SIZE, decision_loss_and_grads
+from gridbench.acopf.train import BATCH_SIZE
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
 from gridbench.loadsynth import TICKS_PER_DAY
 from gridbench.powerflow import solve_pf
@@ -243,7 +243,9 @@ def test_model_weight_gradient_matches_finite_differences():
     model = build_mlp(space, hidden_layers=2, width=8, seed=1)
     model.input_mean, model.input_std = input_standardization(inputs)
     w = PenaltyWeights()
-    _, grads_w, grads_b, _ = decision_loss_and_grads(model, inputs, pd_bus, qd_bus, w)
+    decision, cache = mlp_forward(model, inputs)
+    _, grad_dec, _ = penalty_loss_and_grad(space, decision, pd_bus, qd_bus, w)
+    grads_w, grads_b = mlp_backward(model, cache, grad_dec)
 
     def loss_at():
         decision, _ = mlp_forward(model, inputs)

@@ -262,6 +262,11 @@ def test_traced_sweep_prepares_each_seed_once(monkeypatch):
     assert calls["acopf.gen_realistic"] == calls["acopf.build_mlp"] == 2
     assert calls["acopf.gen_augmented"] == calls["acopf.train_penalty"] == 8
     assert calls["acopf.evaluate_decisions"] == 8
+    # each training batch calls every wrapped step once, so no step routed
+    # around those names silently zeroes its layer's figure
+    batches = tracer.counts["acopf.batches"]
+    assert calls["acopf.mlp_backward"] == calls["acopf.penalty_loss_and_grad"] == batches
+    assert calls["acopf.mlp_forward"] == batches + calls["acopf.evaluate_decisions"] == 16
 
 
 def test_traced_stream_reaches_every_stream_layer(monkeypatch):

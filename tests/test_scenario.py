@@ -17,6 +17,8 @@ from gridbench.powerflow import branch_flows, network, solve_pf
 from gridbench.rng import _CROSSOVER, Rng, derive_seed
 from gridbench.scenario import (
     _NOISE_SEED_KEY,
+    _branches_by_flow,
+    _outage_ok,
     _outage_plan,
     DISPATCH_LOSS_FRAC,
     ScenarioConfig,
@@ -616,6 +618,44 @@ def test_benchmark_events_are_the_seed_free_outage_plan(name, n_topologies, segm
         for seed in (0, 3, 10):
             cfg = benchmark_config(case, variant, seed, n_topologies, segment)
             assert (cfg.known_events, cfg.anomaly_events) == plan
+
+
+@pytest.mark.parametrize("n_topologies,segment", [(13, 50), (7, 12), (6, 20)])
+@pytest.mark.parametrize("name", ["case14", "case30", "case57"])
+def test_outage_plan_walks_the_first_screened_chain(name, n_topologies, segment):
+    """The announced outage sets run {}, {c0}, {c0,c1}, {c1}, {c1,c2}, ...
+    over a chain of lines taken in flow order: every line ranked above the
+    last chain line and left out of the chain fails its single outage, or
+    its pair outage with the chain line before it. The anomaly lines are
+    outside the chain."""
+    case = bundled_case(name)
+    known, anomalies = _outage_plan(case, n_topologies, segment)
+    assert [ev.tick for ev in known] == [segment * (i + 1) for i in range(n_topologies - 1)]
+    out: set[int] = set()
+    outage_sets = [frozenset(out)]
+    chain: list[int] = []
+    for ev in known:
+        if ev.kind == "line_open":
+            out.add(ev.target)
+            chain.append(ev.target)
+        else:
+            assert ev.kind == "line_close"
+            out.remove(ev.target)
+        outage_sets.append(frozenset(out))
+    assert outage_sets == [frozenset()] + [
+        frozenset(chain[(j - 1) // 2:j // 2 + 1]) for j in range(1, n_topologies)]
+
+    ranked = _branches_by_flow(case)
+    positions = [ranked.index(b) for b in chain]
+    assert positions == sorted(positions)
+    before: list[int] = []
+    for cand in ranked[:positions[-1]]:
+        if cand in chain:
+            before.append(cand)
+            continue
+        assert (not _outage_ok(case, (cand,))
+                or bool(before) and not _outage_ok(case, (before[-1], cand))), cand
+    assert {ev.target for ev in anomalies}.isdisjoint(chain)
 
 
 def test_benchmark_config_line_ranking_ignores_flow_roundoff(monkeypatch):
