@@ -95,6 +95,8 @@ class TopoConfig:
     def __post_init__(self):
         if not self.tau >= 0.0:
             raise ValueError("tau must be non-negative")
+        if self.min_history < 0:
+            raise ValueError("min_history must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ zero; scoring is withheld until enough comparable samples accumulate,
 which is what keeps announced changes from raising alarms while
 *unannounced* changes (same announced topology, shifted physics) light up
 immediately.
+
+The ticks are walked in blocks of ``BLOCK``. Each sensor's union window
+of a block (every slot some tick of the block looks back on) is sorted
+once; a tick weighs the slots outside its own window 0, so its weighted
+median and MAD are picks along that one order and no later tick can move
+its score. The MAD's order is the stable sort of ``|sorted - median|``,
+which falls then rises along a row, and a sensor whose median has not
+moved since the block's previous scored tick keeps it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ MIN_ESS = 10.0     # withhold when the effective history drops below
 SCALE_SLACK = 2.0  # distance-proportional tolerance added to the scale
 VALUE_FLOOR = 0.05  # magnitude the slack is proportional to, at least
 FINITE_SAMPLE = 3.0  # scale inflation 1 + c/sqrt(ess) for short histories
+BLOCK = 8          # consecutive ticks that share one sort of their windows
 
 
 def sensitivity_weights(case: GridCase) -> dict[int, float]:
@@ -68,10 +77,17 @@ def graph_distance(topo_a: TopologyKey, topo_b: TopologyKey,
     return math.fsum(weights.get(bid, default) for bid in topo_a ^ topo_b)
 
 
-def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Lower weighted median of each row of ``values``; ``w`` weights the
-    columns. Picks the first sorted value whose cumulative weight reaches
-    half the total.
+def _half_weight_pick(slots: np.ndarray, w: np.ndarray, half: float,
+                      cum: np.ndarray) -> np.ndarray:
+    """Per row of ``slots``, the position of the first entry whose cumulative
+    weight reaches ``half``; ``w`` weights the slots and ``cum`` (the shape
+    of ``slots``) is overwritten with the cumulative weights.
+
+    With ``slots`` a row's ascending value order and ``half`` half the total
+    weight, this picks the row's lower weighted median. Adding a zero weight
+    is exact, so slots of weight 0 leave the other slots' partial sums as
+    they are and are never picked: the pick is the one over the slots of
+    nonzero weight alone.
 
     The default (introsort) ``argsort`` is not stable. Where a row's values
     are distinct, their sorted order is unique, so the pick is exactly a
@@ -82,12 +98,9 @@ def _weighted_median_rows(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     it can differ only where a cumulative weight lies within rounding of
     half the total at a tie block's boundary.
     """
-    order = np.argsort(values, axis=1)
-    cum = np.cumsum(w[order], axis=1)
-    half = 0.5 * w.sum()
-    rows = np.arange(values.shape[0])
-    pick = np.argmax(cum >= half, axis=1)
-    return values[rows, order[rows, pick]]
+    np.take(w, slots, out=cum)
+    np.cumsum(cum, axis=1, out=cum)
+    return np.argmax(cum >= half, axis=1)
 
 
 def topo_aware_score(values: np.ndarray, topology_id_per_tick,
@@ -116,27 +129,58 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
         d = graph_distance(registry[ids[a]], registry[ids[b]], weights_map)
         dist_matrix[a, b] = dist_matrix[b, a] = d
 
-    # one row per sensor, so each tick's history is a contiguous slice
-    vt = np.ascontiguousarray(values.T)
     threshold = max_z_threshold(m)
     scores = np.full(n_ticks, np.nan)
     flags = np.zeros(n_ticks, dtype=bool)
-    for t in range(cfg.min_history, n_ticks):
-        lo = max(0, t - HISTORY)
-        hist = vt[:, lo:t]
-        dists = dist_matrix[pos[t], pos[lo:t]]
-        w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
-        ess = float(w.sum())
-        if ess < MIN_ESS:
-            continue  # announced change: not enough comparable history yet
-        med = _weighted_median_rows(hist, w)
-        mad = _weighted_median_rows(np.abs(hist - med[:, None]), w)
-        dbar = float((w * dists).sum() / ess)
-        slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
-        inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
-        scale = (1.4826 * mad + slack) * inflation + 1e-12
-        z = np.abs(values[t] - med) / scale
-        scores[t] = float(z.max())
-        flags[t] = scores[t] > threshold
+    rows = np.arange(m)
+    # work buffers for the widest union window, one row per sensor
+    wu = np.empty(HISTORY + BLOCK - 1)  # one tick's weight per union slot
+    cum_buf = np.empty(m * wu.size)
+    slot_buf = np.empty(m * wu.size, dtype=np.intp)
+    for tb in range(cfg.min_history, n_ticks, BLOCK):
+        t_stop = min(tb + BLOCK, n_ticks)
+        u0 = max(0, tb - HISTORY)
+        span = t_stop - 1 - u0  # the block's union window is [u0, u0 + span)
+        cum = cum_buf[:m * span].reshape(m, span)
+        dev_slots = slot_buf[:m * span].reshape(m, span)
+        order = srt = None  # sorted at the block's first scored tick
+        for t in range(tb, t_stop):
+            lo = max(0, t - HISTORY)
+            dists = dist_matrix[pos[t], pos[lo:t]]
+            w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
+            ess = float(w.sum())
+            if ess < MIN_ESS:
+                continue  # announced change: not enough comparable history yet
+            if order is None:
+                win = np.ascontiguousarray(values[u0:u0 + span].T)
+                order = np.argsort(win, axis=1)
+                srt = np.take_along_axis(win, order, axis=1)
+                del win
+                last_med = np.full(m, np.nan)
+            wu[:span] = 0.0  # slots outside [lo, t), future ticks included
+            wu[lo - u0:t - u0] = w
+            half = 0.5 * ess
+            med = srt[rows, _half_weight_pick(order, wu, half, cum)]
+            # |srt - med| falls then rises along a row, so a stable sort
+            # orders it cheaply; a row whose median stayed keeps its order
+            moved = np.flatnonzero(med != last_med)
+            if moved.size:
+                dev = cum[:moved.size]
+                np.take(srt, moved, axis=0, out=dev)
+                np.subtract(dev, med[moved, None], out=dev)
+                np.abs(dev, out=dev)
+                dev_order = np.argsort(dev, axis=1, kind="stable")
+                dev_order += moved[:, None] * span  # flat positions in order
+                dev_slots[moved] = np.take(order, dev_order)
+                last_med = med
+            mad_slot = dev_slots[rows, _half_weight_pick(dev_slots, wu, half, cum)]
+            mad = np.abs(values[u0 + mad_slot, rows] - med)
+            dbar = float((w * dists).sum() / ess)
+            slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
+            inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
+            scale = (1.4826 * mad + slack) * inflation + 1e-12
+            z = np.abs(values[t] - med) / scale
+            scores[t] = float(z.max())
+            flags[t] = scores[t] > threshold
     return AnomalyScoreSeries(detector="topo", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)

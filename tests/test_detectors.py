@@ -1,9 +1,11 @@
 """Detector oracle tests: GESD, AR/VAR, LOF, Parzen, isolation forest, topo."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -50,7 +52,15 @@ from gridbench.detectors.density import BANDWIDTH_FLOOR, LOF_K, _k_neighborhood,
 from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE, _window_scores_vectorized
 from gridbench.detectors.iforest import IsolationTree, _grow
 from gridbench.detectors.ocsvm import rbf_kernel
-from gridbench.detectors.topo import _weighted_median_rows
+from gridbench.detectors.topo import (
+    BLOCK,
+    FINITE_SAMPLE,
+    HISTORY,
+    MIN_ESS,
+    SCALE_SLACK,
+    VALUE_FLOOR,
+    _half_weight_pick,
+)
 from gridbench.grid import Branch, Bus, GridCase, Generator, Load, bundled_case
 from gridbench.rng import Rng
 from gridbench.scenario import benchmark_config, build_scenario, run_scenario
@@ -686,7 +696,6 @@ def test_graph_distance_identity_and_positivity():
 def test_graph_distance_metric_over_all_topology_triples():
     case = five_branch_case()
     weights = sensitivity_weights(case)
-    import itertools
     keys = [topo_key(case, open_ids)
             for r in range(3)
             for open_ids in itertools.combinations((1, 2, 3, 4, 5), r)]
@@ -730,6 +739,13 @@ def stable_weighted_median(x, w):
     return x[order[np.argmax(cum >= 0.5 * w.sum())]]
 
 
+def picked_medians(rows, w):
+    """The detector's median pick along each row's (unstable) argsort."""
+    r = np.arange(len(rows))
+    order = np.argsort(rows, axis=1)
+    return rows[r, order[r, _half_weight_pick(order, w, 0.5 * w.sum(), np.empty(rows.shape))]]
+
+
 @st.composite
 def rows_and_weights(draw, values, weights, distinct):
     """1-4 rows of one length, and one weight per column."""
@@ -750,7 +766,7 @@ _HALF_AT_FIRST = (np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 1.0]))
 @example(_HALF_AT_FIRST)
 def test_weighted_median_distinct_values_equals_stable_oracle(rows_w):
     rows, w = rows_w
-    got = _weighted_median_rows(rows, w)
+    got = picked_medians(rows, w)
     assert np.array_equal(got, [stable_weighted_median(r, w) for r in rows])
 
 
@@ -763,7 +779,7 @@ def test_weighted_median_ties_with_dyadic_weights(rows_w):
     """Dyadic weights sum exactly in any order, so even with tied values the
     pick equals the stable oracle's and splits the weight at half."""
     rows, w = rows_w
-    got = _weighted_median_rows(rows, w)
+    got = picked_medians(rows, w)
     assert np.array_equal(got, [stable_weighted_median(r, w) for r in rows])
     half = 0.5 * w.sum()
     for x, med in zip(rows, got):
@@ -781,12 +797,36 @@ def test_weighted_median_ties_with_non_dyadic_weights(rows_w):
     forms them: permuting tied values can move the cumulative weights by
     rounding, so the pick splits the weight at half up to that rounding."""
     rows, w = rows_w
-    got = _weighted_median_rows(rows, w)
+    got = picked_medians(rows, w)
     half = 0.5 * w.sum()
     tol = 4 * len(w) * np.finfo(float).eps * w.sum()
     for x, med in zip(rows, got):
         assert w[x < med].sum() < half + tol
         assert half - tol <= w[x <= med].sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_weights(st.floats(-1e6, 1e6, allow_nan=False),
+                        st.one_of(st.just(0.0), st.floats(1e-12, 1e3)), distinct=False))
+@example((np.array([[0.0, 1.0, 2.0]]), np.array([1.0, 0.0, 1.0])))
+def test_zero_weight_slots_are_never_picked(rows_w):
+    """A tick weighs the slots outside its window 0: adding 0.0 is exact, so
+    those slots neither move the pick nor are picked themselves."""
+    rows, w = rows_w
+    keep = w > 0
+    if not keep.any():
+        return
+    half = 0.5 * w[keep].sum()
+    r = np.arange(len(rows))
+    order = np.argsort(rows, axis=1)
+    slots = order[r, _half_weight_pick(order, w, half, np.empty(rows.shape))]
+    assert keep[slots].all()
+    # the same order without the zero-weight slots, so ties break alike
+    rank = np.cumsum(keep) - 1  # slot -> its index among the kept slots
+    kept_order = rank[order[keep[order]].reshape(len(rows), -1)]
+    kept = kept_order[r, _half_weight_pick(kept_order, w[keep], half,
+                                           np.empty(kept_order.shape))]
+    assert np.array_equal(kept, rank[slots])
 
 
 # ------------------------------------------------------------ topo detector
@@ -857,6 +897,114 @@ def test_topo_unannounced_shift_flags_immediately():
     assert series.flags[80]
 
 
+def per_tick_topo_series(values, ids, registry, case, cfg):
+    """The detector's loop before the block walk: each tick argsorts its own
+    window for the median and again for the MAD."""
+    def weighted_median_rows(x, w):
+        order = np.argsort(x, axis=1)
+        cum = np.cumsum(w[order], axis=1)
+        rows = np.arange(x.shape[0])
+        pick = np.argmax(cum >= 0.5 * w.sum(), axis=1)
+        return x[rows, order[rows, pick]]
+
+    weights = sensitivity_weights(case)
+    dist = {}
+    for a in set(ids):
+        for b in set(ids):
+            dist[a, b] = graph_distance(registry[a], registry[b], weights)
+    vt = np.ascontiguousarray(values.T)
+    scores = np.full(len(values), np.nan)
+    for t in range(cfg.min_history, len(values)):
+        lo = max(0, t - HISTORY)
+        hist = vt[:, lo:t]
+        dists = np.array([dist[ids[t], ids[i]] for i in range(lo, t)], dtype=float)
+        w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
+        ess = float(w.sum())
+        if ess < MIN_ESS:
+            continue
+        med = weighted_median_rows(hist, w)
+        mad = weighted_median_rows(np.abs(hist - med[:, None]), w)
+        dbar = float((w * dists).sum() / ess)
+        slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
+        inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
+        scale = (1.4826 * mad + slack) * inflation + 1e-12
+        scores[t] = float((np.abs(values[t] - med) / scale).max())
+    return scores, scores > max_z_threshold(values.shape[1])
+
+
+BLOCK_WALK_CHANGES = (43, 106, 170)
+
+
+def block_walk_stream():
+    """HISTORY plus several blocks and a partial one, 6 sensors; announced
+    changes at BLOCK_WALK_CHANGES shift two sensors, and one sensor is
+    constant, so its values and deviations all tie."""
+    n, m = HISTORY + 5 * BLOCK + 3, 6
+    values = Rng(21).normals(n * m, 0.0, 0.01).reshape(n, m) + 1.0
+    values[:, 0] += np.cumsum(values[:, 0] - 1.0)
+    values[:, 2] = 2.0
+    values[:, 5] *= 10.0
+    case = five_branch_case()
+    registry = {1: topo_key(case, ()), 2: topo_key(case, (1,)),
+                3: topo_key(case, (1, 3)), 4: topo_key(case, (3,))}
+    ids = []
+    for topo_id, (start, stop) in enumerate(
+            itertools.pairwise((0,) + BLOCK_WALK_CHANGES + (n,)), start=1):
+        ids += [topo_id] * (stop - start)
+        values[start:stop, 1] += 0.3 * topo_id
+        values[start:stop, 4] -= 0.1 * topo_id
+    return values, ids, registry, case
+
+
+@pytest.mark.parametrize("min_history", [0, 13])
+@pytest.mark.parametrize("tau", [0.0, 0.005, 0.05])
+def test_topo_equals_per_tick_reference_loop(tau, min_history):
+    values, ids, registry, case = block_walk_stream()
+    cfg = TopoConfig(tau=tau, min_history=min_history)
+    assert (len(values) - min_history) % BLOCK
+    want_scores, want_flags = per_tick_topo_series(values, ids, registry, case, cfg)
+    series = topo_aware_score(values, ids, registry, case, cfg)
+    # each change withholds a run of ticks that starts inside a block, and
+    # scoring resumes after it
+    for change in BLOCK_WALK_CHANGES:
+        assert (change - min_history) % BLOCK
+        assert np.isnan(series.scores[change])
+        assert np.isfinite(series.scores[change + 2 * BLOCK])
+    assert np.array_equal(series.scores, want_scores, equal_nan=True)
+    assert np.array_equal(series.flags, want_flags)
+
+
+def test_topo_equals_per_tick_reference_loop_on_a_benchmark_stream():
+    case = bundled_case("case14")
+    stream = run_scenario(build_scenario(benchmark_config(case, "realistic", 1, segment=20)))
+    ids, registry = stream.topology_id_per_tick, stream.topology_registry
+    assert len(stream.values) > HISTORY + 4 * BLOCK
+    want_scores, want_flags = per_tick_topo_series(stream.values, ids, registry, case,
+                                                   TopoConfig())
+    series = topo_aware_score(stream.values, ids, registry, case, TopoConfig())
+    assert np.isnan(series.scores).sum() > TopoConfig().min_history
+    assert np.array_equal(series.scores, want_scores, equal_nan=True)
+    assert np.array_equal(series.flags, want_flags)
+
+
+def test_topo_memory_stays_below_the_per_tick_loops():
+    # the per-tick loop's peak was 1.96 x values.nbytes on this stream, most
+    # of it a whole-stream transposed copy; the block walk keeps one block's
+    # window and reuses its work buffers
+    case = bundled_case("case30")
+    stream = run_scenario(build_scenario(benchmark_config(case, "small", 1)))
+    ids, registry = stream.topology_id_per_tick, stream.topology_registry
+    # the first call loads scipy.special for the threshold
+    topo_aware_score(stream.values[:40], ids[:40], registry, case, TopoConfig())
+    tracemalloc.start()
+    try:
+        topo_aware_score(stream.values, ids, registry, case, TopoConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * stream.values.nbytes, peak
+
+
 # --------------------------------------------------------- online property
 
 def test_streaming_detectors_are_online_replay():
@@ -889,6 +1037,24 @@ def test_streaming_detectors_are_online_replay():
                                    full[name].scores[:cut],
                                    equal_nan=True, atol=0,
                                    err_msg=name)
+
+
+def test_topo_is_online_across_blocks_past_history():
+    # the cut falls inside a block whose union window, in the full stream,
+    # reaches past the cut into the jump
+    n, cut = 220, 205
+    values = Rng(89).normals(n * 3).reshape(n, 3).cumsum(axis=0) * 0.01 + 5.0
+    values[cut:] += 5.0
+    case = five_branch_case()
+    registry = {1: topo_key(case, ()), 2: topo_key(case, (1,))}
+    ids = [1] * 100 + [2] * (n - 100)
+    cfg = TopoConfig(min_history=10)
+    assert cut > HISTORY and (cut - cfg.min_history) % BLOCK
+    full = topo_aware_score(values, ids, registry, case, cfg)
+    truncated = topo_aware_score(values[:cut], ids[:cut], registry, case, cfg)
+    assert np.isfinite(truncated.scores[cut - BLOCK:]).all()
+    np.testing.assert_allclose(truncated.scores, full.scores[:cut],
+                               equal_nan=True, atol=0)
 
 
 def test_score_stream_runs_the_streaming_detectors_as_called_directly():
@@ -1041,8 +1207,10 @@ for v in values:
     (lambda: OcsvmConfig(gamma=-1.0), "gamma"),
     (lambda: OcsvmConfig(gamma=0.0), "gamma"),
     (lambda: TopoConfig(tau=-1.0), "tau"),
+    (lambda: TopoConfig(min_history=-1), "min_history"),
 ], ids=["iforest-trees-0", "iforest-subsample-1", "iforest-subsample-0", "ocsvm-nu-0",
-        "ocsvm-nu-1.5", "ocsvm-gamma-negative", "ocsvm-gamma-0", "topo-tau-negative"])
+        "ocsvm-nu-1.5", "ocsvm-gamma-negative", "ocsvm-gamma-0", "topo-tau-negative",
+        "topo-min-history-negative"])
 def test_invalid_detector_setting_is_rejected_when_built(make, match):
     with pytest.raises(ValueError, match=match):
         make()
@@ -1053,3 +1221,4 @@ def test_detector_settings_at_their_limits_are_accepted():
     OcsvmConfig(nu=1.0)
     OcsvmConfig(gamma=None)
     TopoConfig(tau=0.0)
+    TopoConfig(min_history=0)

@@ -2,7 +2,8 @@
 name in the package is reached by the program, every module-level constant
 and every ``LabeledStream`` field is read, every default is set by some
 call, and the benchmark's tracer still finds every program attribute it
-wraps and sees the sweep prepare each seed once."""
+wraps, sees the sweep prepare each seed once and reaches every stream and
+detector layer."""
 
 import ast
 import importlib
@@ -14,6 +15,7 @@ import pytest
 
 import gridbench.acopf.train
 from gridbench.acopf import ExperimentConfig, TrainConfig, experiment_sweep
+from gridbench.detectors import DETECTOR_NAMES, FIT_BASED, score_stream
 from gridbench.grid import bundled_case
 from gridbench.scenario import benchmark_config, build_scenario, run_scenario
 
@@ -286,3 +288,24 @@ def test_traced_stream_reaches_every_stream_layer(monkeypatch):
                   "grid.apply_event", "grid.connectivity_check"):
         assert calls[layer] >= 1, layer
     assert calls["powerflow.solve_pf"] >= cfg.horizon
+
+
+def test_traced_detect_reaches_every_detector_layer(monkeypatch):
+    # the detectors' layers are traced through ``gridbench.detectors``' and
+    # ``gridbench.detectors.topo``'s globals; a detector that called around
+    # those names would silently zero its layer's figure
+    layers = _bench_layers(monkeypatch)
+    case = bundled_case("case14")
+    stream = run_scenario(build_scenario(benchmark_config(case, segment=5)))
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer)
+        score_stream(stream, DETECTOR_NAMES, case=case)
+    finally:
+        tracer.restore()
+    calls = Counter(span[0] for span in tracer.spans)
+    assert calls["detectors.topo.sensitivity_weights"] >= 1
+    for det in FIT_BASED:
+        assert calls[f"detectors.{det}.fit"] >= 1, det
+        assert calls[f"detectors.{det}.score"] >= 1, det
+    assert tracer.counts["detectors.ocsvm.iterations"] > 0
