@@ -28,6 +28,7 @@ from .density import (
     parzen_fit,
     parzen_log_density,
     parzen_score,
+    parzen_train_scores,
 )
 from .gesd import gesd_critical_value, gesd_score_stream
 from .iforest import average_path_length, iforest_fit, iforest_score
@@ -58,7 +59,7 @@ def _fit_based_series(name: str, stream, seed: int) -> AnomalyScoreSeries:
         scores = lof_score(model, test)
     elif name == "parzen":
         model = parzen_fit(train)
-        train_scores = parzen_score(model, train)
+        train_scores = parzen_train_scores(model)
         scores = parzen_score(model, test)
     elif name == "ocsvm":
         model = ocsvm_fit(train, OcsvmConfig())
@@ -114,7 +115,8 @@ __all__ = [
     "gesd_score_stream", "graph_distance", "iforest_fit",
     "iforest_score", "lof_fit", "lof_score", "lof_train_scores",
     "mahalanobis_threshold", "max_z_threshold", "ocsvm_fit", "ocsvm_score",
-    "parzen_fit", "parzen_log_density", "parzen_score", "rbf_kernel",
+    "parzen_fit", "parzen_log_density", "parzen_score", "parzen_train_scores",
+    "rbf_kernel",
     "robust_train_threshold", "score_stream", "sensitivity_weights",
     "topo_aware_score", "var_score_stream",
 ]

@@ -1,11 +1,22 @@
 """Autoregressive residual scoring: per-channel AR (ARIMA(p,1,0)) and VAR.
 
 Both first-difference the stream, fit AR coefficients by ordinary least
-squares on a rolling history, and score the one-step-ahead residual of the
-newest tick: absolute z per channel (max reported) for the univariate
-model, Mahalanobis distance under the residual covariance for the VAR.
-Coefficients are refit every ``REFIT_EVERY`` ticks to keep the stream pass
-cheap; between refits the stored coefficients keep predicting.
+squares on a rolling history of ``FIT_WINDOW`` diffs, and score the
+one-step-ahead residual of each newer tick: absolute z per channel (max
+reported) for the univariate model, Mahalanobis distance under the
+residual covariance for the VAR. Coefficients are refit every
+``REFIT_EVERY`` ticks; the ticks up to the next refit are scored together
+against the stored coefficients.
+
+The univariate model keeps each channel's normal equations between refits
+as one Gram matrix (:func:`ar_gram`): a refit adds the rows that entered
+the window and subtracts the rows that left it, and takes the residual
+sum of squares from the same matrix. The VAR solves its normal equations
+``x'x c = x'y`` at each refit, in place of an SVD, and falls back to
+``lstsq`` where ``x'x`` is singular (see :func:`var_fit`).
+
+A block's predictions are elementwise products summed along a fixed axis,
+so each tick's score rounds the same however many ticks its block holds.
 """
 
 from __future__ import annotations
@@ -27,85 +38,86 @@ VAR_RIDGE = 1e-6   # added to the residual covariance
 VAR_MIN_ROWS_FACTOR = 2.0  # rows per regressor before scoring starts
 
 
-def ar_fit_batch(diffs: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """OLS AR(p)-with-intercept fits for every channel of a diff window.
+def _lagged(diffs: np.ndarray, p: int) -> np.ndarray:
+    """Row z_t = (d[t-1], ..., d[t-p], 1, d[t]) of every channel, for the
+    targets t = p .. len(diffs) - 1: shape (targets, channels, p + 2)."""
+    window = sliding_window_view(diffs, p + 1, axis=0)  # [r, c, j] = d[r + j, c]
+    z = np.empty(window.shape[:2] + (p + 2,))
+    z[..., :p] = window[..., p - 1::-1]
+    z[..., p] = 1.0
+    z[..., p + 1] = window[..., p]
+    return z
+
+
+def ar_gram(diffs: np.ndarray, p: int) -> np.ndarray:
+    """Per-channel sum of z z' over the targets of a diff window (see
+    :func:`_lagged`): the normal equations' matrix in ``[:, :p+1, :p+1]``,
+    their right-hand side in ``[:, :p+1, p+1]`` and y'y in ``[:, p+1, p+1]``.
+    Sums over disjoint target ranges add up to the sum over their union."""
+    z = _lagged(np.atleast_2d(diffs), p)
+    # a product of one buffer with its own transpose goes to a per-channel
+    # syrk call, ~4x slower at these sizes than the product with a copy
+    return z.transpose(1, 2, 0) @ z.copy().transpose(1, 0, 2)
+
+
+def ar_fit(gram: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """OLS AR-with-intercept fits of every channel from its Gram matrix.
 
     Returns (coefs, sigmas): coefs is (channels, p+1) with the intercept
-    last; sigmas are residual standard deviations. Singular normal
-    equations fall back to ridge regression with a warning.
-
-    The lags are a strided view of ``diffs``, so no design tensor is built:
-    the normal equations' lag block is one einsum over the view, and the
-    intercept row, column and right-hand side are sums against a vector of
-    ones, which reduce in the order the full design's products did.
+    last; sigmas are residual standard deviations, from the residual sum of
+    squares y'y - c'b (less ridge |c|^2 after a ridge solve, so that it is
+    still the sum of the squared residuals). Singular normal equations fall
+    back to ridge regression of every channel, with a warning.
     """
-    diffs = np.atleast_2d(diffs)
-    rows = diffs.shape[0] - p
+    p = gram.shape[1] - 2
+    rows = gram[0, p, p]
     if rows < p + 2:
         raise ValueError("history too short for the requested lag order")
-    m = diffs.shape[1]
-    # lags[k, r, c] = diffs[p - 1 - k + r, c], lag k + 1 of target row r
-    lags = sliding_window_view(diffs, rows, axis=0)[p - 1::-1].transpose(0, 2, 1)
-    ones = np.ones(rows)
-    y = diffs[p:]
-    a = np.empty((m, p + 1, p + 1))
-    a[:, :p, :p] = np.einsum("krm,lrm->mkl", lags, lags)
-    a[:, :p, p] = a[:, p, :p] = np.einsum("krm,r->mk", lags, ones)
-    a[:, p, p] = rows
-    b = np.empty((m, p + 1))
-    b[:, :p] = np.einsum("krm,rm->mk", lags, y)
-    b[:, p] = np.einsum("rm,r->m", y, ones)
+    a, b = gram[:, :p + 1, :p + 1], gram[:, :p + 1, p + 1]
     try:
         coefs = np.linalg.solve(a, b[..., None])[..., 0]
+        rss = gram[:, p + 1, p + 1] - (coefs * b).sum(axis=1)
     except np.linalg.LinAlgError:
         warnings.warn("rank-deficient AR regression; using ridge fallback", stacklevel=2)
-        a = a + ridge * np.eye(p + 1)[None, :, :]
-        coefs = np.linalg.solve(a, b[..., None])[..., 0]
-    preds = np.einsum("krm,mk->rm", lags, coefs[:, :p]) + coefs[:, p]
-    resid = y - preds
-    dof = max(1, rows - (p + 1))
-    sigmas = np.sqrt((resid ** 2).sum(axis=0) / dof)
-    return coefs, sigmas
-
-
-def ar_predict(history: np.ndarray, coefs: np.ndarray, p: int) -> np.ndarray:
-    """One-step prediction per channel from the trailing p diffs."""
-    recent = history[-p:][::-1]  # lag 1 first
-    return np.einsum("km,mk->m", recent, coefs[:, :p]) + coefs[:, p]
-
-
-def _rolling_scores(detector: str, values: np.ndarray, first: int, fit,
-                    threshold: float | None = None) -> AnomalyScoreSeries:
-    """The walk both models share. Diff i first involves tick i + 1; from
-    i = ``first`` on, ``score(window, diff)`` rates it against the
-    ``FIT_WINDOW`` diffs before it, with ``(score, threshold) = fit(window)``
-    refit every ``REFIT_EVERY`` diffs (``threshold`` until the first fit)."""
-    n_ticks = len(values)
-    diffs = np.diff(values, axis=0)
-    scores = np.full(n_ticks, np.nan)
-    flags = np.zeros(n_ticks, dtype=bool)
-    for i in range(first, n_ticks - 1):
-        window = diffs[max(0, i - FIT_WINDOW):i]
-        if (i - first) % REFIT_EVERY == 0:
-            score, threshold = fit(window)
-        scores[i + 1] = score(window, diffs[i])
-        flags[i + 1] = scores[i + 1] > threshold
-    return AnomalyScoreSeries(detector=detector, ticks=np.arange(n_ticks),
-                              scores=scores, flags=flags, threshold=threshold)
+        coefs = np.linalg.solve(a + ridge * np.eye(p + 1), b[..., None])[..., 0]
+        rss = gram[:, p + 1, p + 1] - (coefs * (b + ridge * coefs)).sum(axis=1)
+    dof = max(1.0, rows - (p + 1))
+    return coefs, np.sqrt(np.maximum(rss, 0.0) / dof)
 
 
 def arima_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
-    """Max over channels of the absolute one-step residual z-score."""
+    """Max over channels of the absolute one-step residual z-score.
+
+    Diff i first involves tick i + 1. From i = ``ARIMA_MIN_HISTORY`` on,
+    every ``REFIT_EVERY`` diffs, the fit's targets are the diffs
+    [max(0, i - FIT_WINDOW) + LAGS, i), and diffs i .. i + REFIT_EVERY - 1
+    are scored against it.
+    """
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    n_ticks = len(values)
     threshold = max_z_threshold(values.shape[1])
+    scores = np.full(n_ticks, np.nan)
 
-    def fit(window):
-        coefs, sigmas = ar_fit_batch(window, LAGS, ARIMA_RIDGE)
-        scale = np.maximum(sigmas, 1e-9)
-        return (lambda w, diff: float((np.abs(diff - ar_predict(w, coefs, LAGS)) / scale).max()),
-                threshold)
+    def diffs(lo, hi):  # diffs lo .. hi - 1; no whole-stream copy is kept
+        return np.diff(values[lo:hi + 1], axis=0)
 
-    return _rolling_scores("arima", values, ARIMA_MIN_HISTORY, fit, threshold)
+    gram = None
+    for i in range(ARIMA_MIN_HISTORY, n_ticks - 1, REFIT_EVERY):
+        lo = max(0, i - FIT_WINDOW)
+        if gram is None:
+            gram = ar_gram(diffs(lo, i), LAGS)
+        else:
+            gram += ar_gram(diffs(i - REFIT_EVERY - LAGS, i), LAGS)
+            gone = max(0, i - REFIT_EVERY - FIT_WINDOW)
+            if gone < lo:
+                gram -= ar_gram(diffs(gone, lo + LAGS), LAGS)
+        coefs, sigmas = ar_fit(gram, ARIMA_RIDGE)
+        stop = min(i + REFIT_EVERY, n_ticks - 1)
+        z = _lagged(diffs(i - LAGS, stop), LAGS)
+        resid = np.abs(z[..., LAGS + 1] - (z[..., :LAGS + 1] * coefs).sum(axis=2))
+        scores[i + 1:stop + 1] = (resid / np.maximum(sigmas, 1e-9)).max(axis=1)
+    return AnomalyScoreSeries(detector="arima", ticks=np.arange(n_ticks), scores=scores,
+                              flags=scores > threshold, threshold=threshold)
 
 
 def var_channel_subset(values: np.ndarray) -> np.ndarray:
@@ -123,26 +135,39 @@ def var_channel_subset(values: np.ndarray) -> np.ndarray:
     return np.sort(np.argsort(-variances)[:min(m, cap)])
 
 
+def _var_design(diffs: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Regressors (stacked lag blocks, lag 1 first, then a ones column) and
+    targets of the rows t = p .. len(diffs) - 1."""
+    rows = diffs.shape[0] - p
+    x = np.concatenate([diffs[p - 1 - j: p - 1 - j + rows] for j in range(p)]
+                       + [np.ones((rows, 1))], axis=1)
+    return x, diffs[p:]
+
+
 def var_fit(diffs: np.ndarray, p: int, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     """Joint VAR(p) OLS fit. Returns (coef matrix, residual covariance).
 
-    coef has shape (k*p + 1, k): stacked lag blocks then intercept row.
+    coef has shape (k*p + 1, k): stacked lag blocks then intercept row. It
+    solves the normal equations x'x c = x'y, or takes ``lstsq``'s
+    minimum-norm solution where x'x is singular: where its Cholesky
+    factorization fails or leaves a pivot below eps * max(rows, regressors)
+    times the largest (the relative cutoff ``lstsq`` applies to singular
+    values). A constant channel makes x'x exactly singular; a duplicated one
+    leaves pivots of rounding size, which ``solve`` need not reject.
     """
-    rows = diffs.shape[0] - p
-    k = diffs.shape[1]
-    x = np.concatenate([diffs[p - 1 - j: p - 1 - j + rows] for j in range(p)], axis=1)
-    x = np.concatenate([x, np.ones((rows, 1))], axis=1)
-    y = diffs[p:]
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+    x, y = _var_design(diffs, p)
+    gram = x.T @ x
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2
+        if pivots.min() <= np.finfo(float).eps * max(x.shape) * pivots.max():
+            raise np.linalg.LinAlgError("singular normal equations")
+        coef = np.linalg.solve(gram, x.T @ y)
+    except np.linalg.LinAlgError:
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ coef
-    dof = max(1, rows - x.shape[1])
-    cov = resid.T @ resid / dof + ridge * np.eye(k)
+    dof = max(1, len(x) - x.shape[1])
+    cov = resid.T @ resid / dof + ridge * np.eye(y.shape[1])
     return coef, cov
-
-
-def var_predict(history: np.ndarray, coef: np.ndarray, p: int) -> np.ndarray:
-    x = np.concatenate([history[-1 - j] for j in range(p)] + [np.ones(1)])
-    return x @ coef
 
 
 def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
@@ -151,25 +176,32 @@ def var_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     Scoring starts once the rolling window holds ``VAR_MIN_ROWS_FACTOR``
     rows per regressor; the flag threshold is the Hotelling prediction bound
     at the current effective degrees of freedom, so early fits get a wider
-    berth than asymptotic chi-square would grant.
+    berth than asymptotic chi-square would grant. The walk is
+    :func:`arima_score_stream`'s, with each fit made from its window.
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
+    n_ticks = len(values)
     warm = 8 * LAGS  # enough raw ticks to rank channel variances
     subset = var_channel_subset(values[:warm + 1])
     n_regressors = len(subset) * LAGS + 1
-
-    def fit(window):
+    diffs = np.diff(values[:, subset], axis=0)
+    scores = np.full(n_ticks, np.nan)
+    flags = np.zeros(n_ticks, dtype=bool)
+    threshold = None
+    first = max(warm, LAGS + math.ceil(VAR_MIN_ROWS_FACTOR * n_regressors))
+    for i in range(first, n_ticks - 1, REFIT_EVERY):
+        window = diffs[max(0, i - FIT_WINDOW):i]
         coef, cov = var_fit(window, LAGS, VAR_RIDGE)
         cov_inv = np.linalg.inv(cov)
         rows = len(window) - LAGS
         dof = max(len(subset) + 2, rows - n_regressors)
         leverage = np.sqrt(1.0 + n_regressors / max(1, rows))
-
-        def score(w, diff):
-            resid = diff - var_predict(w, coef, LAGS)
-            return float(np.sqrt(resid @ cov_inv @ resid))
-
-        return score, mahalanobis_threshold(len(subset), dof=dof, inflation=leverage)
-
-    first = max(warm, LAGS + math.ceil(VAR_MIN_ROWS_FACTOR * n_regressors))
-    return _rolling_scores("var", values[:, subset], first, fit)
+        threshold = mahalanobis_threshold(len(subset), dof=dof, inflation=leverage)
+        stop = min(i + REFIT_EVERY, n_ticks - 1)
+        x, y = _var_design(diffs[i - LAGS:stop], LAGS)
+        resid = y - (x[:, :, None] * coef).sum(axis=1)
+        spread = (resid[:, :, None] * cov_inv).sum(axis=1)
+        scores[i + 1:stop + 1] = np.sqrt((spread * resid).sum(axis=1))
+        flags[i + 1:stop + 1] = scores[i + 1:stop + 1] > threshold
+    return AnomalyScoreSeries(detector="var", ticks=np.arange(n_ticks), scores=scores,
+                              flags=flags, threshold=threshold)

@@ -129,27 +129,44 @@ def parzen_fit(train: np.ndarray) -> dict:
     return {"h": h, "center": center, "scaled": (train - center) / h}
 
 
+def _log_kernel_means(model: dict, sq_dist: np.ndarray, n_points: int) -> np.ndarray:
+    """Log of each row's mean Gaussian kernel over ``n_points`` points, from
+    its squared scaled distances, which are overwritten. The log-sum-exp
+    runs in place and is shifted by the row's nearest point; a distance of
+    +inf adds nothing."""
+    h = model["h"]
+    log_norm = -0.5 * len(h) * np.log(2.0 * np.pi) - np.log(h).sum()
+    nearest = sq_dist.min(axis=1)
+    sq_dist -= nearest[:, None]
+    sq_dist *= -0.5
+    kernel_sums = np.exp(sq_dist, out=sq_dist).sum(axis=1)  # each >= 1
+    return log_norm - 0.5 * nearest + np.log(kernel_sums) - np.log(n_points)
+
+
 def parzen_log_density(model: dict, queries: np.ndarray) -> np.ndarray:
     """Log Gaussian-kernel density estimate at each query point.
 
     The squared scaled distances are :func:`squared_distances` between
     b = (query - mean) / h and a = (train - mean) / h, both centred on the
-    training mean. The log-sum-exp over that (queries x train) matrix runs
-    in place and is shifted by each query's nearest point, so that no more
-    than one such matrix is live.
+    training mean, and that (queries x train) matrix is the only one of its
+    size that the call holds.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    a, h = model["scaled"], model["h"]
-    n, d = a.shape
-    log_norm = -0.5 * d * np.log(2.0 * np.pi) - np.log(h).sum()
-    sq_dist = squared_distances((queries - model["center"]) / h, a)
-    nearest = sq_dist.min(axis=1)
-    sq_dist -= nearest[:, None]
-    sq_dist *= -0.5
-    kernel_sums = np.exp(sq_dist, out=sq_dist).sum(axis=1)  # each >= 1
-    return log_norm - 0.5 * nearest + np.log(kernel_sums) - np.log(n)
+    a = model["scaled"]
+    sq_dist = squared_distances((queries - model["center"]) / model["h"], a)
+    return _log_kernel_means(model, sq_dist, len(a))
 
 
 def parzen_score(model: dict, queries: np.ndarray) -> np.ndarray:
     """Negative log density: higher score = lower estimated density."""
     return -parzen_log_density(model, queries)
+
+
+def parzen_train_scores(model: dict) -> np.ndarray:
+    """Parzen score of each training point against the other n - 1 (self
+    excluded), at the bandwidths fitted on all n. A point's own kernel
+    would otherwise dominate its density in many dimensions."""
+    a = model["scaled"]
+    sq_dist = squared_distances(a, a)
+    np.fill_diagonal(sq_dist, np.inf)
+    return -_log_kernel_means(model, sq_dist, len(a) - 1)

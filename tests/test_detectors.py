@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 from scipy.special import logsumexp
@@ -41,12 +42,26 @@ from gridbench.detectors import (
     parzen_fit,
     parzen_log_density,
     parzen_score,
+    parzen_train_scores,
+    robust_train_threshold,
     score_stream,
     sensitivity_weights,
     topo_aware_score,
     var_score_stream,
 )
-from gridbench.detectors.ar import FIT_WINDOW, LAGS, ar_fit_batch, var_channel_subset
+from gridbench.detectors.ar import (
+    ARIMA_MIN_HISTORY,
+    ARIMA_RIDGE,
+    FIT_WINDOW,
+    LAGS,
+    REFIT_EVERY,
+    VAR_MIN_ROWS_FACTOR,
+    VAR_RIDGE,
+    ar_fit,
+    ar_gram,
+    var_channel_subset,
+    var_fit,
+)
 from gridbench.detectors.base import P_THREE_SIGMA
 from gridbench.detectors.density import BANDWIDTH_FLOOR, LOF_K, _k_neighborhood, squared_distances
 from gridbench.detectors.gesd import MAX_ANOMS, SIGNIFICANCE, _window_scores_vectorized
@@ -251,7 +266,7 @@ def test_ar_fit_matches_normal_equations_oracle():
     rng = Rng(9)
     m, p, rows = 4, 5, 120
     diffs = rng.normals((rows + p) * m).reshape(rows + p, m)
-    coefs, sigmas = ar_fit_batch(diffs, p, ridge=1e-8)
+    coefs, sigmas = ar_fit(ar_gram(diffs, p), ridge=1e-8)
     for c in range(m):
         x = np.column_stack([diffs[p - 1 - k: p - 1 - k + rows, c] for k in range(p)]
                             + [np.ones(rows)])
@@ -264,8 +279,8 @@ def test_ar_fit_matches_normal_equations_oracle():
 
 
 def stacked_design_ar_fit(diffs, p, ridge):
-    """Reference: ar_fit_batch over the full (p+1, rows, m) design tensor,
-    the lag slices stacked and a slab of ones appended."""
+    """Reference: OLS fits over the full (p+1, rows, m) design tensor, the
+    lag slices stacked and a slab of ones appended."""
     rows = diffs.shape[0] - p
     m = diffs.shape[1]
     lags = np.stack([diffs[p - 1 - k: p - 1 - k + rows] for k in range(p)])
@@ -283,26 +298,39 @@ def stacked_design_ar_fit(diffs, p, ridge):
     return coefs, sigmas
 
 
+def assert_fit_close(got, want, diffs):
+    """Coefficients and sigmas to rtol 1e-9, except the sigma of a channel
+    that the fit explains exactly: y'y - c'b leaves it only the rounding of
+    that difference, so both sigmas lie below sqrt(rows * eps * y'y / dof)
+    (arima floors every sigma at 1e-9)."""
+    np.testing.assert_allclose(got[0], want[0], rtol=1e-9, atol=0)
+    y = diffs[LAGS:]
+    dof = max(1, len(y) - (LAGS + 1))
+    cancellation = np.sqrt(len(y) * np.finfo(float).eps * (y * y).sum(axis=0) / dof)
+    close = np.abs(got[1] - want[1]) <= 1e-9 * want[1]
+    exact_fit = (want[1] < cancellation) & (got[1] < cancellation)
+    assert np.all(close | exact_fit), (got[1], want[1])
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 213])
 def test_ar_fit_batch_equals_stacked_design_reference(m):
-    """The view-based normal equations give exactly the design tensor's
-    coefficients and sigmas, the ridge fallback of constant and duplicate
-    channels included."""
+    """The Gram-matrix fit gives the design tensor's coefficients and sigmas
+    to rounding (its sums run in another order, and its sigmas come from
+    y'y - c'b), the ridge fallback of constant and duplicate channels
+    included."""
     rng = np.random.default_rng(m)
     for n in (2 * LAGS + 2, 40, 129, FIT_WINDOW):  # from the shortest window
         diffs = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            got = ar_fit_batch(diffs, LAGS, 1e-8)
-        for g, want in zip(got, stacked_design_ar_fit(diffs, LAGS, 1e-8)):
-            np.testing.assert_array_equal(g, want)
+            got = ar_fit(ar_gram(diffs, LAGS), 1e-8)
+        assert_fit_close(got, stacked_design_ar_fit(diffs, LAGS, 1e-8), diffs)
     if m > 2:
         diffs[:, 0] = 0.25  # constant: singular normal equations
         diffs[:, 1] = diffs[:, 2]
         with pytest.warns(UserWarning, match="ridge fallback"):
-            got = ar_fit_batch(diffs, LAGS, 1e-8)
-        for g, want in zip(got, stacked_design_ar_fit(diffs, LAGS, 1e-8)):
-            np.testing.assert_array_equal(g, want)
+            got = ar_fit(ar_gram(diffs, LAGS), 1e-8)
+        assert_fit_close(got, stacked_design_ar_fit(diffs, LAGS, 1e-8), diffs)
 
 
 def test_ar_step_spike_at_change_tick():
@@ -334,6 +362,169 @@ def test_var_channel_guard_keeps_regression_overdetermined():
     assert len(subset) * LAGS + 1 <= FIT_WINDOW - LAGS
     narrow = var_channel_subset(wide[:, :10])
     assert len(narrow) == 10
+
+
+def einsum_ar_fit_batch(diffs, p, ridge):
+    """The per-window AR fit before the sliding Gram matrix: the normal
+    equations built by einsums over a strided view, sigmas from the
+    residuals."""
+    rows = diffs.shape[0] - p
+    m = diffs.shape[1]
+    lags = sliding_window_view(diffs, rows, axis=0)[p - 1::-1].transpose(0, 2, 1)
+    ones = np.ones(rows)
+    y = diffs[p:]
+    a = np.empty((m, p + 1, p + 1))
+    a[:, :p, :p] = np.einsum("krm,lrm->mkl", lags, lags)
+    a[:, :p, p] = a[:, p, :p] = np.einsum("krm,r->mk", lags, ones)
+    a[:, p, p] = rows
+    b = np.empty((m, p + 1))
+    b[:, :p] = np.einsum("krm,rm->mk", lags, y)
+    b[:, p] = np.einsum("rm,r->m", y, ones)
+    try:
+        coefs = np.linalg.solve(a, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        warnings.warn("rank-deficient AR regression; using ridge fallback", stacklevel=2)
+        a = a + ridge * np.eye(p + 1)[None, :, :]
+        coefs = np.linalg.solve(a, b[..., None])[..., 0]
+    resid = y - (np.einsum("krm,mk->rm", lags, coefs[:, :p]) + coefs[:, p])
+    return coefs, np.sqrt((resid ** 2).sum(axis=0) / max(1, rows - (p + 1)))
+
+
+def per_tick_walk(detector, values, first, fit, threshold=None):
+    """The AR detectors' walk before the block scoring: each diff i from
+    ``first`` on is scored alone against the FIT_WINDOW diffs before it,
+    with ``(score, threshold) = fit(window)`` refit every REFIT_EVERY."""
+    n_ticks = len(values)
+    diffs = np.diff(values, axis=0)
+    scores = np.full(n_ticks, np.nan)
+    flags = np.zeros(n_ticks, dtype=bool)
+    for i in range(first, n_ticks - 1):
+        window = diffs[max(0, i - FIT_WINDOW):i]
+        if (i - first) % REFIT_EVERY == 0:
+            score, threshold = fit(window)
+        scores[i + 1] = score(window, diffs[i])
+        flags[i + 1] = scores[i + 1] > threshold
+    return scores, flags, threshold
+
+
+def per_tick_arima(values):
+    threshold = max_z_threshold(values.shape[1])
+
+    def fit(window):
+        coefs, sigmas = einsum_ar_fit_batch(window, LAGS, ARIMA_RIDGE)
+        scale = np.maximum(sigmas, 1e-9)
+
+        def score(w, diff):
+            pred = np.einsum("km,mk->m", w[-LAGS:][::-1], coefs[:, :LAGS]) + coefs[:, LAGS]
+            return float((np.abs(diff - pred) / scale).max())
+        return score, threshold
+
+    return per_tick_walk("arima", values, ARIMA_MIN_HISTORY, fit, threshold)
+
+
+def per_tick_var(values):
+    """The VAR as it was, fitted by lstsq (an SVD) at every refit."""
+    warm = 8 * LAGS
+    subset = var_channel_subset(values[:warm + 1])
+    k = len(subset)
+    n_regressors = k * LAGS + 1
+
+    def fit(window):
+        rows = len(window) - LAGS
+        x = np.concatenate([window[LAGS - 1 - j: LAGS - 1 - j + rows] for j in range(LAGS)]
+                           + [np.ones((rows, 1))], axis=1)
+        y = window[LAGS:]
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+        resid = y - x @ coef
+        cov = resid.T @ resid / max(1, rows - x.shape[1]) + VAR_RIDGE * np.eye(k)
+        cov_inv = np.linalg.inv(cov)
+        dof = max(k + 2, rows - n_regressors)
+        leverage = np.sqrt(1.0 + n_regressors / max(1, rows))
+
+        def score(w, diff):
+            r = diff - np.concatenate([w[-1 - j] for j in range(LAGS)] + [np.ones(1)]) @ coef
+            return float(np.sqrt(r @ cov_inv @ r))
+        return score, mahalanobis_threshold(k, dof=dof, inflation=leverage)
+
+    first = max(warm, LAGS + math.ceil(VAR_MIN_ROWS_FACTOR * n_regressors))
+    return per_tick_walk("var", values[:, subset], first, fit)
+
+
+def test_var_fit_takes_lstsq_where_a_duplicate_leaves_rounding_pivots():
+    # on an x86-64 host with OpenBLAS, this window's x'x has a Cholesky
+    # factor whose smallest pivot is ~2e-20 of its largest, and
+    # np.linalg.solve accepts it with coefficients of ~1e19
+    diffs = np.random.default_rng(194).normal(size=(FIT_WINDOW, 4)) * 0.01
+    diffs[:, 1] = diffs[:, 3]
+    coef, cov = var_fit(diffs, LAGS, VAR_RIDGE)
+    rows = FIT_WINDOW - LAGS
+    x = np.concatenate([diffs[LAGS - 1 - j: LAGS - 1 - j + rows] for j in range(LAGS)]
+                       + [np.ones((rows, 1))], axis=1)
+    want, *_ = np.linalg.lstsq(x, diffs[LAGS:], rcond=None)
+    np.testing.assert_array_equal(coef, want)
+
+
+def recorded(detector, values):
+    """A detector's series and the number of warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = detector(values)
+    return out, len(caught)
+
+
+def assert_matches_per_tick_walk(values):
+    """arima and var against their per-tick walks: scores to rtol 1e-9,
+    the same scored ticks, flags, thresholds and warnings. Returns each
+    detector's number of warnings."""
+    out = {}
+    for name, detector, reference in (("arima", arima_score_stream, per_tick_arima),
+                                      ("var", var_score_stream, per_tick_var)):
+        series, n_warnings = recorded(detector, values)
+        (want_scores, want_flags, want_threshold), want_warnings = recorded(reference, values)
+        assert np.isfinite(want_scores).sum() > 10 * REFIT_EVERY, name
+        np.testing.assert_array_equal(np.isfinite(series.scores), np.isfinite(want_scores),
+                                      err_msg=name)
+        np.testing.assert_allclose(series.scores, want_scores, rtol=1e-9, atol=0,
+                                   equal_nan=True, err_msg=name)
+        np.testing.assert_array_equal(series.flags, want_flags, err_msg=name)
+        assert series.threshold == want_threshold, name
+        assert n_warnings == want_warnings, name
+        out[name] = n_warnings
+    return out
+
+
+@pytest.mark.parametrize("degenerate", ["none", "constant", "duplicate"])
+def test_ar_detectors_equal_the_per_tick_walk(monkeypatch, degenerate):
+    """Past FIT_WINDOW, so rows leave the sliding window too. A constant
+    channel makes every arima fit take the ridge fallback (one warning per
+    fit) and every VAR fit lstsq; a duplicated channel sends every VAR fit
+    to lstsq. At this scale (diffs of 0.01) the VAR's residual covariance
+    keeps its ridge small, so a duplicate does not amplify rounding."""
+    n, m = FIT_WINDOW + 137, 6
+    values = np.random.default_rng(7).normal(size=(n, m)).cumsum(axis=0) * 0.01 + 5.0
+    values[:, 5] *= 3.0
+    values[150:, 4] += 0.2  # a step for both detectors to flag
+    if degenerate == "constant":
+        values[:, 2] = 1.25
+    elif degenerate == "duplicate":
+        values[:, 1] = values[:, 3]
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    var_score_stream(values)
+    fits = len(range(max(8 * LAGS, LAGS + math.ceil(VAR_MIN_ROWS_FACTOR * (m * LAGS + 1))),
+                     n - 1, REFIT_EVERY))
+    assert len(calls) == (0 if degenerate == "none" else fits)
+    warned = assert_matches_per_tick_walk(values)
+    assert warned == {"arima": len(range(ARIMA_MIN_HISTORY, n - 1, REFIT_EVERY))
+                      if degenerate == "constant" else 0, "var": 0}
+
+
+def test_ar_detectors_equal_the_per_tick_walk_on_a_benchmark_stream():
+    case = bundled_case("case14")
+    stream = run_scenario(build_scenario(benchmark_config(case, "realistic", 1, segment=20)))
+    assert len(stream.values) > FIT_WINDOW + 10 * REFIT_EVERY
+    assert assert_matches_per_tick_walk(stream.values) == {"arima": 0, "var": 0}
 
 
 # ------------------------------------------------------------------- LOF
@@ -536,6 +727,38 @@ def test_parzen_score_matches_direct_formula(dim, offset):
     want = np.array([direct_parzen_score(train, model["h"], q) for q in queries])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
     assert np.argmax(got) == 40  # the far outlier
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_parzen_train_scores_leave_each_point_out(dim, offset):
+    rng = Rng(46)
+    train = offset + rng.normals(40 * dim).reshape(40, dim)
+    train[7] = train[3]  # a duplicate keeps its twin's kernel
+    model = parzen_fit(train)
+    got = parzen_train_scores(model)
+    want = np.array([direct_parzen_score(np.delete(train, i, axis=0), model["h"], train[i])
+                     for i in range(len(train))])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.all(got > parzen_score(model, train))  # each point's own kernel is gone
+
+
+def test_parzen_flags_few_held_out_points_of_exchangeable_data():
+    # 40 i.i.d. Gaussian features, alternate ticks for training and test: a
+    # held-out point is as typical as a training point left out of its own
+    # density, so few are flagged. The in-sample scores, each point's own
+    # kernel included, put the threshold below every held-out score.
+    n = 400
+    values = Rng(47).normals(n * 40).reshape(n, 40)
+    stream = SimpleNamespace(values=values, train_ticks=tuple(range(0, n, 2)),
+                             test_ticks=tuple(range(1, n, 2)))
+    series = score_stream(stream, ("parzen",))["parzen"]
+    assert series.flags.mean() <= 0.03
+    train = values[0::2]
+    train = (train - train.mean(axis=0)) / train.std(axis=0)
+    model = parzen_fit(train)
+    assert series.threshold == robust_train_threshold(parzen_train_scores(model))
+    assert np.all(series.scores > robust_train_threshold(parzen_score(model, train)))
 
 
 # -------------------------------------------------------- isolation forest
@@ -1005,18 +1228,33 @@ def test_topo_memory_stays_below_the_per_tick_loops():
     assert peak < 1.75 * stream.values.nbytes, peak
 
 
+def test_arima_memory_stays_below_the_window_refits():
+    # refitting from each window held 2.0 x values.nbytes at its peak on this
+    # stream, most of it a whole-stream diff array and the window's residuals
+    case = bundled_case("case30")
+    stream = run_scenario(build_scenario(benchmark_config(case, "small", 1)))
+    arima_score_stream(stream.values[:60])  # the first call loads scipy.special
+    tracemalloc.start()
+    try:
+        arima_score_stream(stream.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * stream.values.nbytes, peak
+
+
 # --------------------------------------------------------- online property
 
-def test_streaming_detectors_are_online_replay():
+@pytest.mark.parametrize("cut", [97, 98, 99, 100])
+def test_streaming_detectors_are_online_replay(cut):
+    # each cut ends the AR detectors' last refit block 1 to 4 ticks into it,
+    # so its predictions are made over a shorter block than in the full run
     rng = Rng(88)
     n, m = 140, 3
     values = rng.normals(n * m).reshape(n, m).cumsum(axis=0) * 0.01 + 5.0
     case = five_branch_case()
     registry = {1: topo_key(case, ())}
-
-    class Stream:
-        pass
-
+    assert (cut - 1 - ARIMA_MIN_HISTORY) % REFIT_EVERY
     full = {
         "gesd": gesd_score_stream(values),
         "arima": arima_score_stream(values),
@@ -1024,7 +1262,8 @@ def test_streaming_detectors_are_online_replay():
         "topo": topo_aware_score(values, [1] * n, registry, case,
                                  TopoConfig(min_history=10)),
     }
-    cut = 100
+    for name in ("arima", "var"):  # both refit at diffs ARIMA_MIN_HISTORY + 5k
+        assert np.isfinite(full[name].scores).argmax() == ARIMA_MIN_HISTORY + 1, name
     truncated = {
         "gesd": gesd_score_stream(values[:cut]),
         "arima": arima_score_stream(values[:cut]),
