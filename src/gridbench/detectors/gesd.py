@@ -5,6 +5,12 @@ comparing each removal's R statistic against a critical value. Here it runs
 online over a trailing window per sensor; the newest tick is flagged when
 it is one of the declared outliers of its window. The reported score is the
 margin R - lambda of the newest tick (max across sensors).
+
+Each tick's window is scored on its own, so the walk splits into the even
+and the odd ticks (``split_walk``): one part in this process and the other
+in a forked child when two CPUs are free, both here otherwise (one CPU, no
+``os.fork``, another Python thread running). The critical values are
+computed once per stream, before the split.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .base import AnomalyScoreSeries, student_t_quantile
+from .base import AnomalyScoreSeries, split_walk, student_t_quantile
 
 WINDOW = 50        # trailing ticks per test, the newest included
 MAX_ANOMS = 2      # removal steps per window
@@ -29,8 +35,12 @@ def gesd_critical_value(n: int, i: int, significance: float) -> float:
     return float((n - i) * tq / np.sqrt((df + tq * tq) * (n - i + 1)))
 
 
-def _window_scores_vectorized(frame: np.ndarray) -> tuple[float, bool]:
+def _window_scores_vectorized(frame: np.ndarray, lams: tuple[float, ...]
+                              ) -> tuple[float, bool]:
     """Score the newest tick of a window, all sensors at once.
+
+    ``lams`` holds the critical values lambda_1 ... lambda_MAX_ANOMS for the
+    window's length.
 
     Returns (max score, any flagged). A sensor's score is R - lambda at the
     step where its newest point was removed, or its plain studentized
@@ -66,7 +76,7 @@ def _window_scores_vectorized(frame: np.ndarray) -> tuple[float, bool]:
             break
         worst = np.argmax(dev, axis=0)
         r_i = dev[worst, cols] / np.where(std > 0, std, 1.0)
-        lam = gesd_critical_value(w, i, SIGNIFICANCE)
+        lam = lams[i - 1]
         exceeds = alive & (r_i > lam)
         n_outliers[exceeds] = i
         hit_newest = alive & (worst == newest) & (removed_step == 0)
@@ -77,8 +87,7 @@ def _window_scores_vectorized(frame: np.ndarray) -> tuple[float, bool]:
     pending = np.isnan(newest_score)
     if pending.any():
         ok = pending & (std_full > 0)
-        lam1 = gesd_critical_value(w, 1, SIGNIFICANCE)
-        newest_score[ok] = dev_full[newest, ok] / std_full[ok] - lam1
+        newest_score[ok] = dev_full[newest, ok] / std_full[ok] - lams[0]
         newest_score[pending & ~ok] = 0.0
     flagged = (removed_step > 0) & (removed_step <= n_outliers)
     return float(newest_score.max()), bool(flagged.any())
@@ -91,9 +100,17 @@ def gesd_score_stream(values: np.ndarray) -> AnomalyScoreSeries:
     """
     values = np.atleast_2d(np.asarray(values, dtype=float))
     n_ticks, _ = values.shape
-    scores = np.full(n_ticks, np.nan)
-    flags = np.zeros(n_ticks, dtype=bool)
-    for t in range(WINDOW - 1, n_ticks):
-        scores[t], flags[t] = _window_scores_vectorized(values[t - WINDOW + 1:t + 1])
+    lams = tuple(gesd_critical_value(WINDOW, i, SIGNIFICANCE)
+                 for i in range(1, MAX_ANOMS + 1))
+
+    def walk(part: int) -> np.ndarray:
+        """Scores and flags (1.0 / 0.0) of ticks ``WINDOW - 1 + part``,
+        ``WINDOW + 1 + part``, ...; NaN elsewhere."""
+        out = np.full((2, n_ticks), np.nan)
+        for t in range(WINDOW - 1 + part, n_ticks, 2):
+            out[:, t] = _window_scores_vectorized(values[t - WINDOW + 1:t + 1], lams)
+        return out
+
+    scores, flagged = split_walk(walk)
     return AnomalyScoreSeries(detector="gesd", ticks=np.arange(n_ticks),
-                              scores=scores, flags=flags)
+                              scores=scores, flags=flagged == 1.0)

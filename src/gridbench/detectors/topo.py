@@ -21,6 +21,14 @@ median and MAD are picks along that one order and no later tick can move
 its score. The MAD's order is the stable sort of ``|sorted - median|``,
 which falls then rises along a row, and a sensor whose median has not
 moved since the block's previous scored tick keeps it.
+
+Since no block reads another's work, the walk splits on block boundaries
+(``split_walk``): the even blocks in this process and the odd ones in a
+forked child when two CPUs are free, both here otherwise (one CPU, no
+``os.fork``, another Python thread running). Alternate blocks give both
+parts a like share of withheld ticks. The distances, the weights' power
+flow and the threshold are computed before the split; the flags are set
+once, from the scores put together.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import math
 
 import numpy as np
 
-from .base import AnomalyScoreSeries, TopoConfig, max_z_threshold
+from .base import AnomalyScoreSeries, TopoConfig, max_z_threshold, split_walk
 from ..grid.model import GridCase
 from ..powerflow import branch_flows, solve_pf
 
@@ -130,57 +138,62 @@ def topo_aware_score(values: np.ndarray, topology_id_per_tick,
         dist_matrix[a, b] = dist_matrix[b, a] = d
 
     threshold = max_z_threshold(m)
-    scores = np.full(n_ticks, np.nan)
-    flags = np.zeros(n_ticks, dtype=bool)
     rows = np.arange(m)
-    # work buffers for the widest union window, one row per sensor
-    wu = np.empty(HISTORY + BLOCK - 1)  # one tick's weight per union slot
-    cum_buf = np.empty(m * wu.size)
-    slot_buf = np.empty(m * wu.size, dtype=np.intp)
-    for tb in range(cfg.min_history, n_ticks, BLOCK):
-        t_stop = min(tb + BLOCK, n_ticks)
-        u0 = max(0, tb - HISTORY)
-        span = t_stop - 1 - u0  # the block's union window is [u0, u0 + span)
-        cum = cum_buf[:m * span].reshape(m, span)
-        dev_slots = slot_buf[:m * span].reshape(m, span)
-        order = srt = None  # sorted at the block's first scored tick
-        for t in range(tb, t_stop):
-            lo = max(0, t - HISTORY)
-            dists = dist_matrix[pos[t], pos[lo:t]]
-            w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
-            ess = float(w.sum())
-            if ess < MIN_ESS:
-                continue  # announced change: not enough comparable history yet
-            if order is None:
-                win = np.ascontiguousarray(values[u0:u0 + span].T)
-                order = np.argsort(win, axis=1)
-                srt = np.take_along_axis(win, order, axis=1)
-                del win
-                last_med = np.full(m, np.nan)
-            wu[:span] = 0.0  # slots outside [lo, t), future ticks included
-            wu[lo - u0:t - u0] = w
-            half = 0.5 * ess
-            med = srt[rows, _half_weight_pick(order, wu, half, cum)]
-            # |srt - med| falls then rises along a row, so a stable sort
-            # orders it cheaply; a row whose median stayed keeps its order
-            moved = np.flatnonzero(med != last_med)
-            if moved.size:
-                dev = cum[:moved.size]
-                np.take(srt, moved, axis=0, out=dev)
-                np.subtract(dev, med[moved, None], out=dev)
-                np.abs(dev, out=dev)
-                dev_order = np.argsort(dev, axis=1, kind="stable")
-                dev_order += moved[:, None] * span  # flat positions in order
-                dev_slots[moved] = np.take(order, dev_order)
-                last_med = med
-            mad_slot = dev_slots[rows, _half_weight_pick(dev_slots, wu, half, cum)]
-            mad = np.abs(values[u0 + mad_slot, rows] - med)
-            dbar = float((w * dists).sum() / ess)
-            slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
-            inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
-            scale = (1.4826 * mad + slack) * inflation + 1e-12
-            z = np.abs(values[t] - med) / scale
-            scores[t] = float(z.max())
-            flags[t] = scores[t] > threshold
+
+    def walk(part: int) -> np.ndarray:
+        """Scores of blocks ``part``, ``part + 2``, ...; NaN elsewhere."""
+        scores = np.full(n_ticks, np.nan)
+        # work buffers for the widest union window, one row per sensor
+        wu = np.empty(HISTORY + BLOCK - 1)  # one tick's weight per union slot
+        cum_buf = np.empty(m * wu.size)
+        slot_buf = np.empty(m * wu.size, dtype=np.intp)
+        for tb in range(cfg.min_history + part * BLOCK, n_ticks, 2 * BLOCK):
+            t_stop = min(tb + BLOCK, n_ticks)
+            u0 = max(0, tb - HISTORY)
+            span = t_stop - 1 - u0  # the block's union window is [u0, u0 + span)
+            cum = cum_buf[:m * span].reshape(m, span)
+            dev_slots = slot_buf[:m * span].reshape(m, span)
+            order = srt = None  # sorted at the block's first scored tick
+            for t in range(tb, t_stop):
+                lo = max(0, t - HISTORY)
+                dists = dist_matrix[pos[t], pos[lo:t]]
+                w = np.exp(-dists / cfg.tau) if cfg.tau > 0 else (dists == 0.0).astype(float)
+                ess = float(w.sum())
+                if ess < MIN_ESS:
+                    continue  # announced change: not enough comparable history yet
+                if order is None:
+                    win = np.ascontiguousarray(values[u0:u0 + span].T)
+                    order = np.argsort(win, axis=1)
+                    srt = np.take_along_axis(win, order, axis=1)
+                    del win
+                    last_med = np.full(m, np.nan)
+                wu[:span] = 0.0  # slots outside [lo, t), future ticks included
+                wu[lo - u0:t - u0] = w
+                half = 0.5 * ess
+                med = srt[rows, _half_weight_pick(order, wu, half, cum)]
+                # |srt - med| falls then rises along a row, so a stable sort
+                # orders it cheaply; a row whose median stayed keeps its order
+                moved = np.flatnonzero(med != last_med)
+                if moved.size:
+                    dev = cum[:moved.size]
+                    np.take(srt, moved, axis=0, out=dev)
+                    np.subtract(dev, med[moved, None], out=dev)
+                    np.abs(dev, out=dev)
+                    dev_order = np.argsort(dev, axis=1, kind="stable")
+                    dev_order += moved[:, None] * span  # flat positions in order
+                    dev_slots[moved] = np.take(order, dev_order)
+                    last_med = med
+                mad_slot = dev_slots[rows, _half_weight_pick(dev_slots, wu, half, cum)]
+                mad = np.abs(values[u0 + mad_slot, rows] - med)
+                dbar = float((w * dists).sum() / ess)
+                slack = SCALE_SLACK * dbar * np.maximum(np.abs(med), VALUE_FLOOR)
+                inflation = 1.0 + FINITE_SAMPLE / np.sqrt(ess)
+                scale = (1.4826 * mad + slack) * inflation + 1e-12
+                z = np.abs(values[t] - med) / scale
+                scores[t] = float(z.max())
+        return scores
+
+    scores = split_walk(walk)
+    flags = scores > threshold
     return AnomalyScoreSeries(detector="topo", ticks=np.arange(n_ticks),
                               scores=scores, flags=flags, threshold=threshold)
