@@ -11,6 +11,15 @@ depend on the mode or n_fake, so the cells of one seed share them:
 once per sweep), and each cell trains its own copy of the initial network
 with its own input standardization. A sweep row is therefore ``==`` to
 ``run_cell`` on its cell.
+
+No seed reads another's work, so the sweep splits its seeds into two parts,
+``seeds[0::2]`` and ``seeds[1::2]``, and runs them through
+``gridbench.twoparts``: each part in a forked child, both at once, when the
+process may use two CPUs under one BLAS thread (``OPENBLAS_NUM_THREADS=1``),
+both in this process otherwise. Each part walks its seeds one at a time, so
+only the current seed's inputs are alive in it. A part calls BLAS; the
+calling process builds the decision space (no BLAS call) before the fork
+and makes none between the fork and the join.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from .train import TrainConfig, evaluate_decisions, train_penalty
 from ..grid.model import GridCase
 from ..loadsynth import SCALING_MODES
 from ..rng import derive_seed
+from ..twoparts import two_parts
 
 DEFAULT_SEEDS = tuple(range(0, 100, 10))
 TEST_FRACTION = 0.25  # trailing share of the realistic draw held out for testing
@@ -47,8 +57,12 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("need at least one seed")
+        for axis, values in (("seed", self.seeds), ("mode", self.modes),
+                             ("n_fake", self.n_fake)):
+            if not values:
+                raise ValueError(f"need at least one {axis}")
+            if len(set(values)) < len(values):
+                raise ValueError(f"repeated {axis} in {values}")
         if self.n_real * TEST_FRACTION < 1:
             raise ValueError("n_real too small for the test split")
 
@@ -149,27 +163,42 @@ def run_cell(config: ExperimentConfig, mode: str, n_fake: int, seed: int
 def experiment_sweep(config: ExperimentConfig) -> SweepResult:
     """Full grid over (mode, n_fake, seed); failures recorded, not fatal.
 
-    Seeds run outermost so that only the current seed's shared inputs are
-    alive. They are prepared inside the first cell's ``try``, so a failure
-    there is recorded for each of the seed's cells with the message
-    ``run_cell`` would raise. Rows and failures come out in (mode, n_fake,
-    seed) order.
+    The decision space is built once, here, before the split. The seeds then
+    run in two parts, ``seeds[0::2]`` and ``seeds[1::2]``, through
+    ``two_parts``: each part in a forked child, both at once, when the
+    process may use two CPUs under one BLAS thread, both here otherwise; a
+    one-seed sweep runs here and forks nothing. Within a part, seeds run
+    outermost so that only the current seed's shared inputs are alive. They
+    are prepared inside the seed's first cell's ``try``, so a failure there
+    (or the decision space's) is recorded for each of the seed's cells with
+    the message ``run_cell`` would raise. Each cell is trained by the same
+    code on either path. Rows and failures come out in (mode, n_fake, seed)
+    order.
     """
-    cells: dict[tuple[str, int, int], SweepRow | str] = {}
-    space = None
-    for seed in config.seeds:
-        shared = None
-        for mode in config.modes:
-            for n_fake in config.n_fake:
-                try:
-                    if space is None:
-                        space = DecisionSpace(config.case)
-                    if shared is None:
-                        shared = _seed_inputs(config, space, seed)
-                    cells[mode, n_fake, seed] = _train_cell(config, shared, mode,
-                                                            n_fake, seed)
-                except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-                    cells[mode, n_fake, seed] = f"{mode}/n_fake={n_fake}/seed={seed}: {exc}"
+    try:
+        space = DecisionSpace(config.case)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        space, space_error = None, exc
+
+    def part(k: int) -> dict[tuple[str, int, int], SweepRow | str]:
+        cells: dict[tuple[str, int, int], SweepRow | str] = {}
+        for seed in config.seeds[k::2]:
+            shared = None
+            for mode in config.modes:
+                for n_fake in config.n_fake:
+                    try:
+                        if space is None:
+                            raise space_error
+                        if shared is None:
+                            shared = _seed_inputs(config, space, seed)
+                        cells[mode, n_fake, seed] = _train_cell(config, shared, mode,
+                                                                n_fake, seed)
+                    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+                        cells[mode, n_fake, seed] = f"{mode}/n_fake={n_fake}/seed={seed}: {exc}"
+        return cells
+
+    first, second = two_parts(part) if len(config.seeds) > 1 else (part(0), {})
+    cells = first | second
     ordered = [cells[key] for key in itertools.product(config.modes, config.n_fake,
                                                         config.seeds)]
     return SweepResult(rows=tuple(c for c in ordered if isinstance(c, SweepRow)),

@@ -23,20 +23,22 @@ modules and scipy's own bundled OpenBLAS (~25 MB of RSS), which processes
 that only build scenario streams or run the ACOPF sweep never use.
 
 ``split_walk`` runs the tick walks of gesd and topo, whose items are scored
-independently, in two parts: the second part in a forked child when the
-process may use two CPUs, both in the calling process otherwise. Each item
-is scored by the same code on either path, so the outputs are the same.
+independently, in two parts through ``gridbench.twoparts``: both parts in
+forked children when the process may use two CPUs under one BLAS thread
+(``OPENBLAS_NUM_THREADS=1``), both in the calling process otherwise. A part
+may call BLAS; the calling process makes no BLAS call between the fork and
+the join. Each item is scored by the same code on either path, so the
+outputs are the same.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..twoparts import two_parts
 
 # two-sided tail mass of |z| > 3: the "3 robust z equivalents" reference.
 # Exactly 2.0 * (1.0 - scipy.special.ndtr(3.0)), written out so that import
@@ -153,14 +155,6 @@ def robust_train_threshold(train_scores: np.ndarray) -> float:
     return med + ROBUST_Z * 1.4826 * max(mad, 1e-12)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
 def split_walk(walk: Callable[[int], np.ndarray]) -> np.ndarray:
     """``walk(0)`` and ``walk(1)`` put together.
 
@@ -169,68 +163,14 @@ def split_walk(walk: Callable[[int], np.ndarray]) -> np.ndarray:
     parts, that is NaN at every element the other part scores. The result
     takes each element from the part that is not NaN there.
 
-    When the process may run on two or more CPUs, ``os.fork`` exists and no
-    other Python thread is running, part 1 runs in one forked child while
-    this process runs part 0, and the child's array comes back through a
-    pipe. Otherwise both parts run here, one after the other. The child
-    changes nothing in this process: what ``walk(1)`` records besides its
-    array (a trace span, a cache entry) is lost, so every such call belongs
-    before the walk. The child holds only the calling thread, so a walk makes
-    no BLAS call, and no first import of ``scipy.special``, which would load
-    its ~25 MB OpenBLAS in the child alone. An exception in the child is
-    raised here with its type and message.
+    The parts run through ``two_parts``: both in forked children, at once,
+    when the process may use two CPUs under one BLAS thread, both here one
+    after the other otherwise. A part may call BLAS; this process makes no
+    BLAS call between the fork and the join. What ``walk`` records besides
+    its array (a trace span, a cache entry, the first import of
+    ``scipy.special``) stays in the child, so every such call belongs before
+    the walk. An exception in a part is raised here with its type and
+    message.
     """
-    if _usable_cpus() > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        own, other = _walk_with_child(walk)
-    else:
-        own, other = walk(0), walk(1)
-    return np.where(np.isnan(own), other, own)
-
-
-def _walk_with_child(walk: Callable[[int], np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """``walk(0)`` here and ``walk(1)`` in a forked child, in parallel."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _child(walk, read_fd, write_fd)
-    os.close(write_fd)
-    try:
-        # closing the read end on an error here ends a child that is blocked
-        # on a full pipe; the child is reaped on every path
-        with open(read_fd, "rb") as pipe:
-            own = walk(0)
-            payload = pipe.read()  # to EOF: the child has closed its end
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if not payload:
-        raise ChildProcessError(f"walk child ended with wait status {status} "
-                                "and sent nothing")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    return own, value
-
-
-def _child(walk: Callable[[int], np.ndarray], read_fd: int, write_fd: int) -> None:
-    """Send ``walk(1)``, or the exception it raised, and leave through
-    ``os._exit``: the child runs no exit handler of the parent's."""
-    try:
-        os.close(read_fd)
-        try:
-            payload = pickle.dumps((True, walk(1)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # noqa: BLE001 - raised again in the parent
-            try:
-                payload = pickle.dumps((False, exc))
-                pickle.loads(payload)  # the parent must be able to rebuild it
-            except Exception:  # noqa: BLE001 - e.g. a local class, an odd __init__
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-        with open(write_fd, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+    first, second = two_parts(walk)
+    return np.where(np.isnan(first), second, first)

@@ -7,10 +7,12 @@ it is one of the declared outliers of its window. The reported score is the
 margin R - lambda of the newest tick (max across sensors).
 
 Each tick's window is scored on its own, so the walk splits into the even
-and the odd ticks (``split_walk``): one part in this process and the other
-in a forked child when two CPUs are free, both here otherwise (one CPU, no
-``os.fork``, another Python thread running). The critical values are
-computed once per stream, before the split.
+and the odd ticks (``split_walk``): both parts in forked children, at once,
+when the process may use two CPUs under one BLAS thread, both here otherwise
+(one CPU, ``OPENBLAS_NUM_THREADS`` not "1", no ``os.fork``, another Python
+thread running). A part may call BLAS; this process makes none between the
+fork and the join. The critical values are computed once per stream, before
+the split.
 """
 
 from __future__ import annotations

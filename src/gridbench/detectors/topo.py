@@ -23,12 +23,14 @@ which falls then rises along a row, and a sensor whose median has not
 moved since the block's previous scored tick keeps it.
 
 Since no block reads another's work, the walk splits on block boundaries
-(``split_walk``): the even blocks in this process and the odd ones in a
-forked child when two CPUs are free, both here otherwise (one CPU, no
-``os.fork``, another Python thread running). Alternate blocks give both
-parts a like share of withheld ticks. The distances, the weights' power
-flow and the threshold are computed before the split; the flags are set
-once, from the scores put together.
+(``split_walk``): the even blocks in one forked child and the odd ones in
+another, at once, when the process may use two CPUs under one BLAS thread,
+both here otherwise (one CPU, ``OPENBLAS_NUM_THREADS`` not "1", no
+``os.fork``, another Python thread running). A part may call BLAS; this
+process makes none between the fork and the join. Alternate blocks give
+both parts a like share of withheld ticks. The distances, the weights'
+power flow and the threshold are computed before the split; the flags are
+set once, from the scores put together.
 """
 
 from __future__ import annotations

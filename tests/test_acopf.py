@@ -1,6 +1,9 @@
 """Violation metric, penalty gradients, data generation, sweep plumbing."""
 
 import ast
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,14 +31,18 @@ from gridbench.acopf import (
     split_realistic,
     train_penalty,
 )
+from gridbench.acopf import sweep as sweep_module
 from gridbench.acopf.mlp import input_standardization, mlp_backward, mlp_forward
 from gridbench.acopf.sweep import _REALISTIC_NOISE_SIGMA
 from gridbench.acopf.train import BATCH_SIZE
+from gridbench.detectors.base import split_walk
 from gridbench.grid import Branch, Bus, Generator, GridCase, Load, bundled_case
 from gridbench.loadsynth import TICKS_PER_DAY
 from gridbench.powerflow import solve_pf
 from gridbench.rng import Rng
 from gridbench.scenario import generation_dispatch
+
+SRC = Path(gridbench.acopf.__file__).resolve().parents[2]
 
 
 def toy_case():
@@ -124,14 +131,15 @@ def _imported_modules(tree, package):
 
 
 def test_acopf_does_not_import_scenario():
-    # layering: grid -> powerflow -> {scenario, acopf, detectors}
+    # layering: grid -> powerflow -> {scenario, acopf, detectors}, and
+    # twoparts below acopf and detectors; acopf imports neither sibling
     package_dir = Path(gridbench.acopf.__file__).parent
     offenders = [
         f"{path.name}: {name}"
         for path in sorted(package_dir.glob("*.py"))
         for name in _imported_modules(ast.parse(path.read_text(encoding="utf-8")),
                                       "gridbench.acopf")
-        if name == "gridbench.scenario" or name.startswith("gridbench.scenario.")]
+        if name.split(".")[:2] in (["gridbench", "scenario"], ["gridbench", "detectors"])]
     assert offenders == []
 
 
@@ -679,15 +687,19 @@ def test_single_cell_sweep_equals_direct_chain():
     assert res.rows[0] == direct
 
 
+def two_seed_config():
+    """A sweep of 12 cells on two seeds, 4 of them failing (``not_a_mode``)."""
+    return ExperimentConfig(case=bundled_case("case30"), n_real=60, n_fake=(40, 80),
+                            seeds=(0, 1), modes=("naive", "not_a_mode", "grouped"),
+                            width=24, train=TrainConfig(epochs=5, lr=0.01))
+
+
 def test_sweep_rows_equal_single_cells():
     # a seed's cells share its inputs and initial network in the sweep;
     # run_cell prepares them for one cell, so any state carried from one
     # cell to the next shows as a difference
-    case = bundled_case("case30")
-    modes, n_fakes, seeds = ("naive", "not_a_mode", "grouped"), (40, 80), (0, 1)
-    cfg = ExperimentConfig(case=case, n_real=60, n_fake=n_fakes, seeds=seeds,
-                           modes=modes, width=24,
-                           train=TrainConfig(epochs=5, lr=0.01))
+    cfg = two_seed_config()
+    n_fakes, seeds = cfg.n_fake, cfg.seeds
     res = experiment_sweep(cfg)
     good = [(m, n, s) for m in ("naive", "grouped") for n in n_fakes for s in seeds]
     assert [(r.mode, r.n_fake, r.seed) for r in res.rows] == good
@@ -727,6 +739,110 @@ def test_sweep_records_cell_failures_and_continues():
     assert len(res.rows) == 1
     assert len(res.failures) == 1
     assert "not_a_mode" in res.failures[0]
+
+
+@pytest.mark.parametrize("axis,values,match", [
+    ("seeds", (), "need at least one seed"),
+    ("modes", (), "need at least one mode"),
+    ("n_fake", (), "need at least one n_fake"),
+    ("seeds", (0, 1, 0), "repeated seed"),
+    ("modes", ("naive", "naive"), "repeated mode"),
+    ("n_fake", (20, 20), "repeated n_fake"),
+])
+def test_experiment_config_rejects_empty_or_repeated_axes(axis, values, match):
+    # a repeated value trains the same cell again and reports it twice; an
+    # empty axis gives an empty result
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(case=toy_case(), **{axis: values})
+
+
+def test_forked_sweep_equals_the_in_process_sweep(on_cpus, forks, no_child_left):
+    cfg = two_seed_config()
+    on_cpus(1)
+    serial = experiment_sweep(cfg)
+    assert not forks
+    on_cpus(2)
+    forked = experiment_sweep(cfg)
+    assert len(forks) == 2  # one child per part of the seeds
+    assert len(serial.rows) == 8 and len(serial.failures) == 4
+    assert forked.rows == serial.rows
+    assert forked.failures == serial.failures
+
+
+def test_one_seed_sweep_forks_nothing(on_cpus, forks, no_child_left):
+    on_cpus(2)
+    cfg = ExperimentConfig(case=toy_case(), n_real=8, n_fake=(4,), seeds=(3,),
+                           modes=("naive",), width=4, train=TrainConfig(epochs=1))
+    assert len(experiment_sweep(cfg).rows) == 1
+    assert not forks
+
+
+def test_sweep_records_a_decision_space_failure_for_every_cell(on_cpus, no_child_left):
+    case = toy_case()
+    slackless = replace(case, buses=(replace(case.buses[0], kind="pv"),) + case.buses[1:])
+    cfg = ExperimentConfig(case=slackless, n_real=8, n_fake=(4,), seeds=(3, 4),
+                           modes=("naive", "grouped"), width=4, train=TrainConfig(epochs=1))
+    with pytest.raises(StopIteration):
+        run_cell(cfg, "naive", 4, 3)
+    for cpus in (1, 2):
+        on_cpus(cpus)
+        res = experiment_sweep(cfg)
+        assert res.rows == ()
+        assert res.failures == tuple(f"{m}/n_fake=4/seed={s}: " for m in cfg.modes
+                                     for s in cfg.seeds)
+
+
+def test_sweep_raises_when_a_part_sends_nothing(monkeypatch, on_cpus, no_child_left):
+    real = sweep_module._seed_inputs
+
+    def exits_on_seed_1(config, space, seed):
+        if seed == 1:
+            os._exit(3)  # in the child running seeds[1::2]
+        return real(config, space, seed)
+
+    monkeypatch.setattr(sweep_module, "_seed_inputs", exits_on_seed_1)
+    on_cpus(2)
+    with pytest.raises(ChildProcessError, match="part 1's child .* sent nothing"):
+        experiment_sweep(replace(two_seed_config(), modes=("naive",), n_fake=(40,)))
+
+
+def test_sweep_and_walks_fork_nothing_without_one_blas_thread(
+        monkeypatch, on_cpus, forks, no_child_left):
+    # with OpenBLAS's own thread count, two children on two CPUs ran matrix
+    # products 5 to 20 times slower than one process
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    on_cpus(2)
+    cfg = replace(two_seed_config(), modes=("naive",), n_fake=(40,))
+    assert len(experiment_sweep(cfg).rows) == 2
+    walked = split_walk(lambda part: np.where(np.arange(4) % 2 == part, part, np.nan))
+    assert np.array_equal(walked, [0.0, 1.0, 0.0, 1.0])
+    assert not forks
+
+
+def test_sweep_forks_nothing_under_two_blas_threads():
+    # OpenBLAS reads its thread count when it loads, so only a fresh
+    # interpreter shows the setting a library caller starts with
+    script = """
+import os
+from gridbench import twoparts
+from gridbench.acopf import ExperimentConfig, TrainConfig, experiment_sweep
+from gridbench.grid import bundled_case
+
+twoparts._usable_cpus = lambda: 2
+calls = []
+real_fork = os.fork
+os.fork = lambda: calls.append(1) or real_fork()
+cfg = ExperimentConfig(case=bundled_case("case14"), n_real=8, n_fake=(4,), seeds=(0, 1),
+                       modes=("naive",), width=4, train=TrainConfig(epochs=1))
+rows = experiment_sweep(cfg).rows
+print(len(rows), len(calls))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                        os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["2", "0"]
 
 
 def test_mode_means_and_seed_gap_count():

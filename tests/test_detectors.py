@@ -1360,45 +1360,9 @@ def test_score_stream_checks_arguments_before_any_detector_runs(monkeypatch, nam
 
 # ------------------------------------------------------- split tick walks
 
-@pytest.fixture
-def no_child_left():
-    """Fails the test after 30 s instead of letting it hang; after it, this
-    process has no child, running or unreaped."""
-    def hung(signum, frame):
-        raise TimeoutError("split_walk hung")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the forks made through ``os.fork``."""
-    calls = []
-    real_fork = os.fork
-
-    def counting_fork():
-        calls.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return calls
-
-
-def on_cpus(monkeypatch, n):
-    monkeypatch.setattr(detector_base, "_usable_cpus", lambda: n)
-
-
 @pytest.mark.parametrize("case_name,variant", [("case14", "realistic"), ("case30", "small")])
 def test_split_walks_equal_the_serial_walks_on_a_benchmark_stream(
-        monkeypatch, forks, no_child_left, case_name, variant):
+        on_cpus, forks, no_child_left, case_name, variant):
     case = bundled_case(case_name)
     stream = run_scenario(build_scenario(benchmark_config(case, variant, 1)))
 
@@ -1407,12 +1371,12 @@ def test_split_walks_equal_the_serial_walks_on_a_benchmark_stream(
                 topo_aware_score(stream.values, stream.topology_id_per_tick,
                                  stream.topology_registry, case, TopoConfig()))
 
-    on_cpus(monkeypatch, 1)
+    on_cpus(1)
     serial = score()
     assert not forks
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     split = score()
-    assert len(forks) == 2  # one child per detector
+    assert len(forks) == 4  # two children per detector
     for want, got in zip(serial, split):
         assert np.isfinite(want.scores).sum() > 500 and want.flags.any(), want.detector
         assert np.array_equal(got.scores, want.scores, equal_nan=True), want.detector
@@ -1421,14 +1385,14 @@ def test_split_walks_equal_the_serial_walks_on_a_benchmark_stream(
 
 
 def test_split_walk_returns_a_child_payload_larger_than_a_pipe_buffer(
-        monkeypatch, forks, no_child_left):
+        on_cpus, forks, no_child_left):
     values = Rng(91).normals(4500).reshape(-1, 1)
-    on_cpus(monkeypatch, 1)
+    on_cpus(1)
     serial = gesd_score_stream(values)
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     split = gesd_score_stream(values)
-    assert len(forks) == 1
-    assert 2 * values.nbytes > 64 * 1024  # the child's scores and flags
+    assert len(forks) == 2
+    assert 2 * values.nbytes > 64 * 1024  # each child's scores and flags
     assert np.array_equal(split.scores, serial.scores, equal_nan=True)
     assert np.array_equal(split.flags, serial.flags)
 
@@ -1440,16 +1404,16 @@ class ModuleLevelError(Exception):
 @pytest.mark.parametrize("error", [ValueError("part 1 failed"),
                                    ModuleLevelError("part 1 failed")])
 def test_split_walk_raises_the_childs_exception_in_the_parent(
-        monkeypatch, forks, no_child_left, error):
+        on_cpus, forks, no_child_left, error):
     def walk(part):
         if part == 1:
             raise error
         return np.zeros(3)
 
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     with pytest.raises(type(error), match="^part 1 failed$"):
         detector_base.split_walk(walk)
-    assert len(forks) == 1
+    assert len(forks) == 2
 
 
 class TwoArgumentError(Exception):
@@ -1459,12 +1423,11 @@ class TwoArgumentError(Exception):
         super().__init__(f"{what} {why}")
 
 
-def test_split_walk_reports_an_exception_that_does_not_pickle(
-        monkeypatch, no_child_left):
+def test_split_walk_reports_an_exception_that_does_not_pickle(on_cpus, no_child_left):
     class Unpicklable(Exception):  # a local class pickles by a name nothing can load
         pass
 
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     for error in (Unpicklable("part 1 failed"), TwoArgumentError("part 1", "failed")):
         def walk(part):
             if part == 1:
@@ -1475,42 +1438,52 @@ def test_split_walk_reports_an_exception_that_does_not_pickle(
             detector_base.split_walk(walk)
 
 
-def test_split_walk_raises_when_the_child_sends_nothing(monkeypatch, no_child_left):
+def test_split_walk_raises_when_the_child_sends_nothing(on_cpus, no_child_left):
     def walk(part):
         if part == 1:
             os._exit(3)
         return np.zeros(3)
 
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     with pytest.raises(ChildProcessError, match="sent nothing"):
         detector_base.split_walk(walk)
 
 
 def test_split_walk_parent_error_ends_a_child_blocked_on_a_full_pipe(
-        monkeypatch, forks, no_child_left):
+        on_cpus, forks, no_child_left):
+    # both parts run in children; the parent reads part 0's pipe first, and
+    # part 0's child interrupts it there while part 1's waits on a full pipe
+    def interrupted(signum, frame):
+        raise RuntimeError("parent interrupted")
+
     def walk(part):
         if part == 1:
             return np.zeros(1 << 18)  # 2 MiB: the child blocks on the full pipe
         time.sleep(0.2)
-        raise RuntimeError("part 0 failed")
+        os.kill(os.getppid(), signal.SIGUSR1)
+        return np.zeros(3)
 
-    on_cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="^part 0 failed$"):
-        detector_base.split_walk(walk)
-    assert len(forks) == 1
+    on_cpus(2)
+    previous = signal.signal(signal.SIGUSR1, interrupted)
+    try:
+        with pytest.raises(RuntimeError, match="^parent interrupted$"):
+            detector_base.split_walk(walk)
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    assert len(forks) == 2
 
 
 def test_split_walk_stays_serial_on_one_cpu_beside_another_thread_or_without_fork(
-        monkeypatch, forks, no_child_left):
+        monkeypatch, on_cpus, forks, no_child_left):
     def walk(part):
         out = np.full(4, np.nan)
         out[part::2] = part + 1.0
         return out
 
     want = np.array([1.0, 2.0, 1.0, 2.0])
-    on_cpus(monkeypatch, 1)
+    on_cpus(1)
     assert np.array_equal(detector_base.split_walk(walk), want)
-    on_cpus(monkeypatch, 2)
+    on_cpus(2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -1522,7 +1495,7 @@ def test_split_walk_stays_serial_on_one_cpu_beside_another_thread_or_without_for
     assert not other.is_alive()
     assert not forks
     assert np.array_equal(detector_base.split_walk(walk), want)
-    assert len(forks) == 1
+    assert len(forks) == 2
     monkeypatch.delattr(os, "fork")
     assert np.array_equal(detector_base.split_walk(walk), want)
 

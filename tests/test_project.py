@@ -244,10 +244,12 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     assert gridbench.acopf.train.mlp_forward is forward
 
 
-def test_traced_sweep_prepares_each_seed_once(monkeypatch):
+def test_traced_sweep_prepares_each_seed_once(monkeypatch, on_cpus):
     # the sweep's layers are traced through ``gridbench.acopf.sweep``'s
     # globals; a seed's realistic draw and initial weights are shared by its
-    # cells and the decision space by the whole sweep
+    # cells and the decision space by the whole sweep. A trace records only
+    # the calls made in this process, so the sweep runs here, on one CPU.
+    on_cpus(1)
     layers = _bench_layers(monkeypatch)
     cfg = ExperimentConfig(case=bundled_case("case30"), n_real=40, n_fake=(20, 30),
                            seeds=(0, 1), modes=("naive", "grouped"), width=8,
